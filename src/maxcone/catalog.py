@@ -155,11 +155,3 @@ def moduli_dimension(c: ConeConfig) -> int:
     """Free real parameters after the a_1 = 1 gauge: 2(m + n) - 1."""
     return 2 * (c.m + c.n) - 1
 
-
-def all_classes_up_to(total_max: int) -> list[ConeConfig]:
-    """Canonical classes for every cone count from 1 to total_max."""
-    out = []
-    for total in range(1, total_max + 1):
-        for m, n in enumerate_types(total):
-            out.extend(cfg for cfg, _ in classes_for_type(m, n))
-    return out

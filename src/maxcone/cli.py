@@ -1,7 +1,7 @@
 """Command-line interface: verify, mesh, catalog, minimal-measure.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage or
-configuration error. Reports are JSON; output files are written
+Exit codes: 0 all checks pass, 1 verification or numeric failure, 2 usage
+or configuration error. Reports are JSON; output files are written
 atomically (write to a temp file, then rename).
 """
 
@@ -16,7 +16,7 @@ import sys
 from . import minimal as mini
 from .catalog import build_catalog
 from .core import end_value_w0
-from .errors import MaxconeError
+from .errors import MaxconeError, NumericFailure
 from .mesh import GridSpec, build_mesh, export_obj, export_ply, graph_check
 from .params import SurfaceParams, validate_params
 from .report import TOL_LEVELS, ToleranceLadder, run_checks
@@ -221,6 +221,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except NumericFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (MaxconeError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

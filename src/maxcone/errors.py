@@ -5,6 +5,14 @@ class MaxconeError(Exception):
     """Base class for all package errors."""
 
 
+class NumericFailure(MaxconeError):
+    """A computation on valid input did not reach a trustworthy result.
+
+    The CLI exits 1 on these, like a failed check; every other
+    MaxconeError is a usage or configuration error and exits 2.
+    """
+
+
 class OrderingViolation(MaxconeError):
     """Branch points are not strictly ordered around the origin."""
 
@@ -33,7 +41,7 @@ class DegenerateGauss(MaxconeError):
     """Gauss map is 0 or infinity where a finite nonzero value is required."""
 
 
-class QuadratureFailure(MaxconeError):
+class QuadratureFailure(NumericFailure):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
@@ -41,19 +49,19 @@ class PathThroughSingularity(MaxconeError):
     """An integration path touches or crosses the singular set or a pole."""
 
 
-class NonConvergent(MaxconeError):
+class NonConvergent(NumericFailure):
     """Richardson extrapolation residual stayed above tolerance."""
 
 
-class VerificationFailure(MaxconeError):
+class VerificationFailure(NumericFailure):
     """A numerical check contradicts a closed-form prediction."""
 
 
-class DegenerateSingularity(MaxconeError):
+class DegenerateSingularity(NumericFailure):
     """dG/(G dh) failed the real-and-nonzero criterion on a component."""
 
 
-class AmbiguousDirection(MaxconeError):
+class AmbiguousDirection(NumericFailure):
     """Cone direction could not be resolved from the x3 comparison."""
 
 
@@ -61,7 +69,7 @@ class NotOnHyperboloid(MaxconeError):
     """Input of stereographic projection is not on the unit hyperboloid."""
 
 
-class WeldFailure(MaxconeError):
+class WeldFailure(NumericFailure):
     """Seam endpoints disagree with the apex beyond tolerance."""
 
 

@@ -204,7 +204,8 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     Interval halving against a global absolute budget: the worst panel is
     split until the summed |K15 - G7| estimate drops below tol. Panel width
     is capped at 2^-MAX_DEPTH; hitting the cap with the budget still blown
-    signals a mis-routed path.
+    signals a mis-routed path. A panel with a non-finite value or estimate
+    raises QuadratureFailure at once.
     """
 
     def panel(t0: float, t1: float):
@@ -216,6 +217,14 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
         k15 = half * (vals @ _WK)
         g7 = half * (vals[:, _GAUSS_IDX] @ _WG)
         e = float(np.sum(np.abs(k15 - g7)))
+        # a non-finite K15 or G7 sum makes e non-finite; NaN would otherwise
+        # slip through the budget test below, as nan > tol is False
+        if not math.isfinite(e):
+            z_ends = leg.points(np.array([t0, t1]))[0]
+            raise QuadratureFailure(
+                f"non-finite integrand on {leg} over t in [{t0:g}, {t1:g}] "
+                f"(z from {z_ends[0]:.17g} to {z_ends[1]:.17g})"
+            )
         return e, t0, t1, k15
 
     counter = 0

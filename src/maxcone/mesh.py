@@ -35,7 +35,7 @@ from .integrate import (
     immersion,
 )
 from .params import SurfaceParams
-from .singular import SingularComponent, components, theorem_direction
+from .singular import SingularComponent, components, theorem_direction, touching_pairs
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,7 @@ def assemble(
     fan), reflects through x2 = mirror_constant matching the surface's
     symmetry, and appends `copies` translates by (0, 2pi, 0). Raises
     WeldFailure when a direct branch-point-endpoint integral disagrees with
-    the extrapolated apex by more than weld_tol.
+    the extrapolated apex by more than weld_tol, or by a non-finite amount.
     """
     if copies < 0:
         raise ValueError("copies must be nonnegative")
@@ -460,11 +460,14 @@ def _weld_check(fund: FundamentalSamples, p: SurfaceParams, weld_tol: float) -> 
         worst = 0.0
         for endpoint in (comp.lo, comp.hi):
             direct = immersion(complex(endpoint), p, fund.basepoint)
-            worst = max(worst, float(np.max(np.abs(np.asarray(direct.f) - np.asarray(s.f)))))
-        if worst > weld_tol:
-            raise WeldFailure(
-                f"apex of [{comp.lo}, {comp.hi}] disagrees with endpoint integral by {worst:g}"
-            )
+            gap = float(np.max(np.abs(np.asarray(direct.f) - np.asarray(s.f))))
+            # written so that a NaN gap fails; max() would drop it
+            if not gap <= weld_tol:
+                raise WeldFailure(
+                    f"apex of [{comp.lo}, {comp.hi}] disagrees with the integral "
+                    f"to endpoint {endpoint} by {gap:g}"
+                )
+            worst = max(worst, gap)
         out.append(worst)
     return out
 
@@ -480,8 +483,9 @@ class GraphCheckReport:
     boundary_monotone: bool
     monotonicity_violations: int
     overlap_free: bool
-    intersecting_pairs: int
-    degenerate_projections: int
+    negative_triangles: int
+    boundary_self_intersections: int
+    disk_topology: bool
     passed: bool
 
     def to_dict(self) -> dict:
@@ -491,8 +495,9 @@ class GraphCheckReport:
             "boundary_monotone": self.boundary_monotone,
             "monotonicity_violations": self.monotonicity_violations,
             "overlap_free": self.overlap_free,
-            "intersecting_pairs": self.intersecting_pairs,
-            "degenerate_projections": self.degenerate_projections,
+            "negative_triangles": self.negative_triangles,
+            "boundary_self_intersections": self.boundary_self_intersections,
+            "disk_topology": self.disk_topology,
             "passed": self.passed,
         }
 
@@ -502,8 +507,11 @@ def graph_check(mesh: GraphMesh) -> GraphCheckReport:
 
     Checks that every regular vertex normal points up, that x1 is strictly
     monotone along both boundary rows off the singular intervals, and that
-    the x1x2-projections of the period mesh triangles do not overlap.
-    Returns findings; never raises.
+    the x1x2-projection of the period mesh is one-to-one. The last is
+    certified without any pair search (Floater, Math. Comp. 72, 2003): a
+    piecewise-linear map of an oriented triangulated disk is one-to-one when
+    every image triangle is positively oriented and the boundary maps onto
+    a simple closed polygon. Returns findings; never raises.
     """
     regular = ~np.isnan(mesh.nu3[: mesh.period_vertex_count])
     min_nu3 = float(np.min(mesh.nu3[: mesh.period_vertex_count][regular]))
@@ -517,10 +525,16 @@ def graph_check(mesh: GraphMesh) -> GraphCheckReport:
                 violations += 1
     boundary_monotone = violations == 0
 
-    pairs, degenerate = _projected_overlaps(
-        mesh.vertices, mesh.triangles[: mesh.period_triangle_count], rel_tol=1e-6
-    )
-    overlap_free = pairs == 0
+    tris = mesh.triangles[: mesh.period_triangle_count]
+    xy = mesh.vertices[:, :2]
+    e1 = xy[tris[:, 1]] - xy[tris[:, 0]]
+    e2 = xy[tris[:, 2]] - xy[tris[:, 0]]
+    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    # written so that zero and NaN areas fail too
+    negative = int(np.count_nonzero(~(area2 > 0)))
+    disk, boundary = _disk_boundary(tris)
+    crossings = touching_pairs(xy, boundary)
+    overlap_free = negative == 0 and disk and crossings == 0
 
     return GraphCheckReport(
         normals_up=normals_up,
@@ -528,8 +542,9 @@ def graph_check(mesh: GraphMesh) -> GraphCheckReport:
         boundary_monotone=boundary_monotone,
         monotonicity_violations=violations,
         overlap_free=overlap_free,
-        intersecting_pairs=pairs,
-        degenerate_projections=degenerate,
+        negative_triangles=negative,
+        boundary_self_intersections=crossings,
+        disk_topology=disk,
         passed=normals_up and boundary_monotone and overlap_free,
     )
 
@@ -542,118 +557,46 @@ def _dedup(chain):
     return out
 
 
-def _projected_overlaps(
-    vertices: np.ndarray, triangles: np.ndarray, rel_tol: float = 1e-6
-) -> tuple[int, int]:
-    """Count overlapping projected triangle pairs via binning + SAT.
+def _disk_boundary(tris: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Whether tris form an oriented triangulated disk, and its boundary edges.
 
-    A pair counts when the interiors interpenetrate by more than rel_tol
-    times the projected mesh extent (the mesh-level tolerance); straight
-    edges chord curved surface patches, so shallower contacts are
-    discretization slivers, not graph violations.
+    Oriented: no directed edge repeats, so every edge lies in at most two
+    triangles and an interior edge is used once in each direction. The
+    boundary is the edges used once, directed as in their triangle; a disk
+    has exactly one boundary cycle with no repeated vertex and Euler
+    characteristic V - E + F = 1 over the vertices the triangles use.
     """
-    P = vertices[:, :2]
-    tri_pts = P[triangles]  # (T, 3, 2)
-    lo = tri_pts.min(axis=1)
-    hi = tri_pts.max(axis=1)
-    area2 = np.abs(
-        (tri_pts[:, 1, 0] - tri_pts[:, 0, 0]) * (tri_pts[:, 2, 1] - tri_pts[:, 0, 1])
-        - (tri_pts[:, 1, 1] - tri_pts[:, 0, 1]) * (tri_pts[:, 2, 0] - tri_pts[:, 0, 0])
-    )
-    scale = float(np.max(hi - lo)) if len(triangles) else 1.0
-    degenerate = int(np.sum(area2 <= 1e-20 * scale**2))
-
-    # bin cell: floored at extent/256 so a handful of large outer triangles
-    # cannot explode into thousands of cells each
-    span = np.maximum(hi - lo, 1e-30)
-    extent_x = float(np.max(hi[:, 0]) - np.min(lo[:, 0]))
-    extent_y = float(np.max(hi[:, 1]) - np.min(lo[:, 1]))
-    cell = max(2.0 * float(np.median(span)), max(extent_x, extent_y) / 256.0, 1e-30)
-    gx0, gy0 = float(np.min(lo[:, 0])), float(np.min(lo[:, 1]))
-    ix0 = np.floor((lo[:, 0] - gx0) / cell).astype(np.int64)
-    ix1 = np.floor((hi[:, 0] - gx0) / cell).astype(np.int64)
-    iy0 = np.floor((lo[:, 1] - gy0) / cell).astype(np.int64)
-    iy1 = np.floor((hi[:, 1] - gy0) / cell).astype(np.int64)
-
-    n = len(triangles)
-    ny = int(np.max(iy1)) + 2
-    keys_blocks = []
-    tris_blocks = []
-    single = (ix0 == ix1) & (iy0 == iy1)
-    keys_blocks.append(ix0[single] * ny + iy0[single])
-    tris_blocks.append(np.nonzero(single)[0])
-    for t in np.nonzero(~single)[0]:
-        bx = np.arange(ix0[t], ix1[t] + 1)
-        by = np.arange(iy0[t], iy1[t] + 1)
-        kk = (bx[:, None] * ny + by[None, :]).ravel()
-        keys_blocks.append(kk)
-        tris_blocks.append(np.full(len(kk), t, dtype=np.int64))
-    keys = np.concatenate(keys_blocks)
-    tris = np.concatenate(tris_blocks)
-    order = np.argsort(keys, kind="stable")
-    keys, tris = keys[order], tris[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(keys))[0] + 1, [len(keys)]])
-
-    pair_i = []
-    pair_j = []
-    for s, e in zip(starts[:-1], starts[1:]):
-        k = e - s
-        if k < 2:
-            continue
-        members = np.sort(tris[s:e])
-        iu, ju = np.triu_indices(k, 1)
-        pair_i.append(members[iu])
-        pair_j.append(members[ju])
-    if not pair_i:
-        return 0, degenerate
-    ii = np.concatenate(pair_i)
-    jj = np.concatenate(pair_j)
-    uniq = np.unique(ii * np.int64(n) + jj)
-    ii, jj = uniq // n, uniq % n
-    # bbox rejection
-    keep = ~(
-        (hi[ii, 0] <= lo[jj, 0])
-        | (hi[jj, 0] <= lo[ii, 0])
-        | (hi[ii, 1] <= lo[jj, 1])
-        | (hi[jj, 1] <= lo[ii, 1])
-    )
-    ii, jj = ii[keep], jj[keep]
-    # drop pairs sharing a vertex index (edge/fan neighbors)
-    shared = np.zeros(len(ii), dtype=bool)
-    for aa in range(3):
-        for bb in range(3):
-            shared |= triangles[ii, aa] == triangles[jj, bb]
-    ii, jj = ii[~shared], jj[~shared]
-    if len(ii) == 0:
-        return 0, degenerate
-    extent = float(np.max(hi.max(axis=0) - lo.min(axis=0)))
-    overlap = _sat_overlap(tri_pts[ii], tri_pts[jj], eps=rel_tol * max(extent, 1e-30))
-    return int(np.sum(overlap)), degenerate
+    u = tris.ravel()
+    v = tris[:, [1, 2, 0]].ravel()
+    n = np.int64(u.max(initial=0)) + 1
+    # grouped by plain sorts: on numpy 2.4, np.unique and np.isin over these
+    # int64 keys measured about 40x slower than np.sort
+    directed = np.sort(u * n + v)
+    oriented = not np.any(directed[1:] == directed[:-1])
+    undirected = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(undirected)
+    undirected = undirected[order]
+    paired = np.zeros(len(u) + 1, dtype=bool)
+    paired[1:-1] = undirected[1:] == undirected[:-1]
+    once = order[~(paired[:-1] | paired[1:])]
+    edges = np.stack([u[once], v[once]], axis=1)
+    n_edges = (len(u) + len(once)) // 2
+    euler = np.count_nonzero(np.bincount(u)) - n_edges + len(tris)
+    return bool(oriented and euler == 1 and _one_cycle(edges)), edges
 
 
-def _sat_overlap(A: np.ndarray, B: np.ndarray, eps: float) -> np.ndarray:
-    """Vectorized separating-axis test for 2D triangle pairs.
-
-    True where the interiors properly overlap: no axis among the six edge
-    normals separates the pair (touching within eps does not count).
-    """
-    n = len(A)
-    result = np.ones(n, dtype=bool)
-    for source, other in ((A, B), (B, A)):
-        for e in range(3):
-            p0 = source[:, e]
-            p1 = source[:, (e + 1) % 3]
-            nx = -(p1[:, 1] - p0[:, 1])
-            ny = p1[:, 0] - p0[:, 0]
-            pa = source[:, :, 0] * nx[:, None] + source[:, :, 1] * ny[:, None]
-            pb = other[:, :, 0] * nx[:, None] + other[:, :, 1] * ny[:, None]
-            norm = np.sqrt(nx**2 + ny**2)
-            norm = np.where(norm > 0, norm, 1.0)
-            gap1 = pb.min(axis=1) - pa.max(axis=1)
-            gap2 = pa.min(axis=1) - pb.max(axis=1)
-            separated = np.maximum(gap1, gap2) / norm >= -eps
-            result &= ~separated
-    return result
+def _one_cycle(edges: np.ndarray) -> bool:
+    """True when the directed edges form a single cycle through distinct vertices."""
+    tails, heads = np.sort(edges[:, 0]), np.sort(edges[:, 1])
+    if not len(edges) or np.any(tails[1:] == tails[:-1]) or not np.array_equal(tails, heads):
+        return False
+    # the successor map is now a permutation of the boundary vertices
+    succ = dict(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
+    start = int(edges[0, 0])
+    vertex, steps = succ[start], 1
+    while vertex != start:
+        vertex, steps = succ[vertex], steps + 1
+    return steps == len(edges)
 
 
 # ---------------------------------------------------------------------------

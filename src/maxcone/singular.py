@@ -374,7 +374,8 @@ def embedded_neighborhood_proxy(
     pts = np.array(
         [immersion(z, p, basepoint, tol=quad_tol).f[:2] for z in loop]
     )
-    return not _polyline_self_intersects(pts)
+    ring = np.arange(len(pts))
+    return touching_pairs(pts, np.stack([ring, np.roll(ring, -1)], axis=1)) == 0
 
 
 def _stadium_points(component: SingularComponent, d: float, n: int) -> np.ndarray:
@@ -392,28 +393,42 @@ def _stadium_points(component: SingularComponent, d: float, n: int) -> np.ndarra
     return np.concatenate([top, cap_r[1:], bot, cap_l[1:]])
 
 
-def _polyline_self_intersects(pts: np.ndarray) -> bool:
-    """Brute-force proper-intersection test for a closed polyline."""
-    n = len(pts)
-    segs = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # adjacent around the wrap
-            if _segments_cross(*segs[i], *segs[j]):
-                return True
-    return False
+def touching_pairs(points: np.ndarray, edges: np.ndarray) -> int:
+    """Pairs of segments that share no vertex yet meet, touching included.
+
+    points is (V, 2); edges is (E, 2) vertex indices. Two closed segments
+    meet when their bounding boxes overlap and neither separates the
+    other's endpoints strictly. Every comparison is written so that NaN
+    coordinates count as a meeting. Rows go in chunks of 256, so memory
+    stays at O(E) whatever the edge count.
+    """
+    a, b = points[edges[:, 0]], points[edges[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    d = b - a
+    idx = np.arange(len(edges))
+    hits = 0
+    for s in range(0, len(edges), 256):
+        r = slice(s, s + 256)
+        candidate = ~(
+            (lo[r, None, 0] > hi[None, :, 0])
+            | (lo[None, :, 0] > hi[r, None, 0])
+            | (lo[r, None, 1] > hi[None, :, 1])
+            | (lo[None, :, 1] > hi[r, None, 1])
+        )
+        candidate &= idx[r, None] < idx[None, :]
+        for x in range(2):
+            for y in range(2):
+                candidate &= edges[r, None, x] != edges[None, :, y]
+        i, j = np.nonzero(candidate)
+        i += s
+        side_i = _cross(d[j], a[i] - a[j]) * _cross(d[j], b[i] - a[j])
+        side_j = _cross(d[i], a[j] - a[i]) * _cross(d[i], b[j] - a[i])
+        hits += int(np.count_nonzero(~(side_i > 0) & ~(side_j > 0)))
+    return hits
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def stereographic(x) -> complex:

@@ -64,6 +64,13 @@ def test_verify_bad_ordering_exit_2(tmp_path, capsys):
     assert "ascending" in capsys.readouterr().err
 
 
+def test_numeric_failure_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"m": 2, "n": 0, "a": [1, 2, 2.001, 3], "alpha": [1, -1]})
+    rc = main(["mesh", "--config", cfg, "--grid", "40x20", "--out", str(tmp_path / "s.obj")])
+    assert rc == EXIT_CHECK_FAILED
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_verify_missing_config_exit_2(tmp_path):
     rc = main(["verify", "--config", str(tmp_path / "nope.json")])
     assert rc == EXIT_CONFIG

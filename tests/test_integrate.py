@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from maxcone import integrate as I
-from maxcone.errors import NonConvergent, PathThroughSingularity
+from maxcone.errors import NonConvergent, PathThroughSingularity, QuadratureFailure
+from maxcone.params import SurfaceParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -216,6 +217,15 @@ def test_apex_all_components(p22):
 def test_apex_nonconvergent_raises(p10):
     with pytest.raises(NonConvergent):
         I.apex((1.0, 2.0), "above", p10, tol=1e-18)
+
+
+def test_non_finite_panel_raises():
+    # the sqrt approach into 2.0 refines until c + d s^2 rounds to c, where
+    # 1/w is infinite; the NaN it produced used to pass as a value
+    p = SurfaceParams(m=2, n=0, a=(1, 2, 2.001, 3), alpha=(1, -1))
+    for x in (2.0, 2.001):
+        with pytest.raises(QuadratureFailure, match="non-finite integrand on SqrtApproachLeg"):
+            I.immersion(complex(x), p)
 
 
 def test_immersion_rejects_singular_targets(p10):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -134,20 +135,146 @@ def test_graph_check_passes_10(mesh10):
     assert rep.min_nu3 > 0
 
 
-def test_graph_check_matches_brute_force_oracle():
+@pytest.fixture(scope="module")
+def oracle_mesh():
     p = SurfaceParams(m=1, n=0, a=(1, 2), alpha=(1,))
     g = MM.GridSpec(radial_samples=12, angular_samples=10, seam_refinement=1)
-    mesh = MM.build_mesh(p, g)
+    return MM.build_mesh(p, g)
+
+
+def _oracle_eps(mesh):
     tris = mesh.triangles[: mesh.period_triangle_count]
-    pairs, _ = MM._projected_overlaps(mesh.vertices, tris, rel_tol=1e-6)
-    extent = float(
-        np.max(
-            mesh.vertices[np.unique(tris)][:, :2].max(axis=0)
-            - mesh.vertices[np.unique(tris)][:, :2].min(axis=0)
-        )
+    used = mesh.vertices[np.unique(tris)][:, :2]
+    return 1e-6 * float(np.max(used.max(axis=0) - used.min(axis=0)))
+
+
+def test_graph_check_matches_brute_force_oracle(oracle_mesh):
+    tris = oracle_mesh.triangles[: oracle_mesh.period_triangle_count]
+    brute = oracles.brute_force_overlaps(oracle_mesh.vertices, tris, eps=_oracle_eps(oracle_mesh))
+    rep = MM.graph_check(oracle_mesh)
+    assert brute == 0
+    assert rep.overlap_free and rep.disk_topology, rep.to_dict()
+    assert rep.negative_triangles == 0 and rep.boundary_self_intersections == 0
+
+
+def _moved_vertex(mesh, v, xy):
+    vertices = mesh.vertices.copy()
+    vertices[v, :2] = xy
+    changed = np.nonzero(np.any(mesh.triangles == v, axis=1))[0]
+    return dataclasses.replace(mesh, vertices=vertices), changed
+
+
+def _folded_interior_vertex(mesh):
+    # an interior vertex carried past a neighbor folds its fan over the ring
+    tris = mesh.triangles[: mesh.period_triangle_count]
+    boundary = set(mesh.boundary_pos) | set(mesh.boundary_neg)
+    v = next(int(x) for x in tris[len(tris) // 3] if int(x) not in boundary)
+    w = next(int(x) for x in tris[np.any(tris == v, axis=1)][0] if x != v)
+    xy = mesh.vertices[:, :2]
+    return _moved_vertex(mesh, v, xy[w] + 2.0 * (xy[w] - xy[v]))
+
+
+def _flipped_triangle(mesh):
+    # the corner vertex in a single triangle, mirrored through the opposite
+    # edge and carried three heights deep: only that triangle turns over
+    tris = mesh.triangles[: mesh.period_triangle_count]
+    ear = int(np.nonzero(np.bincount(tris.ravel()) == 1)[0][0])
+    a, b = (int(x) for x in tris[np.any(tris == ear, axis=1)][0] if x != ear)
+    xy = mesh.vertices[:, :2]
+    mid = 0.5 * (xy[a] + xy[b])
+    return _moved_vertex(mesh, ear, mid - 3.0 * (xy[ear] - mid))
+
+
+def _boundary_vertex_across(mesh):
+    # a theta = pi row vertex pushed through the piece and past the mirror row
+    v = mesh.boundary_neg[len(mesh.boundary_neg) // 2]
+    x1, x2 = mesh.vertices[v, :2]
+    return _moved_vertex(mesh, v, (x1, x2 + 2.5 * math.pi))
+
+
+def _not_a_disk(mesh):
+    # a second copy of one triangle on fresh vertices: two components
+    n = len(mesh.vertices)
+    t = mesh.triangles[mesh.period_triangle_count // 2]
+    broken = dataclasses.replace(
+        mesh,
+        vertices=np.vstack([mesh.vertices, mesh.vertices[t]]),
+        nu3=np.concatenate([mesh.nu3, mesh.nu3[t]]),
+        triangles=np.vstack([mesh.triangles, [[n, n + 1, n + 2]]]),
+        period_triangle_count=mesh.period_triangle_count + 1,
+        period_vertex_count=mesh.period_vertex_count + 3,
     )
-    brute = oracles.brute_force_overlaps(mesh.vertices, tris, eps=1e-6 * extent)
-    assert pairs == brute == 0
+    return broken, np.array([mesh.period_triangle_count])
+
+
+@pytest.mark.parametrize(
+    "breaker, failing_test",
+    [
+        (_folded_interior_vertex, "negative_triangles"),
+        (_flipped_triangle, "negative_triangles"),
+        (_boundary_vertex_across, "boundary_self_intersections"),
+        (_not_a_disk, "disk_topology"),
+    ],
+)
+def test_graph_check_fails_with_oracle_on_broken_mesh(oracle_mesh, breaker, failing_test):
+    broken, changed = breaker(oracle_mesh)
+    tris = broken.triangles[: broken.period_triangle_count]
+    eps = _oracle_eps(broken)
+    # the intact mesh has no overlapping pair, so every overlap of the broken
+    # copy involves a changed triangle: the oracle runs on those pairs only
+    pairs = {(min(i, j), max(i, j)) for i in changed for j in range(len(tris)) if j != i}
+    brute = sum(oracles.brute_force_overlaps(broken.vertices, tris[[i, j]], eps) for i, j in pairs)
+    rep = MM.graph_check(broken)
+    assert brute > 0
+    assert not rep.overlap_free and not rep.passed, rep.to_dict()
+    if failing_test == "disk_topology":
+        assert not rep.disk_topology
+    else:
+        assert getattr(rep, failing_test) > 0
+
+
+def test_graph_check_fails_on_nan_vertex(mesh10):
+    _, mesh = mesh10
+    tris = mesh.triangles[: mesh.period_triangle_count]
+    vertices = mesh.vertices.copy()
+    vertices[tris[len(tris) // 3, 0], :2] = math.nan
+    rep = MM.graph_check(dataclasses.replace(mesh, vertices=vertices))
+    assert rep.negative_triangles > 0 and not rep.overlap_free and not rep.passed
+
+
+def test_graph_check_needs_the_boundary_test():
+    # a strip of positive triangles wound through 450 degrees: a disk whose
+    # only fault is the boundary crossing itself
+    n = 30
+    ang = np.linspace(0.0, 2.5 * math.pi, n + 1)
+    inner = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
+    vertices = np.vstack([inner, 2.0 * inner])
+    tris = []
+    for k in range(n):
+        a, b, c, d = k, k + 1, n + 1 + k, n + 2 + k
+        tris += [(a, c, d), (a, d, b)]
+    tris = np.array(tris)
+    mesh = MM.GraphMesh(
+        vertices=vertices,
+        triangles=tris,
+        cone_vertices=[],
+        copies=0,
+        cone_directions=[],
+        nu3=np.ones(len(vertices)),
+        boundary_pos=[],
+        boundary_neg=[],
+        period_triangle_count=len(tris),
+        period_vertex_count=len(vertices),
+        half_vertex_count=len(vertices),
+        weld_residuals=[],
+        f2_max_dev=0.0,
+        mirror_constant=0.0,
+        quad_error_max=0.0,
+    )
+    rep = MM.graph_check(mesh)
+    assert oracles.brute_force_overlaps(vertices, tris, eps=1e-9) > 0
+    assert rep.negative_triangles == 0 and rep.disk_topology
+    assert rep.boundary_self_intersections > 0 and not rep.overlap_free
 
 
 def test_boundary_monotonicity(mesh10):
@@ -240,6 +367,16 @@ def test_weld_failure_raised(fund10):
     bad_apex = ImmersionSample(z=fund.apex_samples[0].z, f=(10.0, 10.0, 10.0), quad_error=0.0)
     broken = dataclasses.replace(fund) if dataclasses.is_dataclass(fund) else fund
     broken.apex_samples = [bad_apex]
+    with pytest.raises(WeldFailure):
+        MM.assemble(broken, p, copies=0)
+
+
+def test_weld_failure_on_nan_apex(fund10):
+    p, fund = fund10
+    from maxcone.integrate import ImmersionSample
+
+    nan_apex = ImmersionSample(z=fund.apex_samples[0].z, f=(math.nan,) * 3, quad_error=0.0)
+    broken = dataclasses.replace(fund, apex_samples=[nan_apex])
     with pytest.raises(WeldFailure):
         MM.assemble(broken, p, copies=0)
 

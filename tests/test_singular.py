@@ -132,6 +132,19 @@ def test_embedded_neighborhood_proxy(p10):
     assert S.embedded_neighborhood_proxy(S.components(p10)[0], p10)
 
 
+def test_touching_pairs_closed_segments():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    ring = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+    assert S.touching_pairs(square, ring) == 0
+    bowtie = square[[0, 1, 3, 2]]
+    assert S.touching_pairs(bowtie, ring) == 1
+    # a vertex resting on a non-adjacent edge counts as a meeting
+    pinched = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    five = np.array([[k, (k + 1) % 5] for k in range(5)])
+    assert S.touching_pairs(pinched, five) == 2
+    assert S.touching_pairs(np.where(square == 1.0, np.nan, square), ring) > 0
+
+
 def test_stereographic_pole():
     assert core.is_infinite(S.stereographic(np.array([0.0, 0.0, 1.0])))
 
