@@ -5,6 +5,10 @@ branch with Re w >= 0, the Gauss map G = (1 + w)/(1 - w), the holomorphic
 form coefficients (phi1, phi2, phi3)/dz, the conformal metric factor, and
 the Hopf differential coefficient. Everything here is pointwise, pure, and
 deterministic; array-valued helpers carry the hot path for the integrator.
+G and dh are formed in one place, `weierstrass_data`, which every scalar
+helper and the other modules call; the non-degeneracy ratio dG/(G dh) has
+the rational closed form `dg_over_gdh`, with no branch choice and no finite
+difference.
 
 Branch convention: w is the principal square root re-selected so Re w >= 0,
 with Im w >= 0 breaking ties on the singular intervals. On this domain that
@@ -130,29 +134,51 @@ def branch_w(z: complex, p: SurfaceParams) -> BranchedValue:
     return BranchedValue(z=z, w=complex(w_values(np.asarray([z]), p)[0]))
 
 
-def _nu_from_w(w: complex) -> tuple[float, float, float]:
-    """Normalized Gauss vector, computed stably from w.
+def weierstrass_data(z, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized pointwise data (w, G, dh/dz) at the points z.
+
+    G = (1 + w)/(1 - w), with G = -1 at w^2-poles by continuity and G = inf
+    at w = 1; dh/dz = -(1/w - w)/(2z) is not finite at branch points. At
+    z = inf, w = 1 (every factor of w^2 tends to 1).
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.where(np.isinf(z), 1.0 + 0.0j, w_values(z, p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = np.where(w == 1.0, INF, (1.0 + w) / (1.0 - w))
+        dh = -0.5 * (1.0 / w - w) / z
+    return w, np.where(np.isfinite(w), G, -1.0 + 0.0j), dh
+
+
+def dg_over_gdh(z, p: SurfaceParams) -> np.ndarray:
+    """Closed-form dG/(G dh) = -2 z W (log W)' / (1 - W)^2 with W = w^2.
+
+    Rational in z, so no branch choice enters: real on the singular
+    intervals, where the non-degeneracy criterion asks it to be nonzero.
+    """
+    z = np.asarray(z, dtype=complex)
+    W = w2_values(z, p)
+    return -2.0 * z * W * dlog_w2(z, p) / (1.0 - W) ** 2
+
+
+def nu_from_w(w) -> np.ndarray:
+    """Normalized Gauss vectors (..., 3) from branch values.
 
     Equals (-2 Re G, -2 Im G, |G|^2 + 1) normalized, rewritten in w so the
-    G = inf point (w = 1) needs no special care.
+    G = inf point (w = 1) needs no special care; w^2-poles give (1, 0, 1)/sqrt 2.
     """
-    if is_infinite(w):
-        r = 1.0 / math.sqrt(2.0)
-        return (r, 0.0, r)
-    aw2 = abs(w) ** 2
-    v = np.array([aw2 - 1.0, -2.0 * w.imag, aw2 + 1.0])
-    v = v / np.linalg.norm(v)
-    return (float(v[0]), float(v[1]), float(v[2]))
+    w = np.asarray(w, dtype=complex)
+    aw2 = np.abs(w) ** 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm = np.sqrt((aw2 - 1.0) ** 2 + 4.0 * w.imag**2 + (aw2 + 1.0) ** 2)
+        v = np.stack([aw2 - 1.0, -2.0 * w.imag, aw2 + 1.0], axis=-1) / norm[..., None]
+    r = 1.0 / math.sqrt(2.0)
+    return np.where(np.isfinite(w)[..., None], v, np.array([r, 0.0, r]))
 
 
 def gauss(z: complex, p: SurfaceParams) -> GaussValue:
     """Gauss map at z. At w^2-poles G = -1 by continuity; at w = 1, G = inf."""
-    w = branch_w(z, p).w
-    if is_infinite(w):
-        return GaussValue(G=-1.0 + 0.0j, nu=_nu_from_w(w))
-    if w == 1.0:
-        return GaussValue(G=INF, nu=_nu_from_w(w))
-    return GaussValue(G=(1.0 + w) / (1.0 - w), nu=_nu_from_w(w))
+    w, G, _ = weierstrass_data(z, p)
+    return GaussValue(G=complex(G), nu=tuple(float(c) for c in nu_from_w(w)))
 
 
 def phi_from_w(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -191,16 +217,13 @@ def metric_factor(z: complex, p: SurfaceParams) -> float:
     stays finite through the removable point w = 1.
     """
     z = complex(z)
-    w = branch_w(z, p).w
+    w, G, dh = (complex(v) for v in weierstrass_data(z, p))
     if w == 0.0 or is_infinite(w):
         return 0.0  # closed singular intervals include their endpoints
     if abs(1.0 - w) < 1e-6:
         t = phi(z, p)
         return 0.5 * (abs(t.phi1) ** 2 + abs(t.phi2) ** 2 - abs(t.phi3) ** 2)
-    G = (1.0 + w) / (1.0 - w)
-    dh = -0.5 * (1.0 / w - w) / z
-    val = (1.0 / abs(G) - abs(G)) ** 2 * abs(dh) ** 2 / 4.0
-    return float(val)
+    return float((1.0 / abs(G) - abs(G)) ** 2 * abs(dh) ** 2 / 4.0)
 
 
 def dlog_w2(z, p: SurfaceParams):
@@ -226,17 +249,14 @@ def gauss_derivative(z: complex, p: SurfaceParams) -> complex:
 
 
 def hopf(z: complex, p: SurfaceParams) -> complex:
-    """Hopf differential coefficient Q/dz^2 = dG dh / G at a regular point."""
+    """Hopf differential coefficient Q/dz^2 = dG dh / G = (dG/(G dh)) dh^2."""
     z = complex(z)
-    w = branch_w(z, p).w
+    w, _, dh = (complex(v) for v in weierstrass_data(z, p))
     if w == 0.0 or is_infinite(w):
         raise BranchPointEvaluation(f"Q is singular at branch point z={z}")
     if w == 1.0:
         raise DegenerateGauss(f"G = inf at z={z}")
-    dG = gauss_derivative(z, p)
-    dh = -0.5 * (1.0 / w - w) / z
-    G = (1.0 + w) / (1.0 - w)
-    return dG * dh / G
+    return complex(dg_over_gdh(z, p)) * dh**2
 
 
 def end_value_w0(p: SurfaceParams) -> float:

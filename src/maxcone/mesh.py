@@ -294,13 +294,7 @@ def _incremental_grid(p, radii, thetas, basepoint, tol, skip):
 
 
 def _grid_nu3(z_grid, apex_ref, p):
-    z = z_grid.ravel()
-    w = core.w_values(z, p)
-    aw2 = np.abs(w) ** 2
-    with np.errstate(invalid="ignore", over="ignore"):
-        nu3 = (aw2 + 1.0) / np.sqrt((aw2 - 1.0) ** 2 + 4.0 * w.imag**2 + (aw2 + 1.0) ** 2)
-    nu3 = np.where(np.isfinite(w), nu3, 1.0 / math.sqrt(2.0))
-    nu3 = nu3.reshape(z_grid.shape)
+    nu3 = core.nu_from_w(core.w_values(z_grid, p))[..., 2]
     return np.where(apex_ref >= 0, np.nan, nu3)
 
 
@@ -479,7 +473,7 @@ def _weld_check(fund: FundamentalSamples, p: SurfaceParams, weld_tol: float) -> 
 @dataclass
 class GraphCheckReport:
     normals_up: bool
-    min_nu3: float
+    min_nu3: float | None  # None when the mesh has no regular vertex
     boundary_monotone: bool
     monotonicity_violations: int
     overlap_free: bool
@@ -511,11 +505,13 @@ def graph_check(mesh: GraphMesh) -> GraphCheckReport:
     certified without any pair search (Floater, Math. Comp. 72, 2003): a
     piecewise-linear map of an oriented triangulated disk is one-to-one when
     every image triangle is positively oriented and the boundary maps onto
-    a simple closed polygon. Returns findings; never raises.
+    a simple closed polygon. Returns findings; never raises: a mesh without
+    a regular vertex fails with normals_up False.
     """
-    regular = ~np.isnan(mesh.nu3[: mesh.period_vertex_count])
-    min_nu3 = float(np.min(mesh.nu3[: mesh.period_vertex_count][regular]))
-    normals_up = bool(min_nu3 > 0.0)
+    nu3 = mesh.nu3[: mesh.period_vertex_count]
+    nu3 = nu3[~np.isnan(nu3)]
+    min_nu3 = float(np.min(nu3)) if len(nu3) else None
+    normals_up = min_nu3 is not None and min_nu3 > 0.0
 
     violations = 0
     for chain in (mesh.boundary_pos, mesh.boundary_neg):

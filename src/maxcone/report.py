@@ -64,9 +64,10 @@ def run_checks(
     checks = []
 
     pts = core.regular_sample_points(p, n_random, rng)
-    checks.append(_check_conformality(p, pts, tol))
-    checks.append(_check_branch_coherence(p, pts, tol))
-    checks.append(_check_gauss_modulus(p, pts, tol))
+    w, G, _ = core.weierstrass_data(pts, p)
+    checks.append(_check_conformality(pts, w, tol))
+    checks.append(_check_branch_coherence(p, pts, w, tol))
+    checks.append(_check_gauss_modulus(w, G, tol))
     checks.append(_check_singular_set(p, tol))
     comps = singular.components(p)
     reports, cone_checks = _cone_checks(comps, p, basepoint, tol)
@@ -102,8 +103,8 @@ def _entry(name: str, passed: bool, **details) -> dict:
     return {"name": name, "passed": bool(passed), "details": details}
 
 
-def _check_conformality(p, pts, tol):
-    c = core.phi_values(pts, p)
+def _check_conformality(pts, w, tol):
+    c = core.phi_from_w(pts, w)
     num = np.abs(c[0] ** 2 + c[1] ** 2 - c[2] ** 2)
     den = np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2
     worst = float(np.max(num / den))
@@ -112,8 +113,7 @@ def _check_conformality(p, pts, tol):
     )
 
 
-def _check_branch_coherence(p, pts, tol):
-    w = core.w_values(pts, p)
+def _check_branch_coherence(p, pts, w, tol):
     w2 = core.w2_values(pts, p)
     resid = float(np.max(np.abs(w**2 - w2) / np.abs(w2)))
     re_ok = bool(np.all(w.real >= 0.0))
@@ -125,14 +125,11 @@ def _check_branch_coherence(p, pts, tol):
     )
 
 
-def _check_gauss_modulus(p, pts, tol):
-    w = core.w_values(pts, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        absg = np.abs((1.0 + w) / (1.0 - w))
-    absg = absg[np.isfinite(absg)]
+def _check_gauss_modulus(w, G, tol):
+    absg = np.abs(G[np.isfinite(G)])
     min_mod = float(np.min(absg))
     # nu normalization on the same samples
-    nus = np.array([core.gauss(z, p).nu for z in pts[:100]])
+    nus = core.nu_from_w(w)
     nu_norm_dev = float(np.max(np.abs(np.linalg.norm(nus, axis=1) - 1.0)))
     nu3_ok = bool(np.all(nus[:, 2] > 0.0))
     return _entry(

@@ -3,9 +3,10 @@
 The singular set of a surface is the closed-form union of the intervals
 [a_{2j-1}, a_{2j}] and [b_{2k}, b_{2k-1}]; this module cross-checks that
 locus against the numeric |G| = 1 condition, verifies the non-degeneracy
-criterion dG/(G dh) in R \\ {0} on every component, classifies each cone as
-pointing up or down by comparing apex height with nearby graph heights, and
-carries the stereographic projection used to tie G to the Gauss vector.
+criterion dG/(G dh) in R \\ {0} on every component (in closed form, see
+core.dg_over_gdh), classifies each cone as pointing up or down by comparing
+apex height with nearby graph heights, and carries the stereographic
+projection used to tie G to the Gauss vector.
 
 Direction conventions are a known sore point: the classification here is
 numeric, and each report records the two sign conventions printed in the
@@ -26,7 +27,7 @@ from .errors import (
     NotOnHyperboloid,
     VerificationFailure,
 )
-from .integrate import DEFAULT_SEGMENT_TOL, apex, immersion
+from .integrate import apex, immersion
 from .params import SurfaceParams
 
 
@@ -100,33 +101,31 @@ def components(p: SurfaceParams) -> list[SingularComponent]:
 
 
 def singular_set(
-    p: SurfaceParams,
-    verify: bool = True,
-    on_samples: int = 40,
-    off_samples: int = 1000,
-    seed: int = 7,
+    p: SurfaceParams, verify: bool = True, off_samples: int = 1000
 ) -> list[SingularComponent]:
     """The m + n closed singular intervals, numerically cross-checked.
 
-    Verification samples each interval (||G| - 1| <= 1e-10 required) and
-    off-interval real-axis points (|G| must stay clear of 1). Raises
-    VerificationFailure when the numeric locus contradicts the closed form.
+    Verification evaluates G once on 38 interior points of every interval
+    (||G| - 1| <= 1e-10 required) and once on off_samples off-interval
+    real-axis points (|G| must stay clear of 1); a non-finite |G| fails
+    either test. Raises VerificationFailure when the numeric locus
+    contradicts the closed form.
     """
     comps = components(p)
     if not verify:
         return comps
-    for c in comps:
-        xs = np.linspace(c.lo, c.hi, on_samples)[1:-1]
-        for x in xs:
-            g = core.gauss(complex(x), p).G
-            if abs(abs(g) - 1.0) > 1e-10:
-                raise VerificationFailure(
-                    f"|G| = {abs(g)} off 1 at x={x} inside [{c.lo}, {c.hi}]"
-                )
-    for x in off_axis_probe_points(p, off_samples, seed=seed):
-        g = core.gauss(complex(x), p).G
-        if abs(abs(g) - 1.0) <= 1e-10:
-            raise VerificationFailure(f"numeric singular hit at off-interval x={x}")
+    xs = np.concatenate([np.linspace(c.lo, c.hi, 40)[1:-1] for c in comps])
+    absg = np.abs(core.weierstrass_data(xs, p)[1])
+    bad = np.nonzero(~(np.abs(absg - 1.0) <= 1e-10))[0]
+    if len(bad):
+        x = xs[bad[0]]
+        c = next(c for c in comps if c.lo <= x <= c.hi)
+        raise VerificationFailure(f"|G| = {absg[bad[0]]} off 1 at x={x} inside [{c.lo}, {c.hi}]")
+    xs = off_axis_probe_points(p, off_samples)
+    absg = np.abs(core.weierstrass_data(xs, p)[1])
+    bad = np.nonzero(~(np.abs(absg - 1.0) > 1e-10))[0]
+    if len(bad):
+        raise VerificationFailure(f"numeric singular hit at off-interval x={xs[bad[0]]}")
     return comps
 
 
@@ -171,70 +170,27 @@ def nondegeneracy(
     component: SingularComponent,
     p: SurfaceParams,
     n_samples: int = 9,
-    offset: float | None = None,
-    fd_step: float | None = None,
-    imag_rtol: float = 1e-8,
     floor: float = 1e-6,
 ) -> list[float]:
     """Samples of dG/(G dh) on the component, asserted real and nonzero.
 
-    dG/dz is taken as a one-sided limit from the upper half-plane: central
-    differences along the interval direction at height `offset` above the
-    axis. Raises DegenerateSingularity when any sample has a relative
-    imaginary part above imag_rtol or modulus below floor.
+    The ratio is evaluated in closed form (core.dg_over_gdh) at n_samples
+    interior points of the interval itself. Raises DegenerateSingularity
+    when any sample has a relative imaginary part above 1e-8 or a modulus
+    below floor (a non-finite sample fails too).
     """
-    length = component.length
-    if offset is None:
-        offset = 1e-9 * length
-    if fd_step is None:
-        fd_step = 1e-5 * length
     xs = np.linspace(component.lo, component.hi, n_samples + 2)[1:-1]
-    out = []
-    for x in xs:
-        z = complex(x, offset)
-        gp = _gauss_value(z + fd_step, p)
-        gm = _gauss_value(z - fd_step, p)
-        dg = (gp - gm) / (2.0 * fd_step)
-        w = core.branch_w(z, p).w
-        g = (1.0 + w) / (1.0 - w)
-        dh = -0.5 * (1.0 / w - w) / z
-        val = dg / (g * dh)
-        if abs(val.imag) > imag_rtol * abs(val):
+    vals = core.dg_over_gdh(xs, p)
+    for x, val in zip(xs, vals):
+        if abs(val.imag) > 1e-8 * abs(val):
             raise DegenerateSingularity(
                 f"dG/(G dh) = {val} not real at x={x} on [{component.lo}, {component.hi}]"
             )
-        if abs(val) < floor:
+        if not abs(val) >= floor:
             raise DegenerateSingularity(
                 f"|dG/(G dh)| = {abs(val)} below floor {floor} at x={x}"
             )
-        out.append(float(val.real))
-    return out
-
-
-def _gauss_value(z: complex, p: SurfaceParams) -> complex:
-    return core.gauss(z, p).G
-
-
-def gauss_on_component(
-    component: SingularComponent, p: SurfaceParams, n_samples: int = 16
-) -> np.ndarray:
-    """G sampled on the open component; values lie on the unit circle."""
-    xs = np.linspace(component.lo, component.hi, n_samples + 2)[1:-1]
-    return np.array([core.gauss(complex(x), p).G for x in xs])
-
-
-def dh_over_g_on_component(
-    component: SingularComponent, p: SurfaceParams, n_samples: int = 16
-) -> np.ndarray:
-    """dh/G coefficient samples on the component (must not vanish)."""
-    xs = np.linspace(component.lo, component.hi, n_samples + 2)[1:-1]
-    out = []
-    for x in xs:
-        w = core.branch_w(complex(x), p).w
-        g = (1.0 + w) / (1.0 - w)
-        dh = -0.5 * (1.0 / w - w) / complex(x)
-        out.append(dh / g)
-    return np.array(out)
+    return [float(v) for v in vals.real]
 
 
 def endpoint_gauss_check(component: SingularComponent, p: SurfaceParams, tol: float = 1e-8) -> bool:
@@ -274,9 +230,7 @@ def classify_cone(
     component: SingularComponent,
     p: SurfaceParams,
     basepoint: complex | None = None,
-    eps_outer: float | None = None,
     apex_tol: float = 1e-6,
-    quad_tol: float = DEFAULT_SEGMENT_TOL,
     embedded_samples: int = 64,
 ) -> ConeReport:
     """Numeric up/down classification plus the verification bundle.
@@ -288,15 +242,13 @@ def classify_cone(
     matches each.
     """
     iv = (component.lo, component.hi)
-    apex_f, spread = _apex_with_spread(iv, p, basepoint, apex_tol, quad_tol)
-    if eps_outer is None:
-        eps_outer = 1e-2 * component.length
-    eps_outer = _clamp_outer(eps_outer, component, p)
+    apex_f, spread = _apex_with_spread(iv, p, basepoint, apex_tol)
+    eps_outer = _clamp_outer(1e-2 * component.length, component, p)
     votes = []
     for eps in (eps_outer, eps_outer / 10.0):
         f3s = []
         for x in (component.lo - eps, component.hi + eps):
-            f3s.append(immersion(complex(x), p, basepoint, tol=quad_tol).f[2])
+            f3s.append(immersion(complex(x), p, basepoint).f[2])
         d_lo = apex_f[2] - f3s[0]
         d_hi = apex_f[2] - f3s[1]
         margin = 1e-12 * max(1.0, abs(apex_f[2]))
@@ -325,7 +277,7 @@ def classify_cone(
         dg_over_gdh_samples=samples,
         nondegenerate=True,
         embedded_neighborhood_check=embedded_neighborhood_proxy(
-            component, p, basepoint, n_samples=embedded_samples, quad_tol=quad_tol
+            component, p, basepoint, n_samples=embedded_samples
         ),
         theorem_direction=thm,
         lemma_statement_direction=lem,
@@ -336,10 +288,10 @@ def classify_cone(
     )
 
 
-def _apex_with_spread(iv, p, basepoint, apex_tol, quad_tol):
+def _apex_with_spread(iv, p, basepoint, apex_tol):
     vals = []
     for side in ("above", "below", "left", "right"):
-        v, _ = apex(iv, side, p, basepoint=basepoint, tol=apex_tol, quad_tol=quad_tol)
+        v, _ = apex(iv, side, p, basepoint=basepoint, tol=apex_tol)
         vals.append(np.asarray(v))
     spread = float(max(np.max(np.abs(a - b)) for a in vals for b in vals))
     return vals[0], spread
@@ -358,9 +310,7 @@ def embedded_neighborhood_proxy(
     component: SingularComponent,
     p: SurfaceParams,
     basepoint: complex | None = None,
-    distance: float | None = None,
     n_samples: int = 64,
-    quad_tol: float = DEFAULT_SEGMENT_TOL,
 ) -> bool:
     """Finite proxy for the embedded punctured neighborhood condition.
 
@@ -368,12 +318,9 @@ def embedded_neighborhood_proxy(
     x1x2-plane and checks the polyline is simple. A pass is evidence, not a
     proof; reports label it as a proxy.
     """
-    if distance is None:
-        distance = _clamp_outer(0.2 * component.length, component, p)
+    distance = _clamp_outer(0.2 * component.length, component, p)
     loop = _stadium_points(component, distance, n_samples)
-    pts = np.array(
-        [immersion(z, p, basepoint, tol=quad_tol).f[:2] for z in loop]
-    )
+    pts = np.array([immersion(z, p, basepoint).f[:2] for z in loop])
     ring = np.arange(len(pts))
     return touching_pairs(pts, np.stack([ring, np.roll(ring, -1)], axis=1)) == 0
 

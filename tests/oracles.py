@@ -3,8 +3,9 @@
 Everything here is deliberately separate from the package internals: its
 own branch selection, its own form coefficients, fixed-order composite
 Gauss-Legendre quadrature instead of the adaptive scheme, plain finite
-differences, and a quadratic-cost triangle overlap test. Values frozen
-into the tests were computed with these routines.
+differences, and a quadratic-cost triangle overlap test (a Python loop,
+kept as the reference, and an array version of the same predicate). Values
+frozen into the tests were computed with these routines.
 """
 
 from __future__ import annotations
@@ -142,6 +143,47 @@ def _tri_overlap(A, B, eps):
             if pb.min() >= pa.max() - eps or pa.min() >= pb.max() - eps:
                 return False
     return True
+
+
+def overlap_count(vertices, triangles, eps=0.0, pairs=None):
+    """Array version of brute_force_overlaps: same predicate, same pairs.
+
+    Counts the pairs i < j of triangles that share no vertex and that no
+    edge normal of either triangle separates, with the same eps and the same
+    skip of zero-length edges. pairs (K, 2) restricts the count to those
+    index pairs; the default is every pair i < j. Pairs go in chunks so
+    memory stays bounded.
+    """
+    P = np.asarray(vertices)[:, :2]
+    T = np.asarray(triangles)
+    corners = P[T]  # (F, 3, 2)
+    d = np.roll(corners, -1, axis=1) - corners
+    normals = np.stack([-d[..., 1], d[..., 0]], axis=-1)
+    norm = np.hypot(normals[..., 0], normals[..., 1])
+    usable = norm != 0
+    normals = normals / np.where(usable, norm, 1.0)[..., None]
+    own = _project(corners[:, None], normals)  # (F, 3 axes, 3 corners)
+    own_lo, own_hi = own.min(axis=2), own.max(axis=2)
+    if pairs is None:
+        pairs = np.stack(np.triu_indices(len(T), 1), axis=1)
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    count = 0
+    for s in range(0, len(pairs), 1 << 16):
+        i, j = pairs[s : s + (1 << 16)].T
+        shared = np.any(T[i][:, :, None] == T[j][:, None, :], axis=(1, 2))
+        separated = np.zeros(len(i), dtype=bool)
+        for src, oth in ((i, j), (j, i)):
+            pb = _project(corners[oth][:, None], normals[src])
+            lo, hi = pb.min(axis=2), pb.max(axis=2)
+            apart = (lo >= own_hi[src] - eps) | (own_lo[src] >= hi - eps)
+            separated |= np.any(usable[src] & apart, axis=1)
+        count += int(np.count_nonzero(~shared & ~separated))
+    return count
+
+
+def _project(points, axes):
+    """Dot products of points (..., 1, 3, 2) with axes (..., 3, 2) -> (..., 3, 3)."""
+    return points[..., 0] * axes[..., None, 0] + points[..., 1] * axes[..., None, 1]
 
 
 def omega_ref(z, p, orientation):

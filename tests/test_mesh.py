@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -150,11 +151,18 @@ def _oracle_eps(mesh):
 
 def test_graph_check_matches_brute_force_oracle(oracle_mesh):
     tris = oracle_mesh.triangles[: oracle_mesh.period_triangle_count]
-    brute = oracles.brute_force_overlaps(oracle_mesh.vertices, tris, eps=_oracle_eps(oracle_mesh))
+    brute = oracles.overlap_count(oracle_mesh.vertices, tris, eps=_oracle_eps(oracle_mesh))
     rep = MM.graph_check(oracle_mesh)
     assert brute == 0
     assert rep.overlap_free and rep.disk_topology, rep.to_dict()
     assert rep.negative_triangles == 0 and rep.boundary_self_intersections == 0
+
+
+def test_array_oracle_matches_loop_oracle(oracle_mesh):
+    tris = oracle_mesh.triangles[:300]
+    eps = _oracle_eps(oracle_mesh)
+    loop = oracles.brute_force_overlaps(oracle_mesh.vertices, tris, eps)
+    assert oracles.overlap_count(oracle_mesh.vertices, tris, eps) == loop
 
 
 def _moved_vertex(mesh, v, xy):
@@ -226,6 +234,7 @@ def test_graph_check_fails_with_oracle_on_broken_mesh(oracle_mesh, breaker, fail
     brute = sum(oracles.brute_force_overlaps(broken.vertices, tris[[i, j]], eps) for i, j in pairs)
     rep = MM.graph_check(broken)
     assert brute > 0
+    assert oracles.overlap_count(broken.vertices, tris, eps, pairs=sorted(pairs)) == brute
     assert not rep.overlap_free and not rep.passed, rep.to_dict()
     if failing_test == "disk_topology":
         assert not rep.disk_topology
@@ -272,7 +281,8 @@ def test_graph_check_needs_the_boundary_test():
         quad_error_max=0.0,
     )
     rep = MM.graph_check(mesh)
-    assert oracles.brute_force_overlaps(vertices, tris, eps=1e-9) > 0
+    brute = oracles.brute_force_overlaps(vertices, tris, eps=1e-9)
+    assert brute > 0 and oracles.overlap_count(vertices, tris, eps=1e-9) == brute
     assert rep.negative_triangles == 0 and rep.disk_topology
     assert rep.boundary_self_intersections > 0 and not rep.overlap_free
 
@@ -323,8 +333,8 @@ def test_export_obj_contract(mesh10, tmp_path):
     assert min(int(i) for l in f_lines for i in l.split()[1:]) >= 1
 
 
-def test_export_empty_mesh(tmp_path):
-    empty = MM.GraphMesh(
+def _empty_mesh():
+    return MM.GraphMesh(
         vertices=np.zeros((0, 3)),
         triangles=np.zeros((0, 3), dtype=int),
         cone_vertices=[],
@@ -341,10 +351,20 @@ def test_export_empty_mesh(tmp_path):
         mirror_constant=0.0,
         quad_error_max=0.0,
     )
+
+
+def test_export_empty_mesh(tmp_path):
     path = tmp_path / "empty.obj"
-    MM.export_obj(empty, path)
+    MM.export_obj(_empty_mesh(), path)
     lines = path.read_text().splitlines()
     assert all(l.startswith("#") for l in lines)
+
+
+def test_graph_check_fails_on_empty_mesh():
+    # no regular vertex: a failing report, not an exception
+    rep = MM.graph_check(_empty_mesh())
+    assert not rep.normals_up and not rep.passed
+    assert json.loads(json.dumps(rep.to_dict(), allow_nan=False))["min_nu3"] is None
 
 
 def test_export_ply(mesh10, tmp_path):

@@ -55,7 +55,20 @@ def test_nondegeneracy_closed_form_10(p10):
     # for the (1, 0) configuration dG/(G dh) = -2x exactly on the interval
     samples = S.nondegeneracy(S.components(p10)[0], p10, n_samples=9)
     xs = np.linspace(1.0, 2.0, 11)[1:-1]
-    assert np.asarray(samples) == pytest.approx(-2.0 * xs, rel=1e-6)
+    assert np.asarray(samples) == pytest.approx(-2.0 * xs, rel=1e-12)
+
+
+def test_nondegeneracy_real_on_close_pair():
+    # a finite difference of G left an imaginary part of 8.8e-9 at x = 2.1009
+    # on [2.001, 3] and called the interval degenerate; the closed form is
+    # real there (0.8438...)
+    p = SurfaceParams(m=2, n=0, a=(1.0, 2.0, 2.001, 3.0), alpha=(1, -1))
+    for c in S.components(p):
+        samples = S.nondegeneracy(c, p)
+        assert len(samples) == 9
+        assert all(isinstance(v, float) and math.isfinite(v) for v in samples)
+        xs = np.linspace(c.lo, c.hi, 11)[1:-1]
+        assert np.all(core.dg_over_gdh(xs, p).imag == 0.0)
 
 
 def test_nondegeneracy_matches_rational_oracle(p21):
@@ -71,9 +84,20 @@ def test_nondegeneracy_floor_raises(p10):
         S.nondegeneracy(S.components(p10)[0], p10, floor=10.0)
 
 
+def test_singular_set_matches_scalar_gauss(p22):
+    # the two array tests of singular_set see what scalar gauss calls see
+    on = np.concatenate([np.linspace(c.lo, c.hi, 40)[1:-1] for c in S.components(p22)])
+    off = S.off_axis_probe_points(p22, 1000)
+    for xs, on_set in ((on, True), (off, False)):
+        scalar = np.array([core.gauss(complex(x), p22).G for x in xs])
+        assert np.array_equal(core.weierstrass_data(xs, p22)[1], scalar)
+        assert np.all((np.abs(np.abs(scalar) - 1.0) <= 1e-10) == on_set)
+    assert S.singular_set(p22) == S.components(p22)
+
+
 def test_gauss_injective_on_component(p22):
     for c in S.components(p22):
-        vals = S.gauss_on_component(c, p22, n_samples=16)
+        _, vals, _ = core.weierstrass_data(np.linspace(c.lo, c.hi, 18)[1:-1], p22)
         assert np.all(np.abs(np.abs(vals) - 1.0) < 1e-10)
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
@@ -82,8 +106,8 @@ def test_gauss_injective_on_component(p22):
 
 def test_dh_over_g_nonvanishing(p22):
     for c in S.components(p22):
-        vals = S.dh_over_g_on_component(c, p22)
-        assert np.min(np.abs(vals)) > 1e-8
+        _, g, dh = core.weierstrass_data(np.linspace(c.lo, c.hi, 18)[1:-1], p22)
+        assert np.min(np.abs(dh / g)) > 1e-8
 
 
 def test_endpoint_gauss_sign_table(p21, p22):
