@@ -236,18 +236,6 @@ def dlog_w2(z, p: SurfaceParams):
     return out
 
 
-def gauss_derivative(z: complex, p: SurfaceParams) -> complex:
-    """Analytic dG/dz along the chosen branch: w (log w^2)' / (1 - w)^2."""
-    z = complex(z)
-    w = branch_w(z, p).w
-    if w == 0.0 or is_infinite(w):
-        raise BranchPointEvaluation(f"dG is singular at branch point z={z}")
-    if w == 1.0:
-        raise DegenerateGauss(f"G = inf at z={z}")
-    ell = complex(dlog_w2(z, p))
-    return w * ell / (1.0 - w) ** 2
-
-
 def hopf(z: complex, p: SurfaceParams) -> complex:
     """Hopf differential coefficient Q/dz^2 = dG dh / G = (dG/(G dh)) dh^2."""
     z = complex(z)

@@ -9,9 +9,12 @@ keeps the integrand analytic along every leg and makes winding bookkeeping
 exact, so f2 = -(accumulated angle) + Arg(basepoint) holds to quadrature
 accuracy.
 
-Loop periods around the two ends, apex limits of singular intervals
-(Richardson extrapolation in sqrt(offset)), and polyline path integrals all
-live here.
+Loop periods around the two ends, polyline path integrals, running sums
+along chains of consecutive legs, and the transverse apex limits of singular
+intervals (Richardson extrapolation in sqrt(offset)) all live here. f
+extends continuously to each closed singular interval and is constant on
+it, so its along-axis limits are the endpoint values immersion(lo) and
+immersion(hi), which the square-root leg integrates exactly.
 """
 
 from __future__ import annotations
@@ -213,10 +216,12 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
         half = 0.5 * (t1 - t0)
         t = mid + half * _XK
         z, dz = leg.points(t)
-        vals = coeff_fn(z) * dz  # (3, 15)
-        k15 = half * (vals @ _WK)
-        g7 = half * (vals[:, _GAUSS_IDX] @ _WG)
-        e = float(np.sum(np.abs(k15 - g7)))
+        # a node on a branch point divides by w = 0; the test below raises
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = coeff_fn(z) * dz  # (3, 15)
+            k15 = half * (vals @ _WK)
+            g7 = half * (vals[:, _GAUSS_IDX] @ _WG)
+            e = float(np.sum(np.abs(k15 - g7)))
         # a non-finite K15 or G7 sum makes e non-finite; NaN would otherwise
         # slip through the budget test below, as nan > tol is False
         if not math.isfinite(e):
@@ -259,14 +264,16 @@ def _integrate_leg(leg: _Leg, p: SurfaceParams, tol: float) -> tuple[np.ndarray,
     return adaptive_leg(leg, lambda z: phi_from_w(z, w_values(z, p)), tol)
 
 
-def _integrate_legs(legs, p: SurfaceParams, tol: float) -> tuple[np.ndarray, float]:
-    total = np.zeros(3, dtype=complex)
-    err = 0.0
-    for leg in legs:
-        v, e = _integrate_leg(leg, p, tol)
-        total += v
-        err += e
-    return total, err
+def _running_sum(legs, p: SurfaceParams, tol: float, f0, e0: float):
+    """Re-integral and error estimate after each of consecutive legs.
+
+    Starts from (f0, e0) and adds one leg at a time, in order, so row k of
+    the (N, 3) result is f0 plus the real parts of legs 0..k.
+    """
+    parts = [_integrate_leg(leg, p, tol) for leg in legs]
+    f = np.cumsum([np.asarray(f0, dtype=float)] + [v.real for v, _ in parts], axis=0)
+    e = np.cumsum([float(e0)] + [err for _, err in parts])
+    return f[1:], e[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +362,8 @@ def immersion(
                 f"z={z} lies inside a singular interval; use apex() for its image"
             )
         legs = _route_legs(z, p, basepoint)
-    total, err = _integrate_legs(legs, p, tol)
-    return ImmersionSample(z=z, f=tuple(total.real), quad_error=err)
+    f, err = _running_sum(legs, p, tol, np.zeros(3), 0.0)
+    return ImmersionSample(z=z, f=tuple(f[-1]), quad_error=float(err[-1]))
 
 
 def integrate_path(
@@ -392,8 +399,8 @@ def integrate_path(
             legs.extend(_split_branch_segment(v, u, p, into=False))
         else:
             legs.append(SegmentLeg(z_a=u, z_b=v))
-    total, err = _integrate_legs(legs, p, tol)
-    return tuple(total.real), err
+    f, err = _running_sum(legs, p, tol, np.zeros(3), 0.0)
+    return tuple(f[-1]), float(err[-1])
 
 
 def _split_branch_segment(z_far: complex, c: complex, p: SurfaceParams, into: bool) -> list["_Leg"]:
@@ -490,7 +497,7 @@ def loop_period(
 # apex limits
 
 
-_SIDES = ("above", "below", "left", "right")
+_SIDES = ("above", "below")
 
 
 def apex(
@@ -498,40 +505,29 @@ def apex(
     side: str,
     p: SurfaceParams,
     basepoint: complex | None = None,
-    eps0: float | None = None,
-    levels: int = 5,
     tol: float = 1e-6,
     quad_tol: float = DEFAULT_SEGMENT_TOL,
 ) -> tuple[tuple[float, float, float], float]:
-    """Limit of f approaching a singular interval from one side.
+    """Limit of f approaching a singular interval transversally.
 
-    Evaluates f at offsets eps0 / 2^i and Richardson-extrapolates in
-    sqrt(eps); the along-axis approaches (left/right) have genuine
-    half-power expansions at the branch-point endpoints, the transverse ones
-    (above/below) are analytic in eps and converge even faster. Returns
-    (apex, extrapolation residual); raises NonConvergent when the residual
-    exceeds tol.
+    Evaluates f above or below the interval midpoint at offsets
+    1e-3 * length / 2^i, i < 5, and Richardson-extrapolates in sqrt(eps).
+    Returns (apex, extrapolation residual); raises NonConvergent when the
+    residual exceeds tol. The along-axis limits need no extrapolation: f is
+    constant on the closed interval, so they are the endpoint values
+    immersion(lo) and immersion(hi), integrated exactly through the
+    square-root leg.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    length = hi - lo
-    if eps0 is None:
-        eps0 = 1e-3 * length
-    eps0 = _clamp_eps(eps0, lo, hi, side, p)
+    eps0 = 1e-3 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    values = []
-    for i in range(levels):
-        e = eps0 / 2.0**i
-        if side == "above":
-            z = complex(mid, e)
-        elif side == "below":
-            z = complex(mid, -e)
-        elif side == "left":
-            z = complex(lo - e, 0.0)
-        else:
-            z = complex(hi + e, 0.0)
-        values.append(np.asarray(immersion(z, p, basepoint, tol=quad_tol).f))
+    sign = 1.0 if side == "above" else -1.0
+    values = [
+        np.asarray(immersion(complex(mid, sign * eps0 / 2.0**i), p, basepoint, tol=quad_tol).f)
+        for i in range(5)
+    ]
     est, resid = _richardson_sqrt(values)
     if resid > tol:
         raise NonConvergent(
@@ -547,18 +543,6 @@ def apex(
     k = round((est[1] - expected_x2) / (2.0 * math.pi))
     est[1] -= 2.0 * math.pi * k
     return tuple(est), resid
-
-
-def _clamp_eps(eps0: float, lo: float, hi: float, side: str, p: SurfaceParams) -> float:
-    """Keep the whole offset ladder inside the adjacent gap."""
-    if side in ("above", "below"):
-        return eps0
-    x = lo if side == "left" else hi
-    direction = -1.0 if side == "left" else 1.0
-    others = [c for c in p.branch_points() if c != x] + [0.0]
-    ahead = [abs(c - x) for c in others if (c - x) * direction > 0]
-    gap = min(ahead) if ahead else math.inf
-    return min(eps0, 0.25 * gap)
 
 
 def _richardson_sqrt(values: list[np.ndarray]) -> tuple[np.ndarray, float]:

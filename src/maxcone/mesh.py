@@ -30,7 +30,7 @@ from .integrate import (
     ArcLeg,
     ImmersionSample,
     RadialLeg,
-    _integrate_leg,
+    _running_sum,
     apex,
     immersion,
 )
@@ -249,47 +249,36 @@ def _incremental_grid(p, radii, thetas, basepoint, tol, skip):
     f = np.zeros((R, A, 3))
     err = np.zeros((R, A))
 
-    base_v, base_e = _integrate_leg(ArcLeg(r=r0, theta_a=th0, theta_b=th_anchor), p, tol)
-    # radial chain along the anchor ray through r0
-    chain_v = np.zeros((R, 3))
-    chain_e = np.zeros(R)
+    # radial chain along the anchor ray: the basepoint arc, then outward from
+    # r0 through radii[i_near], then inward from radii[i_near]
     i_near = int(np.argmin(np.abs(radii - r0)))
-    v, e = _integrate_leg(RadialLeg(theta=th_anchor, r_a=r0, r_b=float(radii[i_near])), p, tol)
-    chain_v[i_near] = (base_v + v).real
-    chain_e[i_near] = base_e + e
-    for i in range(i_near + 1, R):
-        v, e = _integrate_leg(
-            RadialLeg(theta=th_anchor, r_a=float(radii[i - 1]), r_b=float(radii[i])), p, tol
-        )
-        chain_v[i] = chain_v[i - 1] + v.real
-        chain_e[i] = chain_e[i - 1] + e
-    for i in range(i_near - 1, -1, -1):
-        v, e = _integrate_leg(
-            RadialLeg(theta=th_anchor, r_a=float(radii[i + 1]), r_b=float(radii[i])), p, tol
-        )
-        chain_v[i] = chain_v[i + 1] + v.real
-        chain_e[i] = chain_e[i + 1] + e
+    legs = [
+        ArcLeg(r=r0, theta_a=th0, theta_b=th_anchor),
+        RadialLeg(theta=th_anchor, r_a=r0, r_b=float(radii[i_near])),
+    ] + [
+        RadialLeg(theta=th_anchor, r_a=float(radii[i - 1]), r_b=float(radii[i]))
+        for i in range(i_near + 1, R)
+    ]
+    chain_f, chain_e = _running_sum(legs, p, tol, np.zeros(3), 0.0)
+    f[i_near:, j_anchor], err[i_near:, j_anchor] = chain_f[1:], chain_e[1:]
+    legs = [
+        RadialLeg(theta=th_anchor, r_a=float(radii[i + 1]), r_b=float(radii[i]))
+        for i in range(i_near - 1, -1, -1)
+    ]
+    chain_f, chain_e = _running_sum(legs, p, tol, f[i_near, j_anchor], err[i_near, j_anchor])
+    f[:i_near, j_anchor], err[:i_near, j_anchor] = chain_f[::-1], chain_e[::-1]
 
+    # one angular chain each way around every ring, stopping at the first
+    # skipped position
     for i in range(R):
-        f[i, j_anchor] = chain_v[i]
-        err[i, j_anchor] = chain_e[i]
         r = float(radii[i])
-        for j in range(j_anchor + 1, A):
-            if skip[i, j]:
-                break
-            v, e = _integrate_leg(
-                ArcLeg(r=r, theta_a=float(thetas[j - 1]), theta_b=float(thetas[j])), p, tol
-            )
-            f[i, j] = f[i, j - 1] + v.real
-            err[i, j] = err[i, j - 1] + e
-        for j in range(j_anchor - 1, -1, -1):
-            if skip[i, j]:
-                break
-            v, e = _integrate_leg(
-                ArcLeg(r=r, theta_a=float(thetas[j + 1]), theta_b=float(thetas[j])), p, tol
-            )
-            f[i, j] = f[i, j + 1] + v.real
-            err[i, j] = err[i, j + 1] + e
+        for step in (1, -1):
+            js = range(j_anchor + step, A if step > 0 else -1, step)
+            js = js[: next((k for k, j in enumerate(js) if skip[i, j]), len(js))]
+            legs = [
+                ArcLeg(r=r, theta_a=float(thetas[j - step]), theta_b=float(thetas[j])) for j in js
+            ]
+            f[i, js], err[i, js] = _running_sum(legs, p, tol, f[i, j_anchor], err[i, j_anchor])
     return f, err
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NotOnHyperboloid,
     VerificationFailure,
 )
-from .integrate import apex, immersion
+from .integrate import DEFAULT_SEGMENT_TOL, SegmentLeg, _running_sum, apex, immersion
 from .params import SurfaceParams
 
 
@@ -129,14 +129,14 @@ def singular_set(
     return comps
 
 
-def off_axis_probe_points(p: SurfaceParams, count: int, seed: int = 7) -> np.ndarray:
+def off_axis_probe_points(p: SurfaceParams, count: int) -> np.ndarray:
     """Real-axis sample points outside the closed singular set.
 
     Spread over the gaps between intervals, the stretch toward 0, and the
     outer tails on both axes, with a relative clearance from the interval
     endpoints so square-root behavior cannot alias as a hit.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     ivs = p.intervals()
     scale = p.scale()
     segments = []  # (lo, hi) open gaps, clipped away from endpoints
@@ -231,15 +231,16 @@ def classify_cone(
     p: SurfaceParams,
     basepoint: complex | None = None,
     apex_tol: float = 1e-6,
-    embedded_samples: int = 64,
 ) -> ConeReport:
     """Numeric up/down classification plus the verification bundle.
 
-    The apex x3 is compared with f3 at real-axis points just outside both
-    endpoints, at eps and eps/10 (the two must agree); up means the apex is
-    strictly the local maximum of the timelike coordinate. The report also
-    records both printed sign conventions and whether the numeric result
-    matches each.
+    The apex is the limit from above; apex_spread is the largest gap
+    between it, the limit from below and the endpoint values f(lo) and
+    f(hi), which are the along-axis limits. The apex x3 is compared with
+    f3 at real-axis points just outside both endpoints, at eps and eps/10
+    (the two must agree); up means the apex is strictly the local maximum
+    of the timelike coordinate. The report also records both printed sign
+    conventions and whether the numeric result matches each.
     """
     iv = (component.lo, component.hi)
     apex_f, spread = _apex_with_spread(iv, p, basepoint, apex_tol)
@@ -276,9 +277,7 @@ def classify_cone(
         direction=direction,
         dg_over_gdh_samples=samples,
         nondegenerate=True,
-        embedded_neighborhood_check=embedded_neighborhood_proxy(
-            component, p, basepoint, n_samples=embedded_samples
-        ),
+        embedded_neighborhood_check=embedded_neighborhood_proxy(component, p, basepoint),
         theorem_direction=thm,
         lemma_statement_direction=lem,
         matches_theorem=direction == thm,
@@ -289,10 +288,8 @@ def classify_cone(
 
 
 def _apex_with_spread(iv, p, basepoint, apex_tol):
-    vals = []
-    for side in ("above", "below", "left", "right"):
-        v, _ = apex(iv, side, p, basepoint=basepoint, tol=apex_tol)
-        vals.append(np.asarray(v))
+    vals = [np.asarray(apex(iv, s, p, basepoint, tol=apex_tol)[0]) for s in ("above", "below")]
+    vals += [np.asarray(immersion(complex(x), p, basepoint).f) for x in iv]
     spread = float(max(np.max(np.abs(a - b)) for a in vals for b in vals))
     return vals[0], spread
 
@@ -310,32 +307,41 @@ def embedded_neighborhood_proxy(
     component: SingularComponent,
     p: SurfaceParams,
     basepoint: complex | None = None,
-    n_samples: int = 64,
 ) -> bool:
     """Finite proxy for the embedded punctured neighborhood condition.
 
-    Projects the image of a stadium-shaped loop around the component to the
-    x1x2-plane and checks the polyline is simple. A pass is evidence, not a
-    proof; reports label it as a proxy.
+    Projects the image of a stadium-shaped loop around the component,
+    integrated as one chain, to the x1x2-plane and checks the polyline is
+    simple. A pass is evidence, not a proof; reports label it as a proxy.
     """
-    distance = _clamp_outer(0.2 * component.length, component, p)
-    loop = _stadium_points(component, distance, n_samples)
-    pts = np.array([immersion(z, p, basepoint).f[:2] for z in loop])
+    pts = _stadium_image(component, p, basepoint)[1][:, :2]
     ring = np.arange(len(pts))
     return touching_pairs(pts, np.stack([ring, np.roll(ring, -1)], axis=1)) == 0
 
 
-def _stadium_points(component: SingularComponent, d: float, n: int) -> np.ndarray:
+def _stadium_image(component: SingularComponent, p: SurfaceParams, basepoint: complex | None):
+    """The 62-point stadium loop and its image, integrated as one chain.
+
+    One routed immersion reaches the first point; straight legs join the
+    rest, so the image is continuous (a route per point would pass above or
+    below 0 by the sign of Arg and split a period jump into the loop).
+    """
+    loop = _stadium_points(component, _clamp_outer(0.2 * component.length, component, p))
+    start = immersion(complex(loop[0]), p, basepoint)
+    legs = [SegmentLeg(z_a=complex(u), z_b=complex(v)) for u, v in zip(loop[:-1], loop[1:])]
+    f, _ = _running_sum(legs, p, DEFAULT_SEGMENT_TOL, start.f, start.quad_error)
+    return loop, np.vstack([start.f, f])
+
+
+def _stadium_points(component: SingularComponent, d: float) -> np.ndarray:
     """Closed loop at distance d around the interval: two caps, two sides."""
     lo, hi = component.lo, component.hi
-    n_side = max(4, n // 4)
-    n_cap = max(4, n // 4)
-    xs = np.linspace(lo, hi, n_side)
+    xs = np.linspace(lo, hi, 16)
     top = xs + 1j * d
     bot = xs[::-1] - 1j * d
-    th_r = np.linspace(0.5 * np.pi, -0.5 * np.pi, n_cap, endpoint=False)
+    th_r = np.linspace(0.5 * np.pi, -0.5 * np.pi, 16, endpoint=False)
     cap_r = hi + d * np.exp(1j * th_r)
-    th_l = np.linspace(-0.5 * np.pi, -1.5 * np.pi, n_cap, endpoint=False)
+    th_l = np.linspace(-0.5 * np.pi, -1.5 * np.pi, 16, endpoint=False)
     cap_l = lo + d * np.exp(1j * th_l)
     return np.concatenate([top, cap_r[1:], bot, cap_l[1:]])
 

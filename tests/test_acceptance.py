@@ -120,7 +120,9 @@ def test_criterion_4_cone_point_property(random_configs):
     worst_const = 0.0
     for p in random_configs[:6]:
         for lo, hi in p.intervals():
-            vals = [np.asarray(apex((lo, hi), s, p)[0]) for s in ("above", "below", "left", "right")]
+            # limits from above and below; along the axis they are the endpoint values
+            vals = [np.asarray(apex((lo, hi), s, p)[0]) for s in ("above", "below")]
+            vals += [np.asarray(immersion(complex(x), p).f) for x in (lo, hi)]
             spread = max(np.max(np.abs(a - b)) for a in vals for b in vals)
             worst_sides = max(worst_sides, float(spread))
             # constancy along the interval: offsets above five interior points
@@ -147,7 +149,7 @@ def test_criterion_5_direction_table(canonical_classes):
         want = {("pos", j + 1): d for j, d in enumerate(cfg.dirs_pos)}
         want.update({("neg", k + 1): d for k, d in enumerate(cfg.dirs_neg)})
         for comp in comps:
-            r = singular.classify_cone(comp, p, embedded_samples=24)
+            r = singular.classify_cone(comp, p)
             expect = "up" if want[(comp.axis, comp.index)] == catalog_mod.UP else "down"
             # instantiate maps directions through the main-theorem signs, so
             # numeric-vs-theorem agreement is exactly numeric == expected
@@ -315,7 +317,7 @@ def test_nine_cone_types_build_and_export(tmp_path):
         # criteria 4-5 on a sample of cones
         comps = singular.components(p)
         for comp in comps[:2] + comps[-1:]:
-            r = singular.classify_cone(comp, p, embedded_samples=16)
+            r = singular.classify_cone(comp, p)
             assert r.apex_spread <= 1e-6
             assert r.matches_theorem
         # criteria 7-8: mesh, graph property, f2 identity

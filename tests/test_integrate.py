@@ -164,14 +164,20 @@ def test_loop_period_matches_oracle(p21):
     assert np.asarray(pv.v) == pytest.approx(ref, abs=1e-10)
 
 
-def test_apex_four_sides_agree(p10):
-    vals = {}
-    for side in ("above", "below", "left", "right"):
-        v, resid = I.apex((1.0, 2.0), side, p10)
-        vals[side] = np.asarray(v)
+def _four_limits(lo, hi, p):
+    """Limits from above and below plus the endpoint values (the along-axis limits)."""
+    vals = []
+    for side in ("above", "below"):
+        v, resid = I.apex((lo, hi), side, p)
         assert resid < 1e-6
-    for a in vals.values():
-        for b in vals.values():
+        vals.append(np.asarray(v))
+    return vals + [np.asarray(I.immersion(complex(x), p).f) for x in (lo, hi)]
+
+
+def test_apex_four_sides_agree(p10):
+    vals = _four_limits(1.0, 2.0, p10)
+    for a in vals:
+        for b in vals:
             assert np.max(np.abs(a - b)) <= 1e-6
 
 
@@ -185,8 +191,8 @@ def test_apex_frozen_value(p10):
 
 def test_apex_constant_along_interval(p10):
     # two interior points approached from above give the same limit
-    mid_l, _ = I.apex((1.0, 1.4), "above", p10, eps0=1e-4)
-    mid_r, _ = I.apex((1.6, 2.0), "above", p10, eps0=1e-4)
+    mid_l, _ = I.apex((1.0, 1.4), "above", p10)
+    mid_r, _ = I.apex((1.6, 2.0), "above", p10)
     assert np.asarray(mid_l) == pytest.approx(np.asarray(mid_r), abs=1e-6)
 
 
@@ -208,7 +214,7 @@ def test_direct_branch_point_integration_hits_apex(p10):
 
 def test_apex_all_components(p22):
     for lo, hi in p22.intervals():
-        vals = [np.asarray(I.apex((lo, hi), s, p22)[0]) for s in ("above", "below", "left", "right")]
+        vals = _four_limits(lo, hi, p22)
         for a in vals:
             for b in vals:
                 assert np.max(np.abs(a - b)) <= 1e-6

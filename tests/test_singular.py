@@ -7,6 +7,7 @@ import oracles
 from maxcone import core
 from maxcone import singular as S
 from maxcone.errors import DegenerateSingularity, NotOnHyperboloid
+from maxcone.integrate import PathSpec, integrate_path
 from maxcone.params import SurfaceParams
 
 
@@ -154,6 +155,27 @@ def test_classification_stable_in_eps(p21):
 
 def test_embedded_neighborhood_proxy(p10):
     assert S.embedded_neighborhood_proxy(S.components(p10)[0], p10)
+
+
+def test_stadium_image_is_one_continuous_loop(p21):
+    # the stadium crosses the negative axis; routing each point from the
+    # basepoint used to split a 2pi jump in x2 into the loop
+    comp = next(c for c in S.components(p21) if c.axis == "neg")
+    loop, img = S._stadium_image(comp, p21, None)
+    assert img.shape == (62, 3)
+    steps = np.linalg.norm(np.diff(img, axis=0), axis=1)
+    assert steps.max() <= 0.5
+    closing, _ = integrate_path(PathSpec(waypoints=(loop[-1], loop[0])), p21)
+    assert np.max(np.abs(img[-1] + closing - img[0])) <= 1e-12
+
+
+def test_classify_cone_wide_scale_ratio():
+    # the along-axis Richardson sides used to raise NonConvergent here
+    p = SurfaceParams(m=2, n=0, a=(1e-3, 1, 10, 1e3), alpha=(1, -1))
+    for c in S.components(p):
+        r = S.classify_cone(c, p)
+        assert r.matches_theorem
+        assert r.apex_spread <= 1e-6
 
 
 def test_touching_pairs_closed_segments():
