@@ -63,12 +63,12 @@ class GaussValue:
 
 
 @lru_cache(maxsize=256)
-def _signed_roots(p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
+def _signed_roots(p: SurfaceParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Numerator and denominator roots of the w^2 product, sign-resolved.
 
     For alpha_k = +1 the k-th positive factor is (z - a_{2k})/(z - a_{2k-1});
     alpha_k = -1 swaps the pair. Likewise (z - b_{2k-1})/(z - b_{2k}) with
-    beta_k. Returns (num_roots, den_roots), each of length m + n.
+    beta_k. Returns (num_roots, den_roots), each m + n Python floats.
     """
     num, den = [], []
     for k in range(p.m):
@@ -87,33 +87,45 @@ def _signed_roots(p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
         else:
             num.append(lo)
             den.append(hi)
-    return np.array(num, dtype=float), np.array(den, dtype=float)
+    return tuple(num), tuple(den)
 
 
 def w2_values(z: np.ndarray, p: SurfaceParams) -> np.ndarray:
-    """Vectorized w^2; denominator roots map to complex infinity."""
+    """Vectorized w^2; denominator roots map to complex infinity.
+
+    Multiplies and divides factor by factor. A node on a denominator root
+    divides by zero there, and only then is the pole mask built, so the
+    common all-finite case costs four array operations per factor.
+    """
     z = np.asarray(z, dtype=complex)
     num, den = _signed_roots(p)
-    pole = np.zeros(z.shape, dtype=bool)
     out = np.ones_like(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         for nr, dr in zip(num, den):
-            hit = z == dr
-            pole |= hit
-            out = out * (z - nr) / np.where(hit, 1.0, z - dr)
-    out = np.where(pole, INF, out)
+            # not in place: numpy rounds an in-place complex product of a
+            # one-element array differently, which would move the scalar
+            # helpers by an ulp
+            out = out * (z - nr)
+            out /= z - dr
+    if not np.isfinite(out).all():
+        pole = z == den[0]
+        for dr in den[1:]:
+            pole |= z == dr
+        out = np.where(pole, INF, out)
     return out
 
 
 def w_values(z: np.ndarray, p: SurfaceParams) -> np.ndarray:
     """Vectorized branch-resolved w with Re w >= 0 (ties: Im w >= 0)."""
     w2 = w2_values(z, p)
-    inf_mask = ~np.isfinite(w2)
-    w = np.sqrt(np.where(inf_mask, 1.0, w2))
+    finite = np.isfinite(w2)
+    all_finite = finite.all()
+    w = np.sqrt(w2 if all_finite else np.where(finite, w2, 1.0))
     # principal sqrt already has Re >= 0; fix the Im < 0 edge on the cut
-    flip = (w.real == 0.0) & (w.imag < 0.0)
-    w = np.where(flip, -w, w)
-    return np.where(inf_mask, INF, w)
+    on_cut = w.real == 0.0
+    if on_cut.any():
+        w = np.where(on_cut & (w.imag < 0.0), -w, w)
+    return w if all_finite else np.where(finite, w, INF)
 
 
 def w_squared(z: complex, p: SurfaceParams) -> complex:
@@ -184,13 +196,11 @@ def gauss(z: complex, p: SurfaceParams) -> GaussValue:
 def phi_from_w(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Form coefficients (3, N) from precomputed branch values."""
     inv = 1.0 / w
-    return np.stack(
-        [
-            -0.5 * (inv + w) / z,
-            1j / z,
-            0.5 * (inv - w) / z,
-        ]
-    )
+    out = np.empty((3, *np.shape(z)), dtype=complex)
+    np.divide(-0.5 * (inv + w), z, out=out[0, ...])
+    np.divide(1j, z, out=out[1, ...])
+    np.divide(0.5 * (inv - w), z, out=out[2, ...])
+    return out
 
 
 def phi_values(z: np.ndarray, p: SurfaceParams) -> np.ndarray:

@@ -88,21 +88,12 @@ def b2n_normalize(p: SurfaceParams) -> SurfaceParams:
 def omega_from_w(z: np.ndarray, w: np.ndarray, orientation: str) -> np.ndarray:
     """Omega-triple coefficients (3, N) from branch values."""
     inv = 1.0 / w
-    if orientation == "vertical-ends":
-        return np.stack(
-            [
-                0.5 * (inv - w) / z,
-                0.5j * (inv + w) / z,
-                np.ones_like(z) / z,
-            ]
-        )
-    return np.stack(
-        [
-            0.5j * (inv + w) / z,
-            np.ones_like(z) / z,
-            0.5 * (inv - w) / z,
-        ]
-    )
+    out = np.empty((3, *np.shape(z)), dtype=complex)
+    diff, plus, one = (0, 1, 2) if orientation == "vertical-ends" else (2, 0, 1)
+    np.divide(0.5 * (inv - w), z, out=out[diff, ...])
+    np.divide(0.5j * (inv + w), z, out=out[plus, ...])
+    np.divide(np.ones_like(z), z, out=out[one, ...])
+    return out
 
 
 def omega(z: complex, d: MinimalData) -> tuple[complex, complex, complex]:

@@ -27,7 +27,15 @@ from .errors import (
     NotOnHyperboloid,
     VerificationFailure,
 )
-from .integrate import DEFAULT_SEGMENT_TOL, SegmentLeg, _running_sum, apex, immersion
+from .integrate import (
+    DEFAULT_SEGMENT_TOL,
+    PathSpec,
+    SegmentLeg,
+    _running_sum,
+    apex,
+    immersion,
+    integrate_path,
+)
 from .params import SurfaceParams
 
 
@@ -238,20 +246,20 @@ def classify_cone(
     between it, the limit from below and the endpoint values f(lo) and
     f(hi), which are the along-axis limits. The apex x3 is compared with
     f3 at real-axis points just outside both endpoints, at eps and eps/10
-    (the two must agree); up means the apex is strictly the local maximum
-    of the timelike coordinate. The report also records both printed sign
-    conventions and whether the numeric result matches each.
+    (the two must agree); each of those values is f(lo) or f(hi) plus one
+    short real-axis leg from the endpoint into the adjacent gap. Up means
+    the apex is strictly the local maximum of the timelike coordinate. The
+    report also records both printed sign conventions and whether the
+    numeric result matches each.
     """
     iv = (component.lo, component.hi)
-    apex_f, spread = _apex_with_spread(iv, p, basepoint, apex_tol)
+    apex_f, spread, f_ends = _apex_with_spread(iv, p, basepoint, apex_tol)
     eps_outer = _clamp_outer(1e-2 * component.length, component, p)
     votes = []
     for eps in (eps_outer, eps_outer / 10.0):
-        f3s = []
-        for x in (component.lo - eps, component.hi + eps):
-            f3s.append(immersion(complex(x), p, basepoint).f[2])
-        d_lo = apex_f[2] - f3s[0]
-        d_hi = apex_f[2] - f3s[1]
+        f_out = _outside_values(component, p, f_ends, eps)
+        d_lo = apex_f[2] - f_out[0][2]
+        d_hi = apex_f[2] - f_out[1][2]
         margin = 1e-12 * max(1.0, abs(apex_f[2]))
         if d_lo > margin and d_hi > margin:
             votes.append("up")
@@ -288,10 +296,26 @@ def classify_cone(
 
 
 def _apex_with_spread(iv, p, basepoint, apex_tol):
+    """(apex from above, four-limit spread, (f(lo), f(hi)))."""
     vals = [np.asarray(apex(iv, s, p, basepoint, tol=apex_tol)[0]) for s in ("above", "below")]
     vals += [np.asarray(immersion(complex(x), p, basepoint).f) for x in iv]
     spread = float(max(np.max(np.abs(a - b)) for a in vals for b in vals))
-    return vals[0], spread
+    return vals[0], spread, vals[2:]
+
+
+def _outside_values(component: SingularComponent, p: SurfaceParams, f_ends, eps: float):
+    """f at lo - eps and hi + eps, carried from the endpoint values f_ends.
+
+    Each is the endpoint value plus the integral along the real axis into
+    the adjacent gap: a square-root leg out of the branch point and at most
+    one short segment. The routed immersion reaches the same points through
+    the closed upper half-plane too, so the two agree to quadrature accuracy.
+    """
+    out = []
+    for x, step, f_x in ((component.lo, -eps, f_ends[0]), (component.hi, eps, f_ends[1])):
+        df, _ = integrate_path(PathSpec((x, x + step)), p)
+        out.append(f_x + np.asarray(df))
+    return out
 
 
 def _clamp_outer(eps: float, component: SingularComponent, p: SurfaceParams) -> float:

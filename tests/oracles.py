@@ -197,3 +197,60 @@ def omega_ref(z, p, orientation):
     return np.stack(
         [1j * (1 / w + w) / (2 * z), np.ones_like(z) / z, (1 / w - w) / (2 * z)]
     )
+
+
+# Masked and stacked formulations of w^2, w, phi and omega: the loop bodies
+# the pointwise kernels had before they were rewritten to work in place.
+# The kernels must reproduce them byte for byte.
+
+
+def signed_roots_ref(p):
+    """(num_roots, den_roots) arrays of the w^2 product, sign-resolved."""
+    num, den = [], []
+    for k in range(p.m):
+        lo, hi = p.a[2 * k], p.a[2 * k + 1]
+        num.append(hi if p.alpha[k] == 1 else lo)
+        den.append(lo if p.alpha[k] == 1 else hi)
+    for k in range(p.n):
+        hi, lo = p.b[2 * k], p.b[2 * k + 1]
+        num.append(hi if p.beta[k] == 1 else lo)
+        den.append(lo if p.beta[k] == 1 else hi)
+    return np.array(num, dtype=float), np.array(den, dtype=float)
+
+
+def w2_masked_ref(z, p):
+    """w^2 with a per-factor pole mask; denominator roots give complex inf."""
+    z = np.asarray(z, dtype=complex)
+    num, den = signed_roots_ref(p)
+    pole = np.zeros(z.shape, dtype=bool)
+    out = np.ones_like(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for nr, dr in zip(num, den):
+            hit = z == dr
+            pole |= hit
+            out = out * (z - nr) / np.where(hit, 1.0, z - dr)
+    return np.where(pole, complex(np.inf, 0.0), out)
+
+
+def w_masked_ref(z, p):
+    """Branch with Re w >= 0 (ties Im w >= 0), every step masked."""
+    w2 = w2_masked_ref(z, p)
+    inf_mask = ~np.isfinite(w2)
+    w = np.sqrt(np.where(inf_mask, 1.0, w2))
+    flip = (w.real == 0.0) & (w.imag < 0.0)
+    w = np.where(flip, -w, w)
+    return np.where(inf_mask, complex(np.inf, 0.0), w)
+
+
+def phi_stacked_ref(z, w):
+    """Form coefficients (3, N) from branch values, built with np.stack."""
+    inv = 1.0 / w
+    return np.stack([-0.5 * (inv + w) / z, 1j / z, 0.5 * (inv - w) / z])
+
+
+def omega_stacked_ref(z, w, orientation):
+    """Omega-triple coefficients (3, N) from branch values, built with np.stack."""
+    inv = 1.0 / w
+    if orientation == "vertical-ends":
+        return np.stack([0.5 * (inv - w) / z, 0.5j * (inv + w) / z, np.ones_like(z) / z])
+    return np.stack([0.5j * (inv + w) / z, np.ones_like(z) / z, 0.5 * (inv - w) / z])

@@ -7,7 +7,7 @@ import oracles
 from maxcone import core
 from maxcone import singular as S
 from maxcone.errors import DegenerateSingularity, NotOnHyperboloid
-from maxcone.integrate import PathSpec, integrate_path
+from maxcone.integrate import PathSpec, immersion, integrate_path
 from maxcone.params import SurfaceParams
 
 
@@ -176,6 +176,27 @@ def test_classify_cone_wide_scale_ratio():
         r = S.classify_cone(c, p)
         assert r.matches_theorem
         assert r.apex_spread <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        SurfaceParams(m=2, n=1, a=(1.0, 1.8, 2.5, 3.6), b=(-1.2, -2.4), alpha=(1, -1), beta=(1,)),
+        SurfaceParams(m=2, n=0, a=(1e-3, 1, 10, 1e3), alpha=(1, -1)),
+    ],
+    ids=["readme", "wide-ratio"],
+)
+def test_direction_votes_match_routed_immersion(p):
+    # classify_cone carries f(lo) and f(hi) along the real axis to its vote
+    # points; routing each vote point from the basepoint gives the same f
+    for c in S.components(p):
+        ends = [np.asarray(immersion(complex(x), p).f) for x in (c.lo, c.hi)]
+        eps0 = S._clamp_outer(1e-2 * c.length, c, p)
+        for eps in (eps0, eps0 / 10.0):
+            chained = S._outside_values(c, p, ends, eps)
+            for x, f in zip((c.lo - eps, c.hi + eps), chained):
+                routed = np.asarray(immersion(complex(x), p).f)
+                assert np.max(np.abs(f - routed)) <= 1e-9, (c.axis, c.index, x)
 
 
 def test_touching_pairs_closed_segments():
