@@ -85,6 +85,8 @@ _WG = np.array(
     dtype=complex,
 )
 _GAUSS_IDX = np.arange(1, 15, 2)  # Gauss-7 nodes inside the Kronrod set
+# nodes of a leg's first panel, computed as adaptive_leg's panel(0.0, 1.0) does
+_T_FIRST = 0.5 + 0.5 * _XK
 
 DEFAULT_SEGMENT_TOL = 1e-10
 MAX_DEPTH = 40
@@ -270,13 +272,58 @@ def _integrate_leg(leg: _Leg, p: SurfaceParams, tol: float) -> tuple[np.ndarray,
     return adaptive_leg(leg, lambda z: phi_from_w(z, w_values(z, p)), tol)
 
 
+class _FirstPanelCoeffs:
+    """coeff_fn of one leg whose first-panel values were computed in a batch.
+
+    Called on the first panel's nodes (compared byte for byte), it returns
+    the stored values once; every other call, a split panel's, evaluates
+    the forms directly. Still one call per panel.
+    """
+
+    __slots__ = ("key", "vals", "p")
+
+    def __init__(self, key: bytes, vals: np.ndarray, p: SurfaceParams):
+        self.key, self.vals, self.p = key, vals, p
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        if self.key is not None and z.tobytes() == self.key:
+            self.key = None
+            return self.vals
+        return phi_from_w(z, w_values(z, self.p))
+
+
+def _first_nodes(legs) -> np.ndarray:
+    """(K, 15) first-panel nodes of K legs, each row as leg.points gives it."""
+    if all(type(leg) is ArcLeg for leg in legs):
+        # the angular chains of a mesh grid: ArcLeg.points over all rows at once
+        r, ta, tb = np.array([(leg.r, leg.theta_a, leg.theta_b) for leg in legs]).T[..., None]
+        return r * np.exp(1j * (ta + (tb - ta) * _T_FIRST))
+    return np.stack([leg.points(_T_FIRST)[0] for leg in legs])
+
+
+def _leg_coeffs(legs, p: SurfaceParams) -> list:
+    """One coeff_fn per leg; the first panels of all legs are evaluated together.
+
+    Most legs of a chain need only their first panel, so one (3, K, 15)
+    evaluation replaces K small ones. The kernels are elementwise, so each
+    value is the one a 15-node call gives, bit for bit.
+    """
+    if not legs:
+        return []
+    z = _first_nodes(legs)
+    # a node on a branch point divides by w = 0; adaptive_leg raises on it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.ascontiguousarray(phi_from_w(z, w_values(z, p)).transpose(1, 0, 2))
+    return [_FirstPanelCoeffs(zk.tobytes(), vk, p) for zk, vk in zip(z, vals)]
+
+
 def _running_sum(legs, p: SurfaceParams, tol: float, f0, e0: float):
     """Re-integral and error estimate after each of consecutive legs.
 
     Starts from (f0, e0) and adds one leg at a time, in order, so row k of
     the (N, 3) result is f0 plus the real parts of legs 0..k.
     """
-    parts = [_integrate_leg(leg, p, tol) for leg in legs]
+    parts = [adaptive_leg(leg, fn, tol) for leg, fn in zip(legs, _leg_coeffs(legs, p))]
     f = np.cumsum([np.asarray(f0, dtype=float)] + [v.real for v, _ in parts], axis=0)
     e = np.cumsum([float(e0)] + [err for _, err in parts])
     return f[1:], e[1:]

@@ -264,3 +264,47 @@ def test_winding_consistency_multiple_turns(p10):
     disp, _ = I.integrate_path(I.PathSpec(waypoints=wps), p10)
     assert disp[1] == pytest.approx(-2 * TWO_PI, abs=1e-8)
     assert abs(disp[0]) <= 1e-8 and abs(disp[2]) <= 1e-8
+
+
+def _mixed_chains(p):
+    """Leg chains as the mesh grid and the router build them: rings of arcs
+    (one just outside a branch point), a radial run, and routes to a gap
+    point and onto a branch point (square-root leg)."""
+    thetas = np.linspace(0.0, math.pi, 33)
+    chains = []
+    for r in (0.37, 1.001 * abs(p.branch_points()[0]), 1.5 * p.scale()):
+        chains.append([I.ArcLeg(r=r, theta_a=float(a), theta_b=float(b)) for a, b in zip(thetas, thetas[1:])])
+    radii = np.geomspace(0.3, 2.0 * p.scale(), 12)
+    chains.append([I.RadialLeg(theta=0.7, r_a=float(a), r_b=float(b)) for a, b in zip(radii, radii[1:])])
+    base = p.default_basepoint()
+    chains.append(I._route_legs(complex(-0.5 * p.inner_radius(), 0.0), p, base))
+    chains.append(I._route_to_branch_point(p.branch_points()[0], p, base))
+    return chains
+
+
+@pytest.mark.parametrize("fixture", ["p10", "p21", "p22"])
+def test_batched_first_panels_match_per_leg_quadrature(fixture, request):
+    # every leg's first panel comes from the batch, and each leg's integral
+    # and error estimate are the bytes of a leg integrated on its own
+    p = request.getfixturevalue(fixture)
+    tol = I.DEFAULT_SEGMENT_TOL
+    for legs in _mixed_chains(p):
+        coeffs = I._leg_coeffs(legs, p)
+        for leg, fn in zip(legs, coeffs):
+            v, e = I.adaptive_leg(leg, fn, tol)
+            v_ref, e_ref = I._integrate_leg(leg, p, tol)
+            assert v.tobytes() == v_ref.tobytes() and e == e_ref
+            assert fn.key is None  # the stored first panel was used
+
+
+def test_batched_first_panels_keep_the_failing_leg(p10):
+    # a node on the branch point 2 fails that leg alone, with no warning
+    good = I.ArcLeg(r=3.0, theta_a=0.0, theta_b=1.0)
+    bad = I.SegmentLeg(z_a=2.0 - 1.0j, z_b=2.0 + 1.0j)
+    coeffs = I._leg_coeffs([good, bad], p10)
+    v, _ = I.adaptive_leg(good, coeffs[0], I.DEFAULT_SEGMENT_TOL)
+    assert v.tobytes() == I._integrate_leg(good, p10, I.DEFAULT_SEGMENT_TOL)[0].tobytes()
+    with pytest.raises(QuadratureFailure):
+        I.adaptive_leg(bad, coeffs[1], I.DEFAULT_SEGMENT_TOL)
+    with pytest.raises(QuadratureFailure):
+        I._running_sum([good, bad], p10, I.DEFAULT_SEGMENT_TOL, np.zeros(3), 0.0)
