@@ -209,9 +209,12 @@ class SqrtApproachLeg(_Leg):
 def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     """Adaptive G7/K15 over one leg; returns (complex 3-vector, error estimate).
 
-    coeff_fn(z) evaluates the (3, N) form coefficients at the leg nodes;
-    each panel is exactly one coeff_fn call on its 15 nodes, so counting
-    the calls counts the panels (the benchmark's panel anchor does that).
+    coeff_fn(t) returns the (3, N) integrand phi(z(t)) z'(t) at leg
+    parameters t in [0, 1]. Each panel is exactly one coeff_fn call on its
+    15 nodes, so counting the calls counts the panels (the benchmark's panel
+    anchor does that). The first call, on the panel [0, 1], receives the
+    module array _T_FIRST itself, so a coeff_fn can recognize it by identity
+    and return values computed in advance (_leg_coeffs does).
     Interval halving against a global absolute budget: the worst panel is
     split until the summed |K15 - G7| estimate drops below tol. Panel width
     is capped at 2^-MAX_DEPTH; hitting the cap with the budget still blown
@@ -222,14 +225,11 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     def panel(t0: float, t1: float):
         mid = 0.5 * (t0 + t1)
         half = 0.5 * (t1 - t0)
-        t = mid + half * _XK
-        z, dz = leg.points(t)
-        # a node on a branch point divides by w = 0; the test below raises
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = coeff_fn(z) * dz  # (3, 15)
-            k15 = half * (vals @ _WK)
-            g7 = half * (vals[:, _GAUSS_IDX] @ _WG)
-            e = float(np.abs(k15 - g7).sum())
+        # the panel [0, 1] passes _T_FIRST itself: the same values, by identity
+        vals = coeff_fn(_T_FIRST if half == 0.5 else mid + half * _XK)  # (3, 15)
+        k15 = half * (vals @ _WK)
+        g7 = half * (vals[:, _GAUSS_IDX] @ _WG)
+        e = float(np.abs(k15 - g7).sum())
         # a non-finite K15 or G7 sum makes e non-finite; NaN would otherwise
         # slip through the budget test below, as nan > tol is False
         if not math.isfinite(e):
@@ -240,68 +240,74 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
             )
         return e, t0, t1, k15
 
-    counter = 0
-    e, t0, t1, k15 = panel(0.0, 1.0)
-    if e <= tol:
-        return k15, e
-    heap = [(-e, counter, t0, t1, k15)]
-    err_sum = e
-    min_width = 2.0**-MAX_DEPTH
-    while err_sum > tol:
-        neg_e, _, t0, t1, k15 = heapq.heappop(heap)
-        if t1 - t0 <= min_width:
-            raise QuadratureFailure(
-                f"segment tolerance {tol:g} not reached at max depth "
-                f"(err {err_sum:g}); the path may pass too close to a singularity"
-            )
-        err_sum += neg_e  # remove the split panel's estimate
-        mid = 0.5 * (t0 + t1)
-        for lo, hi in ((t0, mid), (mid, t1)):
-            e, a, b, v = panel(lo, hi)
-            counter += 1
-            heapq.heappush(heap, (-e, counter, a, b, v))
-            err_sum += e
+    # a node on a branch point divides by w = 0; panel() raises on the sums
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e, t0, t1, k15 = panel(0.0, 1.0)
+        if e <= tol:
+            return k15, e
+        counter = 0
+        heap = [(-e, counter, t0, t1, k15)]
+        err_sum = e
+        min_width = 2.0**-MAX_DEPTH
+        while err_sum > tol:
+            neg_e, _, t0, t1, k15 = heapq.heappop(heap)
+            if t1 - t0 <= min_width:
+                raise QuadratureFailure(
+                    f"segment tolerance {tol:g} not reached at max depth "
+                    f"(err {err_sum:g}); the path may pass too close to a singularity"
+                )
+            err_sum += neg_e  # remove the split panel's estimate
+            mid = 0.5 * (t0 + t1)
+            for lo, hi in ((t0, mid), (mid, t1)):
+                e, a, b, v = panel(lo, hi)
+                counter += 1
+                heapq.heappush(heap, (-e, counter, a, b, v))
+                err_sum += e
     total = np.zeros(3, dtype=complex)
     for neg_e, _, _, _, v in heap:
         total += v
     return total, err_sum
 
 
-def _integrate_leg(leg: _Leg, p: SurfaceParams, tol: float) -> tuple[np.ndarray, float]:
-    """Adaptive quadrature of the maximal-surface form triple over one leg."""
-    return adaptive_leg(leg, lambda z: phi_from_w(z, w_values(z, p)), tol)
+class _LegCoeffs:
+    """coeff_fn of one leg for the maximal-surface form triple.
 
-
-class _FirstPanelCoeffs:
-    """coeff_fn of one leg whose first-panel values were computed in a batch.
-
-    Called on the first panel's nodes (compared byte for byte), it returns
-    the stored values once; every other call, a split panel's, evaluates
-    the forms directly. Still one call per panel.
+    row, when given, holds the values on the first panel's nodes, computed
+    in a batch by _leg_coeffs: a call with _T_FIRST itself returns it and
+    sets used. Every other call, a split panel's, evaluates the forms
+    directly. Either way one call per panel, with the same bytes.
     """
 
-    __slots__ = ("key", "vals", "p")
+    __slots__ = ("leg", "p", "row", "used")
 
-    def __init__(self, key: bytes, vals: np.ndarray, p: SurfaceParams):
-        self.key, self.vals, self.p = key, vals, p
+    def __init__(self, leg: _Leg, p: SurfaceParams, row: np.ndarray | None = None):
+        self.leg, self.p, self.row, self.used = leg, p, row, False
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        if self.key is not None and z.tobytes() == self.key:
-            self.key = None
-            return self.vals
-        return phi_from_w(z, w_values(z, self.p))
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        if t is _T_FIRST and self.row is not None:
+            self.used = True
+            return self.row
+        z, dz = self.leg.points(t)
+        return phi_from_w(z, w_values(z, self.p)) * dz
 
 
-def _first_nodes(legs) -> np.ndarray:
-    """(K, 15) first-panel nodes of K legs, each row as leg.points gives it."""
+def _integrate_leg(leg: _Leg, p: SurfaceParams, tol: float) -> tuple[np.ndarray, float]:
+    """Adaptive quadrature of the maximal-surface form triple over one leg."""
+    return adaptive_leg(leg, _LegCoeffs(leg, p), tol)
+
+
+def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
+    """(z, dz/dt) at the first-panel nodes of K legs, (K, 15) each, as leg.points gives them."""
     if all(type(leg) is ArcLeg for leg in legs):
         # the angular chains of a mesh grid: ArcLeg.points over all rows at once
         r, ta, tb = np.array([(leg.r, leg.theta_a, leg.theta_b) for leg in legs]).T[..., None]
-        return r * np.exp(1j * (ta + (tb - ta) * _T_FIRST))
-    return np.stack([leg.points(_T_FIRST)[0] for leg in legs])
+        z = r * np.exp(1j * (ta + (tb - ta) * _T_FIRST))
+        return z, 1j * (tb - ta) * z
+    z, dz = zip(*(leg.points(_T_FIRST) for leg in legs))
+    return np.stack(z), np.stack(dz)
 
 
-def _leg_coeffs(legs, p: SurfaceParams) -> list:
+def _leg_coeffs(legs, p: SurfaceParams) -> list[_LegCoeffs]:
     """One coeff_fn per leg; the first panels of all legs are evaluated together.
 
     Most legs of a chain need only their first panel, so one (3, K, 15)
@@ -310,11 +316,12 @@ def _leg_coeffs(legs, p: SurfaceParams) -> list:
     """
     if not legs:
         return []
-    z = _first_nodes(legs)
+    z, dz = _first_points(legs)
     # a node on a branch point divides by w = 0; adaptive_leg raises on it
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.ascontiguousarray(phi_from_w(z, w_values(z, p)).transpose(1, 0, 2))
-    return [_FirstPanelCoeffs(zk.tobytes(), vk, p) for zk, vk in zip(z, vals)]
+        vals = phi_from_w(z, w_values(z, p)) * dz
+    rows = np.ascontiguousarray(vals.transpose(1, 0, 2))
+    return [_LegCoeffs(leg, p, row) for leg, row in zip(legs, rows)]
 
 
 def _running_sum(legs, p: SurfaceParams, tol: float, f0, e0: float):

@@ -12,8 +12,10 @@ default) welded along the fixed row, plus any number of period translates
 by (0, 2pi, 0).
 
 f-values are accumulated incrementally: one radial chain up the grid
-anchor ray and one angular chain around each ring, so a full default grid
-costs a few thousand short quadratures instead of three per vertex.
+anchor ray and one angular chain each way around every ring, so each grid
+vertex costs one short quadrature leg from its neighbor instead of a routed
+path from the basepoint (31,730 legs on the default grid of the README
+surface, nearly all of them one G7/K15 panel).
 """
 
 from __future__ import annotations
@@ -78,14 +80,18 @@ class GridSpec:
 class FundamentalSamples:
     """Grid samples of the fundamental piece plus apex samples.
 
-    samples holds the grid in row-major (radius, theta) order followed by
-    one apex sample per singular component; apex_ref marks boundary-row
-    positions over a closed singular interval, all of which collapse onto
-    that component's apex vertex (the first graded angular row above the
-    interval then forms the cone's fan ring).
+    f[i, j] is the image of the grid point radii[i] * exp(1j * thetas[j])
+    and quad_error[i, j] the quadrature error estimate accumulated along its
+    chain of legs. apex_ref marks boundary-row positions over a closed
+    singular interval: all of them collapse onto that component's apex
+    vertex (the first graded angular row above the interval then forms the
+    cone's fan ring), so f there holds the apex value and quad_error 0.
+    apex_samples holds one apex per singular component; its quad_error is
+    the Richardson residual of integrate.apex, not a quadrature error.
     """
 
-    samples: list[ImmersionSample]
+    f: np.ndarray  # (R, A, 3) float
+    quad_error: np.ndarray  # (R, A) float
     radii: np.ndarray
     thetas: np.ndarray
     apex_ref: np.ndarray  # (R, A) int, -1 or component index
@@ -97,9 +103,6 @@ class FundamentalSamples:
     f2_max_dev: float
     inserted_radii: int
 
-    def grid_index(self, i: int, j: int) -> int:
-        return i * len(self.thetas) + j
-
 
 def sample_fundamental(
     p: SurfaceParams,
@@ -109,8 +112,9 @@ def sample_fundamental(
 ) -> FundamentalSamples:
     """Sample f over the closed upper half-plane annulus.
 
-    Returns radial_samples x angular_samples grid samples (plus inserted
-    seam radii rows) and the m + n apex samples appended at the end.
+    Returns the values on the radial_samples x angular_samples grid (plus
+    inserted seam radii and graded angular sub-rows) and the m + n apex
+    samples.
     """
     if g is None:
         g = GridSpec()
@@ -134,52 +138,36 @@ def sample_fundamental(
     for ci, comp in enumerate(comps):
         row = 0 if comp.axis == "pos" else A - 1
         span_lo, span_hi = (comp.lo, comp.hi) if comp.axis == "pos" else (-comp.hi, -comp.lo)
-        for i, r in enumerate(radii):
-            if span_lo - edge_tol <= r <= span_hi + edge_tol:
-                apex_ref[i, row] = ci
+        apex_ref[(span_lo - edge_tol <= radii) & (radii <= span_hi + edge_tol), row] = ci
 
     # boundary-row positions over an interval all collapse to the apex, so
     # their chain steps (which would end on the cut) are skipped
-    f_grid, err_grid = _incremental_grid(p, radii, thetas, basepoint, tol, apex_ref >= 0)
+    regular = apex_ref < 0
+    f_grid, err_grid = _incremental_grid(p, radii, thetas, basepoint, tol, ~regular)
 
     apex_samples = []
-    for comp in comps:
+    for ci, comp in enumerate(comps):
         v, resid = apex((comp.lo, comp.hi), "above", p, basepoint=basepoint, quad_tol=tol)
         apex_samples.append(
             ImmersionSample(z=complex(comp.midpoint), f=tuple(v), quad_error=resid)
         )
-    for ci, comp in enumerate(comps):
-        row = 0 if comp.axis == "pos" else A - 1
-        for i in range(R):
-            if apex_ref[i, row] == ci:
-                f_grid[i, row] = apex_samples[ci].f
+        f_grid[apex_ref == ci] = v
 
-    nu3 = _grid_nu3(z_grid, apex_ref, p)
-
-    f2_dev = 0.0
-    samples = []
-    for i in range(R):
-        for j in range(A):
-            z = z_grid[i, j]
-            samples.append(
-                ImmersionSample(z=z, f=tuple(f_grid[i, j]), quad_error=float(err_grid[i, j]))
-            )
-            if apex_ref[i, j] < 0:
-                dev = abs(f_grid[i, j][1] + math.atan2(z.imag, z.real) - c_mirror)
-                f2_dev = max(f2_dev, dev)
-    samples.extend(apex_samples)
-
+    # math.atan2 per point: numpy's vectorized arctan2 can differ in the last bit
+    arg = np.array([math.atan2(z.imag, z.real) for z in z_grid.ravel().tolist()]).reshape(R, A)
+    dev = np.abs(f_grid[..., 1] + arg - c_mirror)
     return FundamentalSamples(
-        samples=samples,
+        f=f_grid,
+        quad_error=err_grid,
         radii=radii,
         thetas=thetas,
         apex_ref=apex_ref,
-        nu3=nu3,
+        nu3=_grid_nu3(z_grid, apex_ref, p),
         comps=comps,
         apex_samples=apex_samples,
         basepoint=basepoint,
         mirror_constant=c_mirror,
-        f2_max_dev=f2_dev,
+        f2_max_dev=float(np.max(dev[regular], initial=0.0)),
         inserted_radii=inserted,
     )
 
@@ -310,7 +298,8 @@ class GraphMesh:
     weld_residuals: list[float]
     f2_max_dev: float
     mirror_constant: float
-    quad_error_max: float
+    quad_error_max: float  # largest quadrature error estimate over the grid samples
+    apex_residual_max: float  # largest Richardson residual of the apex samples
 
 
 def assemble(
@@ -329,45 +318,28 @@ def assemble(
     """
     if copies < 0:
         raise ValueError("copies must be nonnegative")
-    R, A = len(fund.radii), len(fund.thetas)
+    R, A = fund.apex_ref.shape
     n_comp = len(fund.comps)
 
-    # vertex ids: grid positions collapse onto apex vertices where marked
-    vid = -np.ones((R, A), dtype=int)
-    verts: list[tuple[float, float, float]] = []
-    nu3: list[float] = []
-    apex_vid = [-1] * n_comp
-    for ci, s in enumerate(fund.apex_samples):
-        apex_vid[ci] = len(verts)
-        verts.append(tuple(s.f))
-        nu3.append(math.nan)
-    for i in range(R):
-        for j in range(A):
-            ci = fund.apex_ref[i, j]
-            if ci >= 0:
-                vid[i, j] = apex_vid[ci]
-            else:
-                vid[i, j] = len(verts)
-                verts.append(fund.samples[fund.grid_index(i, j)].f)
-                nu3.append(float(fund.nu3[i, j]))
+    # vertex ids: the apex vertices first, one per component, then the grid
+    # positions in row-major order; positions marked in apex_ref collapse
+    # onto their component's apex vertex
+    regular = fund.apex_ref < 0
+    vid = np.where(regular, n_comp - 1 + np.cumsum(regular).reshape(R, A), fund.apex_ref)
+    apex_f = np.array([s.f for s in fund.apex_samples], dtype=float).reshape(-1, 3)
+    vertices = np.concatenate([apex_f, fund.f[regular]])
+    nu3_arr = np.concatenate([np.full(n_comp, math.nan), fund.nu3[regular]])
 
     weld_residuals = _weld_check(fund, p, weld_tol)
 
-    # quads; over the intervals the boundary corners repeat the apex vertex,
-    # so each such quad degenerates to one fan triangle (apex, w_k, w_k+1)
-    tris: list[tuple[int, int, int]] = []
-    for i in range(R - 1):
-        for j in range(A - 1):
-            v00, v01 = vid[i, j], vid[i, j + 1]
-            v10, v11 = vid[i + 1, j], vid[i + 1, j + 1]
-            _push_tri(tris, v00, v10, v11)
-            _push_tri(tris, v00, v11, v01)
-
-    vertices = np.array(verts, dtype=float)
-    triangles = np.array(tris, dtype=int)
-    nu3_arr = np.array(nu3, dtype=float)
+    # two triangles per quad, in quad order; over the intervals the boundary
+    # corners repeat the apex vertex, so each such quad degenerates to one
+    # fan triangle (apex, w_k, w_k+1) and the other is dropped
+    v00, v01, v10, v11 = vid[:-1, :-1], vid[:-1, 1:], vid[1:, :-1], vid[1:, 1:]
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    u, v, w = tris.T
+    triangles = tris[(u != v) & (v != w) & (u != w)]
     half_nv = len(vertices)
-    half_nt = len(triangles)
 
     # mirror copy through x2 = c, welded along the fixed row; fixed-plane
     # membership is structural (gap vertices of the theta=0 row and apexes
@@ -375,26 +347,16 @@ def assemble(
     # extrapolation residuals cannot crack the weld
     c = fund.mirror_constant
     on_plane = np.zeros(half_nv, dtype=bool)
-    for i in range(R):
-        on_plane[vid[i, 0]] = True
-    for ci, comp in enumerate(fund.comps):
-        if comp.axis == "neg":
-            on_plane[apex_vid[ci]] = False
-    mirror_map = -np.ones(half_nv, dtype=int)
-    new_rows = []
-    new_nu3 = []
-    for k in range(half_nv):
-        if on_plane[k]:
-            mirror_map[k] = k
-        else:
-            mirror_map[k] = half_nv + len(new_rows)
-            x1, x2, x3 = vertices[k]
-            new_rows.append((x1, 2.0 * c - x2, x3))
-            new_nu3.append(nu3_arr[k])
-    vertices = np.vstack([vertices, np.array(new_rows, dtype=float).reshape(-1, 3)])
-    nu3_arr = np.concatenate([nu3_arr, np.array(new_nu3, dtype=float)])
+    on_plane[vid[:, 0]] = True
+    off = ~on_plane
+    mirror_map = np.arange(half_nv)
+    mirror_map[off] = half_nv + np.arange(np.count_nonzero(off))
+    mirrored = vertices[off]
+    mirrored[:, 1] = 2.0 * c - mirrored[:, 1]
+    vertices = np.concatenate([vertices, mirrored])
+    nu3_arr = np.concatenate([nu3_arr, nu3_arr[off]])
     mirror_tris = mirror_map[triangles][:, [0, 2, 1]]  # reversed orientation
-    triangles = np.vstack([triangles, mirror_tris])
+    triangles = np.concatenate([triangles, mirror_tris])
 
     period_nv, period_nt = len(vertices), len(triangles)
 
@@ -406,34 +368,24 @@ def assemble(
         nu3_arr = np.concatenate([nu3_arr, nu3_arr[:period_nv]])
         triangles = np.vstack([triangles, triangles[:period_nt] + base])
 
-    boundary_pos = [int(vid[i, 0]) for i in range(R)]
-    boundary_neg = [int(vid[i, A - 1]) for i in range(R)]
-    quad_err = max(
-        (s.quad_error for s in fund.samples), default=0.0
-    )
-
     return GraphMesh(
         vertices=vertices,
         triangles=triangles,
-        cone_vertices=[apex_vid[ci] for ci in range(n_comp)],
+        cone_vertices=list(range(n_comp)),
         copies=copies,
         cone_directions=[theorem_direction(cmp_) for cmp_ in fund.comps],
         nu3=nu3_arr,
-        boundary_pos=boundary_pos,
-        boundary_neg=boundary_neg,
+        boundary_pos=vid[:, 0].tolist(),
+        boundary_neg=vid[:, A - 1].tolist(),
         period_triangle_count=period_nt,
         period_vertex_count=period_nv,
         half_vertex_count=half_nv,
         weld_residuals=weld_residuals,
         f2_max_dev=fund.f2_max_dev,
         mirror_constant=c,
-        quad_error_max=float(quad_err),
+        quad_error_max=float(fund.quad_error.max()),
+        apex_residual_max=max((s.quad_error for s in fund.apex_samples), default=0.0),
     )
-
-
-def _push_tri(tris, u, v, w):
-    if u != v and v != w and u != w:
-        tris.append((u, v, w))
 
 
 def _weld_check(fund: FundamentalSamples, p: SurfaceParams, weld_tol: float) -> list[float]:
@@ -605,8 +557,6 @@ def export_obj(mesh: GraphMesh, destination) -> None:
 
 def export_ply(mesh: GraphMesh, destination) -> None:
     """Binary little-endian PLY with the same vertex order as the OBJ."""
-    import struct
-
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"
@@ -616,12 +566,12 @@ def export_ply(mesh: GraphMesh, destination) -> None:
         "property list uchar int vertex_indices\n"
         "end_header\n"
     ).encode("ascii")
-    body = bytearray()
-    for row in mesh.vertices:
-        body += struct.pack("<3d", *row)
-    for tri in mesh.triangles:
-        body += struct.pack("<B3i", 3, *tri)
-    _atomic_write(destination, header + bytes(body))
+    # packed rows: <3d per vertex, <B3i (count 3, then the indices) per face
+    faces = np.empty(len(mesh.triangles), dtype=[("n", "u1"), ("v", "<i4", 3)])
+    faces["n"] = 3
+    faces["v"] = mesh.triangles
+    vertices = np.ascontiguousarray(mesh.vertices, dtype="<f8")
+    _atomic_write(destination, header + vertices.tobytes() + faces.tobytes())
 
 
 def _atomic_write(destination, payload: bytes) -> None:

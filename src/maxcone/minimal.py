@@ -189,11 +189,13 @@ def measure_period(
 def _integrate_omega_segment(z_a, z_b, sheet, d: MinimalData, tol):
     """Adaptive quadrature of the omega-triple on one straight piece."""
     p = d.params
+    leg = SegmentLeg(z_a=z_a, z_b=z_b)
 
-    def coeff(z):
-        return omega_from_w(z, sheet * core.w_values(z, p), d.orientation)
+    def coeff(t):
+        z, dz = leg.points(t)
+        return omega_from_w(z, sheet * core.w_values(z, p), d.orientation) * dz
 
-    return adaptive_leg(SegmentLeg(z_a=z_a, z_b=z_b), coeff, tol)
+    return adaptive_leg(leg, coeff, tol)
 
 
 def end_loop_waypoints(p: SurfaceParams, n_sides: int = 64) -> list[complex]:

@@ -238,6 +238,7 @@ def _check_graph(p, grid, basepoint, tol):
     details.update(
         f2_identity_max_dev=mesh.f2_max_dev,
         weld_residual_max=max(mesh.weld_residuals),
+        apex_residual_max=mesh.apex_residual_max,
         vertices=len(mesh.vertices),
         triangles=len(mesh.triangles),
     )

@@ -3,12 +3,17 @@
 Everything here is deliberately separate from the package internals: its
 own branch selection, its own form coefficients, fixed-order composite
 Gauss-Legendre quadrature instead of the adaptive scheme, plain finite
-differences, and a quadratic-cost triangle overlap test (a Python loop,
-kept as the reference, and an array version of the same predicate). Values
-frozen into the tests were computed with these routines.
+differences, a quadratic-cost triangle overlap test (a Python loop,
+kept as the reference, and an array version of the same predicate), and
+the loop mesh assembly and struct-packed PLY body that the array versions
+in the package must reproduce byte for byte. Values frozen into the tests
+were computed with these routines.
 """
 
 from __future__ import annotations
+
+import math
+import struct
 
 import numpy as np
 
@@ -254,3 +259,84 @@ def omega_stacked_ref(z, w, orientation):
     if orientation == "vertical-ends":
         return np.stack([0.5 * (inv - w) / z, 0.5j * (inv + w) / z, np.ones_like(z) / z])
     return np.stack([0.5j * (inv + w) / z, np.ones_like(z) / z, 0.5 * (inv - w) / z])
+
+
+def assemble_loop_ref(fund, copies=0):
+    """Mesh arrays of a sampled fundamental piece, built by per-vertex and per-quad loops.
+
+    The loop assembly the array version replaced: apex vertices first, grid
+    vertices in row-major order, two triangles per quad with degenerate
+    ones dropped, then the mirror copy and the period translates. Returns
+    (vertices, triangles, nu3, boundary_pos, boundary_neg).
+    """
+    R, A = fund.apex_ref.shape
+    vid = -np.ones((R, A), dtype=int)
+    verts, nu3 = [], []
+    apex_vid = []
+    for s in fund.apex_samples:
+        apex_vid.append(len(verts))
+        verts.append(tuple(s.f))
+        nu3.append(math.nan)
+    for i in range(R):
+        for j in range(A):
+            ci = fund.apex_ref[i, j]
+            if ci >= 0:
+                vid[i, j] = apex_vid[ci]
+            else:
+                vid[i, j] = len(verts)
+                verts.append(tuple(fund.f[i, j]))
+                nu3.append(float(fund.nu3[i, j]))
+    tris = []
+    for i in range(R - 1):
+        for j in range(A - 1):
+            v00, v01 = vid[i, j], vid[i, j + 1]
+            v10, v11 = vid[i + 1, j], vid[i + 1, j + 1]
+            for u, v, w in ((v00, v10, v11), (v00, v11, v01)):
+                if u != v and v != w and u != w:
+                    tris.append((u, v, w))
+    vertices = np.array(verts, dtype=float)
+    triangles = np.array(tris, dtype=int)
+    nu3_arr = np.array(nu3, dtype=float)
+    half_nv = len(vertices)
+
+    c = fund.mirror_constant
+    on_plane = np.zeros(half_nv, dtype=bool)
+    for i in range(R):
+        on_plane[vid[i, 0]] = True
+    for ci, comp in enumerate(fund.comps):
+        if comp.axis == "neg":
+            on_plane[apex_vid[ci]] = False
+    mirror_map = -np.ones(half_nv, dtype=int)
+    new_rows, new_nu3 = [], []
+    for k in range(half_nv):
+        if on_plane[k]:
+            mirror_map[k] = k
+        else:
+            mirror_map[k] = half_nv + len(new_rows)
+            x1, x2, x3 = vertices[k]
+            new_rows.append((x1, 2.0 * c - x2, x3))
+            new_nu3.append(nu3_arr[k])
+    vertices = np.vstack([vertices, np.array(new_rows, dtype=float).reshape(-1, 3)])
+    nu3_arr = np.concatenate([nu3_arr, np.array(new_nu3, dtype=float)])
+    triangles = np.vstack([triangles, mirror_map[triangles][:, [0, 2, 1]]])
+
+    period_nv, period_nt = len(vertices), len(triangles)
+    for t in range(1, copies + 1):
+        offset = np.array([0.0, 2.0 * math.pi * t, 0.0])
+        base = len(vertices)
+        vertices = np.vstack([vertices, vertices[:period_nv] + offset])
+        nu3_arr = np.concatenate([nu3_arr, nu3_arr[:period_nv]])
+        triangles = np.vstack([triangles, triangles[:period_nt] + base])
+    boundary_pos = [int(vid[i, 0]) for i in range(R)]
+    boundary_neg = [int(vid[i, A - 1]) for i in range(R)]
+    return vertices, triangles, nu3_arr, boundary_pos, boundary_neg
+
+
+def ply_body_ref(vertices, triangles):
+    """Binary little-endian PLY body, one struct.pack per vertex and per face."""
+    body = bytearray()
+    for row in vertices:
+        body += struct.pack("<3d", *row)
+    for tri in triangles:
+        body += struct.pack("<B3i", 3, *tri)
+    return bytes(body)

@@ -294,7 +294,40 @@ def test_batched_first_panels_match_per_leg_quadrature(fixture, request):
             v, e = I.adaptive_leg(leg, fn, tol)
             v_ref, e_ref = I._integrate_leg(leg, p, tol)
             assert v.tobytes() == v_ref.tobytes() and e == e_ref
-            assert fn.key is None  # the stored first panel was used
+            assert fn.used  # the stored first panel was used
+
+
+def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10):
+    # counted as the benchmark counts panels, by a wrapper around coeff_fn, on
+    # an arc that starts just outside the branch point 1 and so splits
+    leg = I.ArcLeg(r=1.001, theta_a=0.0, theta_b=0.1)
+    fn = I._leg_coeffs([leg], p10)[0]
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+
+    v, e = I.adaptive_leg(leg, counted, I.DEFAULT_SEGMENT_TOL)
+    assert calls[0] is I._T_FIRST and fn.used
+    # each call is the 15 nodes of one panel of the bisection tree of [0, 1],
+    # no panel is evaluated twice, and a split panel has both halves evaluated
+    pending, panels = {(0.0, 1.0)}, []
+    for t in calls:
+        nodes = {(a, b): 0.5 * (a + b) + 0.5 * (b - a) * I._XK for a, b in pending}
+        match = [ab for ab, x in nodes.items() if np.array_equal(t, x)]
+        assert len(match) == 1
+        a, b = match[0]
+        pending.remove((a, b))
+        panels.append((a, b))
+        pending |= {(a, 0.5 * (a + b)), (0.5 * (a + b), b)}
+    assert len(calls) > 1 and len(set(panels)) == len(panels)
+    halves = set(panels[1:])
+    for a, b in panels[1:]:
+        width = b - a
+        assert (a + width, b + width) in halves or (a - width, b - width) in halves
+    ref_v, ref_e = I._integrate_leg(leg, p10, I.DEFAULT_SEGMENT_TOL)
+    assert v.tobytes() == ref_v.tobytes() and e == ref_e
 
 
 def test_batched_first_panels_keep_the_failing_leg(p10):

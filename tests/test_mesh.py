@@ -40,14 +40,36 @@ def test_grid_spec_validation(p10):
 def test_sample_count_formula(fund10):
     p, fund = fund10
     R, A = len(fund.radii), len(fund.thetas)
-    assert len(fund.samples) == R * A + (p.m + p.n)
+    assert fund.f.shape == (R, A, 3) and fund.quad_error.shape == (R, A)
     assert len(fund.apex_samples) == p.m + p.n
 
 
 def test_f2_range_on_fundamental(fund10):
     p, fund = fund10
-    for s in fund.samples:
-        assert -math.pi - 1e-9 <= s.f[1] <= 1e-9
+    f2 = np.concatenate([fund.f[..., 1].ravel(), [s.f[1] for s in fund.apex_samples]])
+    assert np.all((-math.pi - 1e-9 <= f2) & (f2 <= 1e-9))
+
+
+def test_sample_fundamental_work_counts(p21, monkeypatch):
+    # legs and panels counted as the benchmark counts them: adaptive_leg calls
+    # and the coeff_fn calls inside them
+    from maxcone import integrate
+
+    adaptive_leg = integrate.adaptive_leg
+    counts = [0, 0]
+
+    def counted_leg(leg, coeff_fn, tol):
+        counts[0] += 1
+
+        def counted_panel(t):
+            counts[1] += 1
+            return coeff_fn(t)
+
+        return adaptive_leg(leg, counted_panel, tol)
+
+    monkeypatch.setattr(integrate, "adaptive_leg", counted_leg)
+    MM.sample_fundamental(p21, COARSE)
+    assert counts == [2548, 2848]
 
 
 def test_f2_identity_max_dev(fund10):
@@ -58,10 +80,10 @@ def test_f2_identity_max_dev(fund10):
 def test_boundary_rows_pi_apart(fund10):
     p, fund = fund10
     A = len(fund.thetas)
-    row0 = [fund.samples[fund.grid_index(i, 0)] for i in range(len(fund.radii))]
-    rowp = [fund.samples[fund.grid_index(i, A - 1)] for i in range(len(fund.radii))]
-    assert all(abs(s.f[1]) < 1e-9 for s in row0)
-    assert all(abs(s.f[1] + math.pi) < 1e-9 for s in rowp)
+    row0 = fund.f[:, 0]
+    rowp = fund.f[:, A - 1]
+    assert all(abs(f[1]) < 1e-9 for f in row0)
+    assert all(abs(f[1] + math.pi) < 1e-9 for f in rowp)
 
 
 def test_mirror_weld_and_rows(mesh10):
@@ -127,6 +149,35 @@ def test_copies_translate_exactly(fund10):
     ext0 = m0.vertices[:, 1].max() - m0.vertices[:, 1].min()
     ext2 = m2.vertices[:, 1].max() - m2.vertices[:, 1].min()
     assert ext2 - ext0 == pytest.approx(4.0 * math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["p10", "p21", "p22"])
+@pytest.mark.parametrize("copies", [0, 2])
+def test_assemble_matches_loop_oracle(fixture, copies, request):
+    p = request.getfixturevalue(fixture)
+    fund = MM.sample_fundamental(p, COARSE)
+    mesh = MM.assemble(fund, p, copies=copies)
+    vertices, triangles, nu3, boundary_pos, boundary_neg = oracles.assemble_loop_ref(fund, copies)
+    assert mesh.vertices.dtype == vertices.dtype and mesh.vertices.shape == vertices.shape
+    assert mesh.vertices.tobytes() == vertices.tobytes()
+    assert mesh.triangles.dtype == triangles.dtype and mesh.triangles.shape == triangles.shape
+    assert mesh.triangles.tobytes() == triangles.tobytes()
+    assert mesh.nu3.tobytes() == nu3.tobytes()
+    assert mesh.boundary_pos == boundary_pos and mesh.boundary_neg == boundary_neg
+    assert mesh.cone_vertices == list(range(p.m + p.n))
+    # the quadrature estimate is the grid's; the apex residual is reported apart
+    assert mesh.quad_error_max == float(fund.quad_error.max())
+    assert mesh.apex_residual_max == max(s.quad_error for s in fund.apex_samples)
+
+
+def test_quad_error_max_leaves_out_the_apex_residual(fund10):
+    # the apex residual is an extrapolation residual, reported apart
+    p, fund = fund10
+    s = fund.apex_samples[0]
+    rough = dataclasses.replace(fund, apex_samples=[dataclasses.replace(s, quad_error=1e-3)])
+    mesh = MM.assemble(rough, p)
+    assert mesh.quad_error_max == float(fund.quad_error.max()) < 1e-8
+    assert mesh.apex_residual_max == 1e-3
 
 
 def test_graph_check_passes_10(mesh10):
@@ -279,6 +330,7 @@ def test_graph_check_needs_the_boundary_test():
         f2_max_dev=0.0,
         mirror_constant=0.0,
         quad_error_max=0.0,
+        apex_residual_max=0.0,
     )
     rep = MM.graph_check(mesh)
     brute = oracles.brute_force_overlaps(vertices, tris, eps=1e-9)
@@ -350,6 +402,7 @@ def _empty_mesh():
         f2_max_dev=0.0,
         mirror_constant=0.0,
         quad_error_max=0.0,
+        apex_residual_max=0.0,
     )
 
 
@@ -376,6 +429,16 @@ def test_export_ply(mesh10, tmp_path):
     header_end = data.index(b"end_header\n") + len(b"end_header\n")
     expect = len(mesh.vertices) * 24 + len(mesh.triangles) * 13
     assert len(data) - header_end == expect
+
+
+@pytest.mark.parametrize("copies", [0, 2])
+def test_export_ply_matches_struct_oracle(fund10, copies, tmp_path):
+    p, fund = fund10
+    for mesh in (MM.assemble(fund, p, copies=copies), _empty_mesh()):
+        MM.export_ply(mesh, tmp_path / "m.ply")
+        data = (tmp_path / "m.ply").read_bytes()
+        body = data[data.index(b"end_header\n") + len(b"end_header\n") :]
+        assert body == oracles.ply_body_ref(mesh.vertices, mesh.triangles)
 
 
 def test_weld_failure_raised(fund10):
