@@ -15,12 +15,21 @@ intervals (Richardson extrapolation in sqrt(offset)) all live here. f
 extends continuously to each closed singular interval and is constant on
 it, so its along-axis limits are the endpoint values immersion(lo) and
 immersion(hi), which the square-root leg integrates exactly.
+
+A panel's integrand values are reduced to its K15 sum and |K15 - G7|
+estimate (_panel_sums) where they are computed, so adaptive_leg handles
+only those sums. Legs are integrated in chunks of at most _CHUNK: the
+first panels of a chunk are evaluated and reduced in one batch, which
+stays below the 16,384 points at which w_values can differ in the last
+bit from 15-node calls, and any number of legs, a generator of them
+included, runs in bounded memory.
 """
 
 from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +99,14 @@ _T_FIRST = 0.5 + 0.5 * _XK
 
 DEFAULT_SEGMENT_TOL = 1e-10
 MAX_DEPTH = 40
+# panels one leg may evaluate; the worst leg of the 28 cone classes and the
+# wide-ratio surface uses 73, and an estimate that does not shrink under
+# splitting would otherwise grow the heap toward 2^MAX_DEPTH panels
+MAX_PANELS = 2000
+# legs whose first panels share one kernel call: 7,680 nodes. w_values on
+# 16,384 or more points can differ in the last bit from the same points
+# evaluated in 15-node calls, so a chunk must stay below that
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -206,63 +223,78 @@ class SqrtApproachLeg(_Leg):
 # quadrature
 
 
+def _panel_sums(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled K15 sums and |K15 - G7| summed over the 3 components.
+
+    vals holds the integrand on the 15 nodes of a panel, (..., 3, 15); the
+    results have shapes (..., 3) and (...). adaptive_leg scales both by the
+    panel half-width, a power of two, so the scaling is exact.
+    """
+    k = vals @ _WK
+    return k, np.abs(k - vals[..., _GAUSS_IDX] @ _WG).sum(axis=-1)
+
+
+def _leg_text(leg: _Leg, t0: float = 0.0, t1: float = 1.0) -> str:
+    z_ends = leg.points(np.array([t0, t1]))[0]
+    return f"{leg} over t in [{t0:g}, {t1:g}] (z from {z_ends[0]:.17g} to {z_ends[1]:.17g})"
+
+
 def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     """Adaptive G7/K15 over one leg; returns (complex 3-vector, error estimate).
 
-    coeff_fn(t) returns the (3, N) integrand phi(z(t)) z'(t) at leg
-    parameters t in [0, 1]. Each panel is exactly one coeff_fn call on its
-    15 nodes, so counting the calls counts the panels (the benchmark's panel
-    anchor does that). The first call, on the panel [0, 1], receives the
-    module array _T_FIRST itself, so a coeff_fn can recognize it by identity
-    and return values computed in advance (_leg_coeffs does).
+    coeff_fn(t) takes the 15 nodes t in [0, 1] of one panel and returns
+    _panel_sums of the integrand phi(z(t)) z'(t) there: the unscaled K15
+    sum (3,) and the summed |K15 - G7| difference. Each panel is exactly one
+    coeff_fn call, so counting the calls counts the panels (the benchmark's
+    panel anchor does that). The first call, on the panel [0, 1], receives
+    the module array _T_FIRST itself, so a coeff_fn can recognize it by
+    identity and return sums computed in advance (_leg_coeffs does).
     Interval halving against a global absolute budget: the worst panel is
-    split until the summed |K15 - G7| estimate drops below tol. Panel width
-    is capped at 2^-MAX_DEPTH; hitting the cap with the budget still blown
-    signals a mis-routed path. A panel with a non-finite value or estimate
-    raises QuadratureFailure at once.
+    split until the summed estimate drops below tol. Panel width is capped
+    at 2^-MAX_DEPTH and the panel count at MAX_PANELS; hitting either with
+    the budget still blown signals a mis-routed path or an integrand the
+    rule cannot resolve, and raises QuadratureFailure. So does a panel with
+    a non-finite value or estimate, at once.
     """
 
     def panel(t0: float, t1: float):
         mid = 0.5 * (t0 + t1)
         half = 0.5 * (t1 - t0)
-        # the panel [0, 1] passes _T_FIRST itself: the same values, by identity
-        vals = coeff_fn(_T_FIRST if half == 0.5 else mid + half * _XK)  # (3, 15)
-        k15 = half * (vals @ _WK)
-        g7 = half * (vals[:, _GAUSS_IDX] @ _WG)
-        e = float(np.abs(k15 - g7).sum())
+        # the panel [0, 1] passes _T_FIRST itself: the same nodes, by identity
+        k, d = coeff_fn(_T_FIRST if half == 0.5 else mid + half * _XK)
+        e = half * float(d)
         # a non-finite K15 or G7 sum makes e non-finite; NaN would otherwise
         # slip through the budget test below, as nan > tol is False
         if not math.isfinite(e):
-            z_ends = leg.points(np.array([t0, t1]))[0]
-            raise QuadratureFailure(
-                f"non-finite integrand on {leg} over t in [{t0:g}, {t1:g}] "
-                f"(z from {z_ends[0]:.17g} to {z_ends[1]:.17g})"
-            )
-        return e, t0, t1, k15
+            raise QuadratureFailure(f"non-finite integrand on {_leg_text(leg, t0, t1)}")
+        return e, t0, t1, half * k
 
-    # a node on a branch point divides by w = 0; panel() raises on the sums
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e, t0, t1, k15 = panel(0.0, 1.0)
-        if e <= tol:
-            return k15, e
-        counter = 0
-        heap = [(-e, counter, t0, t1, k15)]
-        err_sum = e
-        min_width = 2.0**-MAX_DEPTH
-        while err_sum > tol:
-            neg_e, _, t0, t1, k15 = heapq.heappop(heap)
-            if t1 - t0 <= min_width:
-                raise QuadratureFailure(
-                    f"segment tolerance {tol:g} not reached at max depth "
-                    f"(err {err_sum:g}); the path may pass too close to a singularity"
-                )
-            err_sum += neg_e  # remove the split panel's estimate
-            mid = 0.5 * (t0 + t1)
-            for lo, hi in ((t0, mid), (mid, t1)):
-                e, a, b, v = panel(lo, hi)
-                counter += 1
-                heapq.heappush(heap, (-e, counter, a, b, v))
-                err_sum += e
+    e, t0, t1, k15 = panel(0.0, 1.0)
+    if e <= tol:
+        return k15, e
+    counter = 0
+    heap = [(-e, counter, t0, t1, k15)]
+    err_sum = e
+    min_width = 2.0**-MAX_DEPTH
+    while err_sum > tol:
+        neg_e, _, t0, t1, k15 = heapq.heappop(heap)
+        if t1 - t0 <= min_width:
+            raise QuadratureFailure(
+                f"segment tolerance {tol:g} not reached at max depth "
+                f"(err {err_sum:g}); the path may pass too close to a singularity"
+            )
+        if counter + 3 > MAX_PANELS:  # 1 + counter panels so far, 2 more to come
+            raise QuadratureFailure(
+                f"segment tolerance {tol:g} not reached within {MAX_PANELS} panels "
+                f"(err {err_sum:g}) on {_leg_text(leg)}"
+            )
+        err_sum += neg_e  # remove the split panel's estimate
+        mid = 0.5 * (t0 + t1)
+        for lo, hi in ((t0, mid), (mid, t1)):
+            e, a, b, v = panel(lo, hi)
+            counter += 1
+            heapq.heappush(heap, (-e, counter, a, b, v))
+            err_sum += e
     total = np.zeros(3, dtype=complex)
     for neg_e, _, _, _, v in heap:
         total += v
@@ -272,23 +304,25 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
 class _LegCoeffs:
     """coeff_fn of one leg for the maximal-surface form triple.
 
-    row, when given, holds the values on the first panel's nodes, computed
-    in a batch by _leg_coeffs: a call with _T_FIRST itself returns it and
-    sets used. Every other call, a split panel's, evaluates the forms
-    directly. Either way one call per panel, with the same bytes.
+    first, when given, holds the first panel's sums, computed in a batch by
+    _leg_coeffs: a call with _T_FIRST itself returns it and sets used. Every
+    other call, a split panel's, evaluates the forms directly. Either way
+    one call per panel, with the same bytes.
     """
 
-    __slots__ = ("leg", "p", "row", "used")
+    __slots__ = ("leg", "p", "first", "used")
 
-    def __init__(self, leg: _Leg, p: SurfaceParams, row: np.ndarray | None = None):
-        self.leg, self.p, self.row, self.used = leg, p, row, False
+    def __init__(self, leg: _Leg, p: SurfaceParams, first=None):
+        self.leg, self.p, self.first, self.used = leg, p, first, False
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        if t is _T_FIRST and self.row is not None:
+    def __call__(self, t: np.ndarray):
+        if t is _T_FIRST and self.first is not None:
             self.used = True
-            return self.row
+            return self.first
         z, dz = self.leg.points(t)
-        return phi_from_w(z, w_values(z, self.p)) * dz
+        # a node on a branch point divides by w = 0; adaptive_leg raises on it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _panel_sums(phi_from_w(z, w_values(z, self.p)) * dz)
 
 
 def _integrate_leg(leg: _Leg, p: SurfaceParams, tol: float) -> tuple[np.ndarray, float]:
@@ -308,11 +342,13 @@ def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _leg_coeffs(legs, p: SurfaceParams) -> list[_LegCoeffs]:
-    """One coeff_fn per leg; the first panels of all legs are evaluated together.
+    """One coeff_fn per leg; the first panels of all legs are reduced together.
 
     Most legs of a chain need only their first panel, so one (3, K, 15)
-    evaluation replaces K small ones. The kernels are elementwise, so each
-    value is the one a 15-node call gives, bit for bit.
+    evaluation and one batched _panel_sums replace K small ones. The kernels
+    are elementwise and the sums run over a contiguous (K, 3, 15) array, so
+    each leg's sums are the ones a 15-node call gives, bit for bit, as long
+    as K * 15 stays below the 16,384 points noted at _CHUNK.
     """
     if not legs:
         return []
@@ -320,8 +356,31 @@ def _leg_coeffs(legs, p: SurfaceParams) -> list[_LegCoeffs]:
     # a node on a branch point divides by w = 0; adaptive_leg raises on it
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = phi_from_w(z, w_values(z, p)) * dz
-    rows = np.ascontiguousarray(vals.transpose(1, 0, 2))
-    return [_LegCoeffs(leg, p, row) for leg, row in zip(legs, rows)]
+        k, d = _panel_sums(np.ascontiguousarray(vals.transpose(1, 0, 2)))
+    return [_LegCoeffs(leg, p, first) for leg, first in zip(legs, zip(k, d.tolist()))]
+
+
+def _leg_sums(legs, p: SurfaceParams, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Re-integrals (N, 3) and error estimates (N,) of legs, each integrated alone.
+
+    legs may be any iterable, a generator included: it is consumed in chunks
+    of at most _CHUNK legs, whose first panels are evaluated together, and
+    only the per-leg results are kept.
+    """
+    legs = iter(legs)
+    re, err = [np.zeros((0, 3))], [np.zeros(0)]
+    while chunk := list(itertools.islice(legs, _CHUNK)):
+        parts = [adaptive_leg(leg, fn, tol) for leg, fn in zip(chunk, _leg_coeffs(chunk, p))]
+        re.append(np.array([v for v, _ in parts]).real)
+        err.append(np.array([e for _, e in parts]))
+    return np.concatenate(re), np.concatenate(err)
+
+
+def _accumulate(f0, e0: float, re: np.ndarray, err: np.ndarray):
+    """Running sums from (f0, e0) over per-leg rows, one leg at a time in order."""
+    f = np.cumsum(np.vstack([np.asarray(f0, dtype=float), re]), axis=0)
+    e = np.cumsum(np.concatenate([[float(e0)], err]))
+    return f[1:], e[1:]
 
 
 def _running_sum(legs, p: SurfaceParams, tol: float, f0, e0: float):
@@ -330,10 +389,7 @@ def _running_sum(legs, p: SurfaceParams, tol: float, f0, e0: float):
     Starts from (f0, e0) and adds one leg at a time, in order, so row k of
     the (N, 3) result is f0 plus the real parts of legs 0..k.
     """
-    parts = [adaptive_leg(leg, fn, tol) for leg, fn in zip(legs, _leg_coeffs(legs, p))]
-    f = np.cumsum([np.asarray(f0, dtype=float)] + [v.real for v, _ in parts], axis=0)
-    e = np.cumsum([float(e0)] + [err for _, err in parts])
-    return f[1:], e[1:]
+    return _accumulate(f0, e0, *_leg_sums(legs, p, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ f-values are accumulated incrementally: one radial chain up the grid
 anchor ray and one angular chain each way around every ring, so each grid
 vertex costs one short quadrature leg from its neighbor instead of a routed
 path from the basepoint (31,730 legs on the default grid of the README
-surface, nearly all of them one G7/K15 panel).
+surface, nearly all of them one G7/K15 panel). The ring arcs of all rings
+(31,524 of those legs) are generated lazily and integrated in chunks of at
+most integrate._CHUNK legs, whose first panels share one kernel call of
+fewer than 16,384 points; only each leg's real part and error estimate are
+kept, and each ring's chains are summed from their anchor value afterwards.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .integrate import (
     ArcLeg,
     ImmersionSample,
     RadialLeg,
+    _accumulate,
+    _leg_sums,
     _running_sum,
     apex,
     immersion,
@@ -257,16 +263,25 @@ def _incremental_grid(p, radii, thetas, basepoint, tol, skip):
     f[:i_near, j_anchor], err[:i_near, j_anchor] = chain_f[::-1], chain_e[::-1]
 
     # one angular chain each way around every ring, stopping at the first
-    # skipped position
+    # skipped position. The arcs of all rings stream through the quadrature
+    # in bounded chunks; each chain is then summed from its anchor value
+    chains = []
     for i in range(R):
-        r = float(radii[i])
         for step in (1, -1):
             js = range(j_anchor + step, A if step > 0 else -1, step)
-            js = js[: next((k for k, j in enumerate(js) if skip[i, j]), len(js))]
-            legs = [
-                ArcLeg(r=r, theta_a=float(thetas[j - step]), theta_b=float(thetas[j])) for j in js
-            ]
-            f[i, js], err[i, js] = _running_sum(legs, p, tol, f[i, j_anchor], err[i, j_anchor])
+            chains.append((i, js[: next((k for k, j in enumerate(js) if skip[i, j]), len(js))]))
+    rs, ths = radii.tolist(), thetas.tolist()
+    arcs = (
+        ArcLeg(r=rs[i], theta_a=ths[j - js.step], theta_b=ths[j]) for i, js in chains for j in js
+    )
+    ring_f, ring_e = _leg_sums(arcs, p, tol)
+    start = 0
+    for i, js in chains:
+        stop = start + len(js)
+        f[i, js], err[i, js] = _accumulate(
+            f[i, j_anchor], err[i, j_anchor], ring_f[start:stop], ring_e[start:stop]
+        )
+        start = stop
     return f, err
 
 
@@ -542,17 +557,14 @@ def _one_cycle(edges: np.ndarray) -> bool:
 
 def export_obj(mesh: GraphMesh, destination) -> None:
     """Wavefront OBJ with cone-vertex comment tags; byte-deterministic."""
-    lines = [
-        "# maxcone mesh",
-        f"# vertices {len(mesh.vertices)} triangles {len(mesh.triangles)} copies {mesh.copies}",
-    ]
+    nv, nt = len(mesh.vertices), len(mesh.triangles)
+    head = [f"# maxcone mesh\n# vertices {nv} triangles {nt} copies {mesh.copies}\n"]
     for vidx, direction in zip(mesh.cone_vertices, mesh.cone_directions):
-        lines.append(f"# cone {vidx + 1} {direction}")
-    for x1, x2, x3 in mesh.vertices:
-        lines.append("v %.9f %.9f %.9f" % (x1, x2, x3))
-    for a, b, c in mesh.triangles:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    _atomic_write(destination, ("\n".join(lines) + "\n").encode("ascii"))
+        head.append(f"# cone {vidx + 1} {direction}\n")
+    # one %-format over all rows: the same text as one format per row
+    body = "v %.9f %.9f %.9f\n" * nv % tuple(mesh.vertices.ravel().tolist())
+    body += "f %d %d %d\n" * nt % tuple((mesh.triangles + 1).ravel().tolist())
+    _atomic_write(destination, ("".join(head) + body).encode("ascii"))
 
 
 def export_ply(mesh: GraphMesh, destination) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import core
 from .errors import NotClosedOnCurve, OrderingInfeasible, PathThroughSingularity, SignDomain
-from .integrate import DEFAULT_SEGMENT_TOL, PathSpec, SegmentLeg, adaptive_leg
+from .integrate import DEFAULT_SEGMENT_TOL, PathSpec, SegmentLeg, _panel_sums, adaptive_leg
 from .params import SurfaceParams
 
 ORIENTATIONS = ("vertical-ends", "horizontal-ends")
@@ -193,7 +193,9 @@ def _integrate_omega_segment(z_a, z_b, sheet, d: MinimalData, tol):
 
     def coeff(t):
         z, dz = leg.points(t)
-        return omega_from_w(z, sheet * core.w_values(z, p), d.orientation) * dz
+        # a node on a branch point divides by w = 0; adaptive_leg raises on it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _panel_sums(omega_from_w(z, sheet * core.w_values(z, p), d.orientation) * dz)
 
     return adaptive_leg(leg, coeff, tol)
 

@@ -5,9 +5,9 @@ own branch selection, its own form coefficients, fixed-order composite
 Gauss-Legendre quadrature instead of the adaptive scheme, plain finite
 differences, a quadratic-cost triangle overlap test (a Python loop,
 kept as the reference, and an array version of the same predicate), and
-the loop mesh assembly and struct-packed PLY body that the array versions
-in the package must reproduce byte for byte. Values frozen into the tests
-were computed with these routines.
+the loop mesh assembly, struct-packed PLY body and per-row OBJ text that
+the array versions in the package must reproduce byte for byte. Values
+frozen into the tests were computed with these routines.
 """
 
 from __future__ import annotations
@@ -340,3 +340,18 @@ def ply_body_ref(vertices, triangles):
     for tri in triangles:
         body += struct.pack("<B3i", 3, *tri)
     return bytes(body)
+
+
+def obj_text_ref(mesh):
+    """Wavefront OBJ text, one %-format per vertex row and one f-string per face."""
+    lines = [
+        "# maxcone mesh",
+        f"# vertices {len(mesh.vertices)} triangles {len(mesh.triangles)} copies {mesh.copies}",
+    ]
+    for vidx, direction in zip(mesh.cone_vertices, mesh.cone_directions):
+        lines.append(f"# cone {vidx + 1} {direction}")
+    for x1, x2, x3 in mesh.vertices:
+        lines.append("v %.9f %.9f %.9f" % (x1, x2, x3))
+    for a, b, c in mesh.triangles:
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    return "\n".join(lines) + "\n"

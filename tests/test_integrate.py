@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -291,6 +292,10 @@ def test_batched_first_panels_match_per_leg_quadrature(fixture, request):
     for legs in _mixed_chains(p):
         coeffs = I._leg_coeffs(legs, p)
         for leg, fn in zip(legs, coeffs):
+            # the batched first-panel sums are the bytes of the leg's own panel
+            k, d = fn.first
+            k_ref, d_ref = I._LegCoeffs(leg, p)(I._T_FIRST.copy())
+            assert k.tobytes() == k_ref.tobytes() and np.float64(d).tobytes() == d_ref.tobytes()
             v, e = I.adaptive_leg(leg, fn, tol)
             v_ref, e_ref = I._integrate_leg(leg, p, tol)
             assert v.tobytes() == v_ref.tobytes() and e == e_ref
@@ -341,3 +346,41 @@ def test_batched_first_panels_keep_the_failing_leg(p10):
         I.adaptive_leg(bad, coeffs[1], I.DEFAULT_SEGMENT_TOL)
     with pytest.raises(QuadratureFailure):
         I._running_sum([good, bad], p10, I.DEFAULT_SEGMENT_TOL, np.zeros(3), 0.0)
+
+
+def test_batched_panel_sums_match_per_row_sums():
+    # a chunk's worth of panels with magnitudes over many decades: the batched
+    # reduction gives each row's bytes, and scaling by a power-of-two
+    # half-width gives the K15 sum and |K15 - G7| estimate of the scaled values
+    rng = np.random.default_rng(5)
+    shape = (I._CHUNK, 3, 15)
+    scale = 10.0 ** rng.uniform(-12, 12, size=shape)
+    vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    k, d = I._panel_sums(vals)
+    assert k.shape == (I._CHUNK, 3) and d.shape == (I._CHUNK,)
+    for j, (row, k_row, d_row) in enumerate(zip(vals, k, d)):
+        k1, d1 = I._panel_sums(row)
+        assert k1.tobytes() == k_row.tobytes() and d1.tobytes() == d_row.tobytes()
+        half = 2.0 ** -(1 + j % 30)
+        k15, g7 = half * (row @ I._WK), half * (row[:, I._GAUSS_IDX] @ I._WG)
+        assert (half * k1).tobytes() == k15.tobytes()
+        assert half * float(d1) == float(np.abs(k15 - g7).sum())
+
+
+def test_adaptive_leg_raises_past_the_panel_budget():
+    # the same sums on every panel: splitting never shrinks the summed
+    # estimate, so only the panel budget stops the leg (the width cap alone
+    # would let the heap grow toward 2^MAX_DEPTH panels)
+    leg = I.SegmentLeg(z_a=1.0 + 1.0j, z_b=2.0 + 1.0j)
+    calls = []
+
+    def same(t):
+        calls.append(t)
+        assert len(calls) <= 10_000, "no panel budget"
+        return np.ones(3, dtype=complex), 1.0
+
+    start = time.perf_counter()
+    with pytest.raises(QuadratureFailure, match=r"within \d+ panels .* on SegmentLeg.*z from"):
+        I.adaptive_leg(leg, same, I.DEFAULT_SEGMENT_TOL)
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) <= I.MAX_PANELS

@@ -72,6 +72,30 @@ def test_sample_fundamental_work_counts(p21, monkeypatch):
     assert counts == [2548, 2848]
 
 
+@pytest.mark.parametrize("fixture", ["p10", "p21", "p22"])
+def test_chunk_size_does_not_change_samples(fixture, request, monkeypatch):
+    # the ring arcs stream through the quadrature in chunks; each leg
+    # integrated alone gives the same bytes, and no kernel call reaches the
+    # 16,384 points at which w_values can differ in the last bit
+    from maxcone import core, integrate
+
+    p = request.getfixturevalue(fixture)
+    w_values, sizes = core.w_values, []
+
+    def sized(z, p):
+        sizes.append(np.size(z))
+        return w_values(z, p)
+
+    monkeypatch.setattr(core, "w_values", sized)
+    monkeypatch.setattr(integrate, "w_values", sized)
+    chunked = MM.sample_fundamental(p, COARSE)
+    assert 0 < max(sizes) < 16384
+    monkeypatch.setattr(integrate, "_CHUNK", 1)
+    alone = MM.sample_fundamental(p, COARSE)
+    assert chunked.f.tobytes() == alone.f.tobytes()
+    assert chunked.quad_error.tobytes() == alone.quad_error.tobytes()
+
+
 def test_f2_identity_max_dev(fund10):
     _, fund = fund10
     assert fund.f2_max_dev <= 1e-10
@@ -439,6 +463,14 @@ def test_export_ply_matches_struct_oracle(fund10, copies, tmp_path):
         data = (tmp_path / "m.ply").read_bytes()
         body = data[data.index(b"end_header\n") + len(b"end_header\n") :]
         assert body == oracles.ply_body_ref(mesh.vertices, mesh.triangles)
+
+
+@pytest.mark.parametrize("copies", [0, 2])
+def test_export_obj_matches_row_oracle(fund10, copies, tmp_path):
+    p, fund = fund10
+    for mesh in (MM.assemble(fund, p, copies=copies), _empty_mesh()):
+        MM.export_obj(mesh, tmp_path / "m.obj")
+        assert (tmp_path / "m.obj").read_bytes() == oracles.obj_text_ref(mesh).encode("ascii")
 
 
 def test_weld_failure_raised(fund10):
