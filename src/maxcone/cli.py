@@ -1,8 +1,9 @@
 """Command-line interface: verify, mesh, catalog, minimal-measure.
 
 Exit codes: 0 all checks pass, 1 verification or numeric failure, 2 usage
-or configuration error. Reports are JSON; output files are written
-atomically (write to a temp file, then rename).
+or configuration error. Config values are type-checked where they are read,
+so a malformed one exits 2 with a message naming its key. Reports are JSON;
+output files are written atomically (write to a temp file, then rename).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -29,16 +31,48 @@ EXIT_CONFIG = 2
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise MaxconeError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _check(ok: bool, key: str, expected: str, value) -> None:
+    if not ok:
+        raise MaxconeError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
+def _section(config: dict, key: str) -> dict:
+    value = config.get(key, {})
+    _check(isinstance(value, dict), key, "a JSON object", value)
+    return value
 
 
 def _params_from_config(config: dict) -> SurfaceParams:
     src = config.get("params", config)
+    _check(isinstance(src, dict), "params", "a JSON object", src)
+    for key, is_entry, expected in (
+        ("a", _is_number, "a list of finite numbers"),
+        ("b", _is_number, "a list of finite numbers"),
+        ("alpha", _is_int, "a list of integers"),
+        ("beta", _is_int, "a list of integers"),
+    ):
+        if key in src:
+            value = src[key]
+            _check(isinstance(value, list) and all(map(is_entry, value)), key, expected, value)
     return validate_params(src)
 
 
 def _grid_from_config(config: dict, grid_flag: str | None) -> GridSpec:
-    section = dict(config.get("grid", {}))
+    section = dict(_section(config, "grid"))
     if grid_flag:
         r, _, a = grid_flag.lower().partition("x")
         section["radial_samples"] = int(r)
@@ -47,22 +81,33 @@ def _grid_from_config(config: dict, grid_flag: str | None) -> GridSpec:
     bad = set(section) - known
     if bad:
         raise MaxconeError(f"unknown grid keys: {sorted(bad)}")
+    for key, value in section.items():
+        if key in ("r_min", "r_max"):
+            _check(value is None or _is_number(value), key, "a finite number or null", value)
+        else:
+            _check(_is_int(value), key, "an integer", value)
     return GridSpec(**section)
 
 
 def _tol_from_config(config: dict, level: str) -> ToleranceLadder:
-    base = ToleranceLadder(**config.get("tolerances", {}))
-    return base.scaled(TOL_LEVELS[level])
+    section = _section(config, "tolerances")
+    bad = set(section) - set(ToleranceLadder().to_dict())
+    if bad:
+        raise MaxconeError(f"unknown tolerances keys: {sorted(bad)}")
+    for key, value in section.items():
+        _check(_is_number(value), key, "a finite number", value)
+    return ToleranceLadder(**section).scaled(TOL_LEVELS[level])
 
 
 def _basepoint_from_config(config: dict, p: SurfaceParams) -> complex:
     if "basepoint" in config:
-        bp = complex(config["basepoint"])
-        if bp.imag != 0 or bp.real <= 0 or p.contains_real(bp.real):
+        bp = config["basepoint"]
+        _check(_is_number(bp), "basepoint", "a finite number", bp)
+        if bp <= 0 or p.contains_real(bp):
             raise MaxconeError(
                 "basepoint must be a regular point on the positive real axis"
             )
-        return bp
+        return complex(bp)
     return p.default_basepoint()
 
 

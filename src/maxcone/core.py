@@ -50,9 +50,6 @@ class FormTriple:
     phi2: complex
     phi3: complex
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi1, self.phi2, self.phi3])
-
 
 @dataclass(frozen=True)
 class GaussValue:

@@ -97,6 +97,8 @@ _GAUSS_IDX = np.arange(1, 15, 2)  # Gauss-7 nodes inside the Kronrod set
 # nodes of a leg's first panel, computed as adaptive_leg's panel(0.0, 1.0) does
 _T_FIRST = 0.5 + 0.5 * _XK
 
+# absolute error budget of every leg, read only by the quadrature calls here
+# and in minimal: no public function takes a quadrature tolerance
 DEFAULT_SEGMENT_TOL = 1e-10
 MAX_DEPTH = 40
 # panels one leg may evaluate; the worst leg of the 28 cone classes and the
@@ -111,30 +113,22 @@ _CHUNK = 512
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Polyline integration path with a branch-point clearance radius.
+    """Polyline integration path.
 
-    avoidance_radius constrains interior waypoints only; None resolves to
-    1e-3 times the smallest gap between consecutive branch points of the
-    surface being integrated.
+    integrate_path keeps its interior waypoints 1e-3 times the smallest gap
+    between consecutive branch points of the surface away from 0 and from
+    every branch point.
     """
 
     waypoints: tuple[complex, ...]
-    avoidance_radius: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "waypoints", tuple(complex(w) for w in self.waypoints))
         if len(self.waypoints) < 2:
             raise PathThroughSingularity("a path needs at least two waypoints")
-        if self.avoidance_radius is not None and self.avoidance_radius <= 0:
-            raise PathThroughSingularity("avoidance_radius must be positive")
         for u, v in zip(self.waypoints, self.waypoints[1:]):
             if u == v:
                 raise PathThroughSingularity("consecutive waypoints must be distinct")
-
-    def resolved_avoidance(self, p: SurfaceParams) -> float:
-        if self.avoidance_radius is not None:
-            return self.avoidance_radius
-        return 1e-3 * p.min_gap()
 
 
 @dataclass(frozen=True)
@@ -325,9 +319,9 @@ class _LegCoeffs:
             return _panel_sums(phi_from_w(z, w_values(z, self.p)) * dz)
 
 
-def _integrate_leg(leg: _Leg, p: SurfaceParams, tol: float) -> tuple[np.ndarray, float]:
+def _integrate_leg(leg: _Leg, p: SurfaceParams) -> tuple[np.ndarray, float]:
     """Adaptive quadrature of the maximal-surface form triple over one leg."""
-    return adaptive_leg(leg, _LegCoeffs(leg, p), tol)
+    return adaptive_leg(leg, _LegCoeffs(leg, p), DEFAULT_SEGMENT_TOL)
 
 
 def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +354,7 @@ def _leg_coeffs(legs, p: SurfaceParams) -> list[_LegCoeffs]:
     return [_LegCoeffs(leg, p, first) for leg, first in zip(legs, zip(k, d.tolist()))]
 
 
-def _leg_sums(legs, p: SurfaceParams, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _leg_sums(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
     """Re-integrals (N, 3) and error estimates (N,) of legs, each integrated alone.
 
     legs may be any iterable, a generator included: it is consumed in chunks
@@ -370,7 +364,8 @@ def _leg_sums(legs, p: SurfaceParams, tol: float) -> tuple[np.ndarray, np.ndarra
     legs = iter(legs)
     re, err = [np.zeros((0, 3))], [np.zeros(0)]
     while chunk := list(itertools.islice(legs, _CHUNK)):
-        parts = [adaptive_leg(leg, fn, tol) for leg, fn in zip(chunk, _leg_coeffs(chunk, p))]
+        fns = _leg_coeffs(chunk, p)
+        parts = [adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL) for leg, fn in zip(chunk, fns)]
         re.append(np.array([v for v, _ in parts]).real)
         err.append(np.array([e for _, e in parts]))
     return np.concatenate(re), np.concatenate(err)
@@ -383,13 +378,13 @@ def _accumulate(f0, e0: float, re: np.ndarray, err: np.ndarray):
     return f[1:], e[1:]
 
 
-def _running_sum(legs, p: SurfaceParams, tol: float, f0, e0: float):
+def _running_sum(legs, p: SurfaceParams, f0, e0: float):
     """Re-integral and error estimate after each of consecutive legs.
 
     Starts from (f0, e0) and adds one leg at a time, in order, so row k of
     the (N, 3) result is f0 plus the real parts of legs 0..k.
     """
-    return _accumulate(f0, e0, *_leg_sums(legs, p, tol))
+    return _accumulate(f0, e0, *_leg_sums(legs, p))
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +444,7 @@ def _route_to_branch_point(c: float, p: SurfaceParams, basepoint: complex) -> li
     return legs
 
 
-def immersion(
-    z: complex,
-    p: SurfaceParams,
-    basepoint: complex | None = None,
-    tol: float = DEFAULT_SEGMENT_TOL,
-) -> ImmersionSample:
+def immersion(z: complex, p: SurfaceParams, basepoint: complex | None = None) -> ImmersionSample:
     """f(z) = Re of the path integral from the basepoint, with auto routing.
 
     The default basepoint is a_{2m} + 1 on the positive real axis, giving
@@ -478,23 +468,22 @@ def immersion(
                 f"z={z} lies inside a singular interval; use apex() for its image"
             )
         legs = _route_legs(z, p, basepoint)
-    f, err = _running_sum(legs, p, tol, np.zeros(3), 0.0)
+    f, err = _running_sum(legs, p, np.zeros(3), 0.0)
     return ImmersionSample(z=z, f=tuple(f[-1]), quad_error=float(err[-1]))
 
 
-def integrate_path(
-    path: PathSpec, p: SurfaceParams, tol: float = DEFAULT_SEGMENT_TOL
-) -> tuple[tuple[float, float, float], float]:
+def integrate_path(path: PathSpec, p: SurfaceParams) -> tuple[tuple[float, float, float], float]:
     """Re of the integral of the form triple along a user polyline.
 
-    Interior waypoints must keep avoidance_radius clearance from 0 and all
-    branch points; segments may not touch or cross singular intervals.
+    Interior waypoints must keep a clearance of 1e-3 times the smallest
+    branch-point gap from 0 and all branch points; segments may not touch or
+    cross singular intervals.
     Endpoints sitting exactly on a branch point are integrated through the
     square-root substitution.
     """
     pts = path.waypoints
     bps = p.branch_points()
-    avoid = path.resolved_avoidance(p)
+    avoid = 1e-3 * p.min_gap()
     for w in pts[1:-1]:
         if abs(w) < avoid:
             raise PathThroughSingularity(f"interior waypoint {w} too close to 0")
@@ -515,7 +504,7 @@ def integrate_path(
             legs.extend(_split_branch_segment(v, u, p, into=False))
         else:
             legs.append(SegmentLeg(z_a=u, z_b=v))
-    f, err = _running_sum(legs, p, tol, np.zeros(3), 0.0)
+    f, err = _running_sum(legs, p, np.zeros(3), 0.0)
     return tuple(f[-1]), float(err[-1])
 
 
@@ -569,39 +558,24 @@ def _check_segment_clear(u: complex, v: complex, p: SurfaceParams, allow_branch_
                     )
 
 
-def winding_of_path(path: PathSpec) -> float:
-    """Total signed angle swept by a polyline, in units of full turns."""
-    total = 0.0
-    for u, v in zip(path.waypoints, path.waypoints[1:]):
-        total += cmath.phase(v / u)
-    return total / (2.0 * math.pi)
-
-
 # ---------------------------------------------------------------------------
 # loop periods
 
 
-def loop_period(
-    center, p: SurfaceParams, tol: float = DEFAULT_SEGMENT_TOL, radius: float | None = None
-) -> PeriodVector:
+def loop_period(center, p: SurfaceParams) -> PeriodVector:
     """Re of the closed loop integral around one end.
 
-    center = 0 integrates counterclockwise around the puncture at 0 inside
-    the innermost branch point; center = inf integrates counterclockwise as
-    seen from infinity (clockwise in the plane) outside all branch points.
+    center = 0 integrates counterclockwise around the puncture at 0 on the
+    circle of half the innermost branch-point radius; center = inf
+    integrates counterclockwise as seen from infinity (clockwise in the
+    plane) on the circle of twice the outermost branch-point radius.
     """
     at_zero = center == 0
     if at_zero:
-        r = radius if radius is not None else 0.5 * p.inner_radius()
-        if not 0 < r < p.inner_radius():
-            raise PathThroughSingularity(f"loop radius {r} does not separate 0")
-        leg = ArcLeg(r=r, theta_a=0.0, theta_b=2.0 * math.pi)
+        leg = ArcLeg(r=0.5 * p.inner_radius(), theta_a=0.0, theta_b=2.0 * math.pi)
     else:
-        r = radius if radius is not None else 2.0 * p.scale()
-        if not r > p.scale():
-            raise PathThroughSingularity(f"loop radius {r} does not enclose all branch points")
-        leg = ArcLeg(r=r, theta_a=0.0, theta_b=-2.0 * math.pi)
-    total, err = _integrate_leg(leg, p, tol)
+        leg = ArcLeg(r=2.0 * p.scale(), theta_a=0.0, theta_b=-2.0 * math.pi)
+    total, err = _integrate_leg(leg, p)
     return PeriodVector(
         v=tuple(total.real),
         loop_center=0.0 if at_zero else math.inf,
@@ -622,7 +596,6 @@ def apex(
     p: SurfaceParams,
     basepoint: complex | None = None,
     tol: float = 1e-6,
-    quad_tol: float = DEFAULT_SEGMENT_TOL,
 ) -> tuple[tuple[float, float, float], float]:
     """Limit of f approaching a singular interval transversally.
 
@@ -641,7 +614,7 @@ def apex(
     mid = 0.5 * (lo + hi)
     sign = 1.0 if side == "above" else -1.0
     values = [
-        np.asarray(immersion(complex(mid, sign * eps0 / 2.0**i), p, basepoint, tol=quad_tol).f)
+        np.asarray(immersion(complex(mid, sign * eps0 / 2.0**i), p, basepoint).f)
         for i in range(5)
     ]
     est, resid = _richardson_sqrt(values)

@@ -32,7 +32,6 @@ import numpy as np
 from . import core
 from .errors import IOFailure, WeldFailure
 from .integrate import (
-    DEFAULT_SEGMENT_TOL,
     ArcLeg,
     ImmersionSample,
     RadialLeg,
@@ -111,10 +110,7 @@ class FundamentalSamples:
 
 
 def sample_fundamental(
-    p: SurfaceParams,
-    g: GridSpec | None = None,
-    basepoint: complex | None = None,
-    tol: float = DEFAULT_SEGMENT_TOL,
+    p: SurfaceParams, g: GridSpec | None = None, basepoint: complex | None = None
 ) -> FundamentalSamples:
     """Sample f over the closed upper half-plane annulus.
 
@@ -149,11 +145,11 @@ def sample_fundamental(
     # boundary-row positions over an interval all collapse to the apex, so
     # their chain steps (which would end on the cut) are skipped
     regular = apex_ref < 0
-    f_grid, err_grid = _incremental_grid(p, radii, thetas, basepoint, tol, ~regular)
+    f_grid, err_grid = _incremental_grid(p, radii, thetas, basepoint, ~regular)
 
     apex_samples = []
     for ci, comp in enumerate(comps):
-        v, resid = apex((comp.lo, comp.hi), "above", p, basepoint=basepoint, quad_tol=tol)
+        v, resid = apex((comp.lo, comp.hi), "above", p, basepoint=basepoint)
         apex_samples.append(
             ImmersionSample(z=complex(comp.midpoint), f=tuple(v), quad_error=resid)
         )
@@ -228,7 +224,7 @@ def _build_radii(p: SurfaceParams, g: GridSpec, r_min: float, r_max: float):
     return radii, len(radii) - g.radial_samples
 
 
-def _incremental_grid(p, radii, thetas, basepoint, tol, skip):
+def _incremental_grid(p, radii, thetas, basepoint, skip):
     """f on the (R, A) grid via chained radial and angular legs.
 
     skip marks boundary-row positions whose values are overridden later
@@ -253,13 +249,13 @@ def _incremental_grid(p, radii, thetas, basepoint, tol, skip):
         RadialLeg(theta=th_anchor, r_a=float(radii[i - 1]), r_b=float(radii[i]))
         for i in range(i_near + 1, R)
     ]
-    chain_f, chain_e = _running_sum(legs, p, tol, np.zeros(3), 0.0)
+    chain_f, chain_e = _running_sum(legs, p, np.zeros(3), 0.0)
     f[i_near:, j_anchor], err[i_near:, j_anchor] = chain_f[1:], chain_e[1:]
     legs = [
         RadialLeg(theta=th_anchor, r_a=float(radii[i + 1]), r_b=float(radii[i]))
         for i in range(i_near - 1, -1, -1)
     ]
-    chain_f, chain_e = _running_sum(legs, p, tol, f[i_near, j_anchor], err[i_near, j_anchor])
+    chain_f, chain_e = _running_sum(legs, p, f[i_near, j_anchor], err[i_near, j_anchor])
     f[:i_near, j_anchor], err[:i_near, j_anchor] = chain_f[::-1], chain_e[::-1]
 
     # one angular chain each way around every ring, stopping at the first
@@ -274,7 +270,7 @@ def _incremental_grid(p, radii, thetas, basepoint, tol, skip):
     arcs = (
         ArcLeg(r=rs[i], theta_a=ths[j - js.step], theta_b=ths[j]) for i, js in chains for j in js
     )
-    ring_f, ring_e = _leg_sums(arcs, p, tol)
+    ring_f, ring_e = _leg_sums(arcs, p)
     start = 0
     for i, js in chains:
         stop = start + len(js)
@@ -317,19 +313,15 @@ class GraphMesh:
     apex_residual_max: float  # largest Richardson residual of the apex samples
 
 
-def assemble(
-    fund: FundamentalSamples,
-    p: SurfaceParams,
-    copies: int = 0,
-    weld_tol: float = 1e-6,
-) -> GraphMesh:
+def assemble(fund: FundamentalSamples, p: SurfaceParams, copies: int = 0) -> GraphMesh:
     """Triangulate the sampled fundamental piece, mirror, and translate.
 
     Welds seam rows to apex vertices (closing each cone with a triangle
     fan), reflects through x2 = mirror_constant matching the surface's
     symmetry, and appends `copies` translates by (0, 2pi, 0). Raises
     WeldFailure when a direct branch-point-endpoint integral disagrees with
-    the extrapolated apex by more than weld_tol, or by a non-finite amount.
+    the extrapolated apex by more than the mesh rung of the tolerance
+    ladder, 1e-6, or by a non-finite amount.
     """
     if copies < 0:
         raise ValueError("copies must be nonnegative")
@@ -345,7 +337,7 @@ def assemble(
     vertices = np.concatenate([apex_f, fund.f[regular]])
     nu3_arr = np.concatenate([np.full(n_comp, math.nan), fund.nu3[regular]])
 
-    weld_residuals = _weld_check(fund, p, weld_tol)
+    weld_residuals = _weld_check(fund, p)
 
     # two triangles per quad, in quad order; over the intervals the boundary
     # corners repeat the apex vertex, so each such quad degenerates to one
@@ -403,7 +395,7 @@ def assemble(
     )
 
 
-def _weld_check(fund: FundamentalSamples, p: SurfaceParams, weld_tol: float) -> list[float]:
+def _weld_check(fund: FundamentalSamples, p: SurfaceParams) -> list[float]:
     """Apex versus direct branch-point-endpoint integration, per component."""
     out = []
     for comp, s in zip(fund.comps, fund.apex_samples):
@@ -411,8 +403,9 @@ def _weld_check(fund: FundamentalSamples, p: SurfaceParams, weld_tol: float) -> 
         for endpoint in (comp.lo, comp.hi):
             direct = immersion(complex(endpoint), p, fund.basepoint)
             gap = float(np.max(np.abs(np.asarray(direct.f) - np.asarray(s.f))))
-            # written so that a NaN gap fails; max() would drop it
-            if not gap <= weld_tol:
+            # the mesh rung of the tolerance ladder, written so that a NaN
+            # gap fails; max() would drop it
+            if not gap <= 1e-6:
                 raise WeldFailure(
                     f"apex of [{comp.lo}, {comp.hi}] disagrees with the integral "
                     f"to endpoint {endpoint} by {gap:g}"
@@ -604,8 +597,7 @@ def build_mesh(
     g: GridSpec | None = None,
     copies: int = 0,
     basepoint: complex | None = None,
-    tol: float = DEFAULT_SEGMENT_TOL,
 ) -> GraphMesh:
     """Sample and assemble in one call."""
-    fund = sample_fundamental(p, g, basepoint=basepoint, tol=tol)
+    fund = sample_fundamental(p, g, basepoint=basepoint)
     return assemble(fund, p, copies=copies)

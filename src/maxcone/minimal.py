@@ -148,9 +148,7 @@ def _sheet_split_segments(waypoints, p: SurfaceParams):
     return pieces, sheet
 
 
-def measure_period(
-    loop, d: MinimalData, tol: float = DEFAULT_SEGMENT_TOL
-) -> tuple[tuple[float, float, float], float]:
+def measure_period(loop, d: MinimalData) -> tuple[tuple[float, float, float], float]:
     """Re of the omega-triple integral over a closed loop on the curve.
 
     `loop` is a PathSpec or waypoint sequence; it is closed if the last
@@ -180,13 +178,13 @@ def measure_period(
     for z_from, z_to, sheet in pieces:
         if z_from == z_to:
             continue
-        v, e = _integrate_omega_segment(z_from, z_to, sheet, d, tol)
+        v, e = _integrate_omega_segment(z_from, z_to, sheet, d)
         total += v
         err += e
     return tuple(total.real), err
 
 
-def _integrate_omega_segment(z_a, z_b, sheet, d: MinimalData, tol):
+def _integrate_omega_segment(z_a, z_b, sheet, d: MinimalData):
     """Adaptive quadrature of the omega-triple on one straight piece."""
     p = d.params
     leg = SegmentLeg(z_a=z_a, z_b=z_b)
@@ -197,7 +195,7 @@ def _integrate_omega_segment(z_a, z_b, sheet, d: MinimalData, tol):
         with np.errstate(divide="ignore", invalid="ignore"):
             return _panel_sums(omega_from_w(z, sheet * core.w_values(z, p), d.orientation) * dz)
 
-    return adaptive_leg(leg, coeff, tol)
+    return adaptive_leg(leg, coeff, DEFAULT_SEGMENT_TOL)
 
 
 def end_loop_waypoints(p: SurfaceParams, n_sides: int = 64) -> list[complex]:
@@ -238,10 +236,12 @@ def end_loop_residue(d: MinimalData) -> tuple[float, float, float]:
     return tuple((2.0j * math.pi * res).real)
 
 
-def standard_loops(
-    d: MinimalData, tol: float = DEFAULT_SEGMENT_TOL, horizontal_tol: float = 1e-8
-) -> PeriodLattice:
-    """Measure the end loop at 0 and one handle loop per singular interval."""
+def standard_loops(d: MinimalData) -> PeriodLattice:
+    """Measure the end loop at 0 and one handle loop per singular interval.
+
+    A loop counts as horizontal when its x3 period is at most 1e-8, the
+    integrated rung of the tolerance ladder.
+    """
     p = d.params
     loops = [("end_0", end_loop_waypoints(p))]
     comps = sorted(p.intervals())
@@ -250,9 +250,9 @@ def standard_loops(
     measured = []
     flags = []
     for name, wps in loops:
-        v, _ = measure_period(wps, d, tol=tol)
+        v, _ = measure_period(wps, d)
         measured.append((name, v))
-        flags.append(abs(v[2]) <= horizontal_tol)
+        flags.append(abs(v[2]) <= 1e-8)
     return PeriodLattice(
         measured_loops=tuple(measured),
         horizontal=tuple(flags),

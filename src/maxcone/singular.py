@@ -27,16 +27,11 @@ from .errors import (
     NotOnHyperboloid,
     VerificationFailure,
 )
-from .integrate import (
-    DEFAULT_SEGMENT_TOL,
-    PathSpec,
-    SegmentLeg,
-    _running_sum,
-    apex,
-    immersion,
-    integrate_path,
-)
+from .integrate import PathSpec, SegmentLeg, _running_sum, apex, immersion, integrate_path
 from .params import SurfaceParams
+
+# smallest |dG/(G dh)| that nondegeneracy accepts
+_NONDEGENERACY_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,14 +103,12 @@ def components(p: SurfaceParams) -> list[SingularComponent]:
     return out
 
 
-def singular_set(
-    p: SurfaceParams, verify: bool = True, off_samples: int = 1000
-) -> list[SingularComponent]:
+def singular_set(p: SurfaceParams, verify: bool = True) -> list[SingularComponent]:
     """The m + n closed singular intervals, numerically cross-checked.
 
     Verification evaluates G once on 38 interior points of every interval
-    (||G| - 1| <= 1e-10 required) and once on off_samples off-interval
-    real-axis points (|G| must stay clear of 1); a non-finite |G| fails
+    (||G| - 1| <= 1e-10 required) and once on 1000 off-interval real-axis
+    points (|G| must stay clear of 1); a non-finite |G| fails
     either test. Raises VerificationFailure when the numeric locus
     contradicts the closed form.
     """
@@ -129,7 +122,7 @@ def singular_set(
         x = xs[bad[0]]
         c = next(c for c in comps if c.lo <= x <= c.hi)
         raise VerificationFailure(f"|G| = {absg[bad[0]]} off 1 at x={x} inside [{c.lo}, {c.hi}]")
-    xs = off_axis_probe_points(p, off_samples)
+    xs = off_axis_probe_points(p, 1000)
     absg = np.abs(core.weierstrass_data(xs, p)[1])
     bad = np.nonzero(~(np.abs(absg - 1.0) > 1e-10))[0]
     if len(bad):
@@ -174,29 +167,24 @@ def off_axis_probe_points(p: SurfaceParams, count: int) -> np.ndarray:
     return xs[:count]
 
 
-def nondegeneracy(
-    component: SingularComponent,
-    p: SurfaceParams,
-    n_samples: int = 9,
-    floor: float = 1e-6,
-) -> list[float]:
+def nondegeneracy(component: SingularComponent, p: SurfaceParams) -> list[float]:
     """Samples of dG/(G dh) on the component, asserted real and nonzero.
 
-    The ratio is evaluated in closed form (core.dg_over_gdh) at n_samples
-    interior points of the interval itself. Raises DegenerateSingularity
-    when any sample has a relative imaginary part above 1e-8 or a modulus
-    below floor (a non-finite sample fails too).
+    The ratio is evaluated in closed form (core.dg_over_gdh) at 9 evenly
+    spaced interior points of the interval itself. Raises
+    DegenerateSingularity when any sample has a relative imaginary part
+    above 1e-8 or a modulus below 1e-6 (a non-finite sample fails too).
     """
-    xs = np.linspace(component.lo, component.hi, n_samples + 2)[1:-1]
+    xs = np.linspace(component.lo, component.hi, 11)[1:-1]
     vals = core.dg_over_gdh(xs, p)
     for x, val in zip(xs, vals):
         if abs(val.imag) > 1e-8 * abs(val):
             raise DegenerateSingularity(
                 f"dG/(G dh) = {val} not real at x={x} on [{component.lo}, {component.hi}]"
             )
-        if not abs(val) >= floor:
+        if not abs(val) >= _NONDEGENERACY_FLOOR:
             raise DegenerateSingularity(
-                f"|dG/(G dh)| = {abs(val)} below floor {floor} at x={x}"
+                f"|dG/(G dh)| = {abs(val)} below floor {_NONDEGENERACY_FLOOR} at x={x}"
             )
     return [float(v) for v in vals.real]
 
@@ -353,7 +341,7 @@ def _stadium_image(component: SingularComponent, p: SurfaceParams, basepoint: co
     loop = _stadium_points(component, _clamp_outer(0.2 * component.length, component, p))
     start = immersion(complex(loop[0]), p, basepoint)
     legs = [SegmentLeg(z_a=complex(u), z_b=complex(v)) for u, v in zip(loop[:-1], loop[1:])]
-    f, _ = _running_sum(legs, p, DEFAULT_SEGMENT_TOL, start.f, start.quad_error)
+    f, _ = _running_sum(legs, p, start.f, start.quad_error)
     return loop, np.vstack([start.f, f])
 
 
@@ -424,14 +412,3 @@ def stereographic(x) -> complex:
     if x[2] == 1.0:
         return core.INF
     return complex(x[0], x[1]) / (1.0 - x[2])
-
-
-def hyperboloid_point(G: complex) -> np.ndarray:
-    """Gauss vector on the hyperboloid <x, x> = -1 from a Gauss map value.
-
-    Defined for |G| != 1; this is the sigma-preimage of G.
-    """
-    a2 = abs(G) ** 2
-    if a2 == 1.0:
-        raise NotOnHyperboloid(f"|G| = 1 has no hyperboloid preimage (G={G})")
-    return np.array([-2.0 * G.real, -2.0 * G.imag, a2 + 1.0]) / (a2 - 1.0)

@@ -4,10 +4,12 @@ Everything here is deliberately separate from the package internals: its
 own branch selection, its own form coefficients, fixed-order composite
 Gauss-Legendre quadrature instead of the adaptive scheme, plain finite
 differences, a quadratic-cost triangle overlap test (a Python loop,
-kept as the reference, and an array version of the same predicate), and
-the loop mesh assembly, struct-packed PLY body and per-row OBJ text that
-the array versions in the package must reproduce byte for byte. Values
-frozen into the tests were computed with these routines.
+kept as the reference, and an array version of the same predicate), the
+hyperboloid preimage of a Gauss map value (the inverse that stereographic
+projection must undo), and the loop mesh assembly, struct-packed PLY body
+and per-row OBJ text that the array versions in the package must
+reproduce byte for byte. Values frozen into the tests were computed with
+these routines.
 """
 
 from __future__ import annotations
@@ -100,6 +102,17 @@ def composite_gauss_circle(radius, p, clockwise=False, n_panels=128, order=20, c
         vals = coeff(z, p) * (1j * z)
         total += half * (vals @ wts)
     return total.real
+
+
+def hyperboloid_point(G: complex) -> np.ndarray:
+    """Gauss vector on the hyperboloid <x, x> = -1 from a Gauss map value.
+
+    Defined for |G| != 1; this is the sigma-preimage of G.
+    """
+    a2 = abs(G) ** 2
+    if a2 == 1.0:
+        raise ValueError(f"|G| = 1 has no hyperboloid preimage (G={G})")
+    return np.array([-2.0 * G.real, -2.0 * G.imag, a2 + 1.0]) / (a2 - 1.0)
 
 
 def gauss_derivative_fd(z, p, h=1e-5):

@@ -280,7 +280,7 @@ def test_criterion_11_nondegeneracy(random_configs, canonical_classes):
     for p in tested:
         for comp in singular.components(p):
             try:
-                samples = singular.nondegeneracy(comp, p, n_samples=7)
+                samples = singular.nondegeneracy(comp, p)
             except Exception as exc:  # noqa: BLE001 - any failure fails the gate
                 ok = False
                 print("nondegeneracy failure:", exc)
@@ -313,7 +313,7 @@ def test_nine_cone_types_build_and_export(tmp_path):
         den = np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2
         assert float(np.max(num / den)) <= 1e-12
         # criterion 3: singular set
-        singular.singular_set(p, verify=True, off_samples=1000)
+        singular.singular_set(p, verify=True)
         # criteria 4-5 on a sample of cones
         comps = singular.components(p)
         for comp in comps[:2] + comps[-1:]:

@@ -218,3 +218,26 @@ def test_tol_level_flag(tmp_path):
     assert main(["verify", "--config", cfg, "--tol", "relaxed", "--out", out]) == EXIT_OK
     rep = json.loads((tmp_path / "r.json").read_text())
     assert rep["tolerances"]["algebraic"] == pytest.approx(1e-11)
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({**BASE_10, "basepoint": [4.6, 0.0]}, "basepoint"),
+        ({**BASE_10, "grid": {"radial_samples": 40.5}}, "radial_samples"),
+        ({**BASE_10, "grid": {"seam_refinement": 1.5}}, "seam_refinement"),
+        ({**BASE_10, "grid": {"r_min": "0.01"}}, "r_min"),
+        ({**BASE_10, "tolerances": {"mesh": "1e-6"}}, "mesh"),
+        ({**BASE_10, "tolerances": {"meshh": 1e-6}}, "meshh"),
+        ({**BASE_10, "a": 5}, "'a'"),
+        ({**BASE_10, "alpha": [1.5]}, "alpha"),
+        ([BASE_10], "JSON object"),
+    ],
+    ids=["basepoint-pair", "radial-float", "seam-float", "r_min-string", "tol-string",
+         "tol-unknown", "a-number", "alpha-float", "top-level-list"],
+)
+def test_malformed_config_exit_2(tmp_path, capsys, payload, key):
+    # a bad value is a config error naming its key, not a traceback
+    cfg = write_config(tmp_path, payload)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err

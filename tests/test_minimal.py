@@ -102,14 +102,15 @@ def test_odd_cut_crossing_rejected(p10):
         M.measure_period(loop, d)
 
 
-def test_even_cut_crossings_accepted(p22):
+def test_even_cut_crossings_accepted(p22, monkeypatch):
     # crosses the cuts [1,2] and [3,4] once each: closed on the curve
     d = _vertical(p22)
     loop = [1.5 + 0.5j, 1.5 - 0.5j, 3.5 - 0.5j, 3.5 + 0.5j]
     v, err = M.measure_period(loop, d)
     assert err < 1e-8
     # stable under a tighter quadrature rerun
-    v2, _ = M.measure_period(loop, d, tol=1e-12)
+    monkeypatch.setattr(M, "DEFAULT_SEGMENT_TOL", 1e-12)
+    v2, _ = M.measure_period(loop, d)
     assert np.asarray(v) == pytest.approx(np.asarray(v2), abs=1e-9)
 
 
