@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import LengthMismatch, SignDomain
-from .params import SurfaceParams
+from .params import SurfaceParams, is_int
 
 UP, DOWN = 1, -1
 
@@ -40,10 +40,15 @@ class ConeConfig:
     dirs_neg: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "dirs_pos", tuple(int(d) for d in self.dirs_pos))
-        object.__setattr__(self, "dirs_neg", tuple(int(d) for d in self.dirs_neg))
-        if self.m < 1 or self.n < 0:
-            raise LengthMismatch(f"need m >= 1 and n >= 0, got ({self.m}, {self.n})")
+        if not (is_int(self.m) and is_int(self.n) and self.m >= 1 and self.n >= 0):
+            raise LengthMismatch(f"need integers m >= 1 and n >= 0, got ({self.m!r}, {self.n!r})")
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "n", int(self.n))
+        for name in ("dirs_pos", "dirs_neg"):
+            dirs = getattr(self, name)
+            if not (isinstance(dirs, (list, tuple)) and all(map(is_int, dirs))):
+                raise SignDomain(f"{name} must be a list of integers, got {dirs!r}")
+            object.__setattr__(self, name, tuple(map(int, dirs)))
         if len(self.dirs_pos) != self.m or len(self.dirs_neg) != self.n:
             raise LengthMismatch(
                 f"direction lists ({len(self.dirs_pos)}, {len(self.dirs_neg)}) "
@@ -64,8 +69,8 @@ class ConeConfig:
 
 def enumerate_types(total: int) -> list[tuple[int, int]]:
     """All (m, n) with m + n = total, m >= n >= 0, m >= 1."""
-    if total < 1:
-        raise LengthMismatch(f"need at least one cone, got {total}")
+    if not is_int(total) or total < 1:
+        raise LengthMismatch(f"total must be an integer >= 1, got {total!r}")
     return [(m, total - m) for m in range(total, (total - 1) // 2, -1)]
 
 
@@ -103,8 +108,8 @@ def classes_for_type(m: int, n: int) -> list[tuple[ConeConfig, int]]:
     this (m, n) shape fall into the class (axis-swapped images of shape
     (n, m) are not counted when m != n).
     """
-    if not (m >= n >= 0 and m >= 1):
-        raise LengthMismatch(f"type must satisfy m >= n >= 0, m >= 1: got ({m}, {n})")
+    if not (is_int(m) and is_int(n) and m >= n >= 0 and m >= 1):
+        raise LengthMismatch(f"type must be integers m >= n >= 0, m >= 1: got ({m!r}, {n!r})")
     buckets: dict[ConeConfig, int] = {}
     for p in product((UP, DOWN), repeat=m):
         for q in product((UP, DOWN), repeat=n):

@@ -1,17 +1,18 @@
 """Command-line interface: verify, mesh, catalog, minimal-measure.
 
 Exit codes: 0 all checks pass, 1 verification or numeric failure, 2 usage
-or configuration error. Config values are type-checked where they are read,
-so a malformed one exits 2 with a message naming its key. Reports are JSON;
+or configuration error. Config values are type-checked by the constructors
+they are passed to (SurfaceParams, GridSpec, ToleranceLadder), so a
+malformed one exits 2 with a message naming its key. Reports are JSON;
 output files are written atomically (write to a temp file, then rename).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
-import math
 import os
 import sys
 
@@ -20,7 +21,7 @@ from .catalog import build_catalog
 from .core import end_value_w0
 from .errors import MaxconeError, NumericFailure
 from .mesh import GridSpec, build_mesh, export_obj, export_ply, graph_check
-from .params import SurfaceParams, validate_params
+from .params import SurfaceParams, is_real, validate_params
 from .report import TOL_LEVELS, ToleranceLadder, run_checks
 from .version import __version__
 
@@ -37,78 +38,40 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
-def _check(ok: bool, key: str, expected: str, value) -> None:
-    if not ok:
-        raise MaxconeError(f"config key {key!r} must be {expected}, got {value!r}")
-
-
-def _section(config: dict, key: str) -> dict:
+def _section(config: dict, key: str, cls) -> dict:
+    """The config object under key, checked for keys that cls does not take."""
     value = config.get(key, {})
-    _check(isinstance(value, dict), key, "a JSON object", value)
+    if not isinstance(value, dict):
+        raise MaxconeError(f"config key {key!r} must be a JSON object, got {value!r}")
+    unknown = set(value) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise MaxconeError(f"unknown {key} keys: {sorted(unknown)}")
     return value
 
 
-def _params_from_config(config: dict) -> SurfaceParams:
-    src = config.get("params", config)
-    _check(isinstance(src, dict), "params", "a JSON object", src)
-    for key, is_entry, expected in (
-        ("a", _is_number, "a list of finite numbers"),
-        ("b", _is_number, "a list of finite numbers"),
-        ("alpha", _is_int, "a list of integers"),
-        ("beta", _is_int, "a list of integers"),
-    ):
-        if key in src:
-            value = src[key]
-            _check(isinstance(value, list) and all(map(is_entry, value)), key, expected, value)
-    return validate_params(src)
-
-
 def _grid_from_config(config: dict, grid_flag: str | None) -> GridSpec:
-    section = dict(_section(config, "grid"))
+    section = dict(_section(config, "grid", GridSpec))
     if grid_flag:
         r, _, a = grid_flag.lower().partition("x")
         section["radial_samples"] = int(r)
         section["angular_samples"] = int(a)
-    known = {"radial_samples", "angular_samples", "r_min", "r_max", "seam_refinement"}
-    bad = set(section) - known
-    if bad:
-        raise MaxconeError(f"unknown grid keys: {sorted(bad)}")
-    for key, value in section.items():
-        if key in ("r_min", "r_max"):
-            _check(value is None or _is_number(value), key, "a finite number or null", value)
-        else:
-            _check(_is_int(value), key, "an integer", value)
     return GridSpec(**section)
 
 
 def _tol_from_config(config: dict, level: str) -> ToleranceLadder:
-    section = _section(config, "tolerances")
-    bad = set(section) - set(ToleranceLadder().to_dict())
-    if bad:
-        raise MaxconeError(f"unknown tolerances keys: {sorted(bad)}")
-    for key, value in section.items():
-        _check(_is_number(value), key, "a finite number", value)
+    section = _section(config, "tolerances", ToleranceLadder)
     return ToleranceLadder(**section).scaled(TOL_LEVELS[level])
 
 
 def _basepoint_from_config(config: dict, p: SurfaceParams) -> complex:
-    if "basepoint" in config:
-        bp = config["basepoint"]
-        _check(_is_number(bp), "basepoint", "a finite number", bp)
-        if bp <= 0 or p.contains_real(bp):
-            raise MaxconeError(
-                "basepoint must be a regular point on the positive real axis"
-            )
-        return complex(bp)
-    return p.default_basepoint()
+    if "basepoint" not in config:
+        return p.default_basepoint()
+    bp = config["basepoint"]
+    if not is_real(bp) or bp <= 0 or p.contains_real(bp):
+        raise MaxconeError(
+            f"basepoint must be a regular point on the positive real axis, got {bp!r}"
+        )
+    return complex(bp)
 
 
 def _write_json(payload: dict, out_path: str | None, to_stdout: bool) -> None:
@@ -129,7 +92,7 @@ def _stamp(report: dict) -> dict:
 
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
-    p = _params_from_config(config)
+    p = validate_params(config.get("params", config))
     grid = _grid_from_config(config, args.grid)
     tol = _tol_from_config(config, args.tol)
     basepoint = _basepoint_from_config(config, p)
@@ -150,7 +113,7 @@ def cmd_verify(args) -> int:
 
 def cmd_mesh(args) -> int:
     config = _load_config(args.config)
-    p = _params_from_config(config)
+    p = validate_params(config.get("params", config))
     grid = _grid_from_config(config, args.grid)
     basepoint = _basepoint_from_config(config, p)
     mesh = build_mesh(p, grid, copies=args.copies, basepoint=basepoint)
@@ -190,7 +153,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_minimal_measure(args) -> int:
     config = _load_config(args.config)
-    p = _params_from_config(config)
+    p = validate_params(config.get("params", config))
     orientation = config.get("orientation", "vertical-ends")
     d = mini.MinimalData(params=p, orientation=orientation)
     normalized = None

@@ -41,7 +41,7 @@ from .integrate import (
     apex,
     immersion,
 )
-from .params import SurfaceParams
+from .params import SurfaceParams, is_int, is_real
 from .singular import SingularComponent, components, theorem_direction, touching_pairs
 
 
@@ -73,12 +73,16 @@ class GridSpec:
         return r_min, r_max
 
     def __post_init__(self):
-        if self.radial_samples < 4:
-            raise ValueError("need at least 4 radial samples")
-        if self.angular_samples < 8:
-            raise ValueError("need at least 8 angular samples")
-        if self.seam_refinement < 0:
-            raise ValueError("seam_refinement must be nonnegative")
+        for name, least in (("radial_samples", 4), ("angular_samples", 8), ("seam_refinement", 0)):
+            v = getattr(self, name)
+            if not is_int(v) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        for name in ("r_min", "r_max"):
+            v = getattr(self, name)
+            if v is not None and not is_real(v):
+                raise ValueError(f"{name} must be a finite real or None, got {v!r}")
+            object.__setattr__(self, name, None if v is None else float(v))
 
 
 @dataclass
@@ -106,7 +110,6 @@ class FundamentalSamples:
     basepoint: complex
     mirror_constant: float
     f2_max_dev: float
-    inserted_radii: int
 
 
 def sample_fundamental(
@@ -125,7 +128,7 @@ def sample_fundamental(
     c_mirror = -math.atan2(basepoint.imag, basepoint.real)
     r_min, r_max = g.resolve(p)
     comps = components(p)
-    radii, inserted = _build_radii(p, g, r_min, r_max)
+    radii = _build_radii(p, g, r_min, r_max)
     thetas = _build_thetas(g)
     R, A = len(radii), len(thetas)
 
@@ -170,7 +173,6 @@ def sample_fundamental(
         basepoint=basepoint,
         mirror_constant=c_mirror,
         f2_max_dev=float(np.max(dev[regular], initial=0.0)),
-        inserted_radii=inserted,
     )
 
 
@@ -220,8 +222,7 @@ def _build_radii(p: SurfaceParams, g: GridSpec, r_min: float, r_max: float):
     keep = np.ones(len(radii), dtype=bool)
     tol = 1e-12 * p.scale()
     keep[1:] = np.diff(radii) > tol
-    radii = radii[keep]
-    return radii, len(radii) - g.radial_samples
+    return radii[keep]
 
 
 def _incremental_grid(p, radii, thetas, basepoint, skip):
@@ -323,8 +324,9 @@ def assemble(fund: FundamentalSamples, p: SurfaceParams, copies: int = 0) -> Gra
     the extrapolated apex by more than the mesh rung of the tolerance
     ladder, 1e-6, or by a non-finite amount.
     """
-    if copies < 0:
-        raise ValueError("copies must be nonnegative")
+    if not is_int(copies) or copies < 0:
+        raise ValueError(f"copies must be an integer >= 0, got {copies!r}")
+    copies = int(copies)
     R, A = fund.apex_ref.shape
     n_comp = len(fund.comps)
 

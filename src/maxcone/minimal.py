@@ -198,14 +198,17 @@ def _integrate_omega_segment(z_a, z_b, sheet, d: MinimalData):
     return adaptive_leg(leg, coeff, DEFAULT_SEGMENT_TOL)
 
 
-def end_loop_waypoints(p: SurfaceParams, n_sides: int = 64) -> list[complex]:
+# vertex angles of the 64-sided loop polygons
+_LOOP_THETAS = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+
+
+def end_loop_waypoints(p: SurfaceParams) -> list[complex]:
     """Polygonal counterclockwise loop around z = 0 inside the branch points."""
     r = 0.5 * p.inner_radius()
-    th = np.linspace(0.0, 2.0 * math.pi, n_sides, endpoint=False)
-    return [complex(r * math.cos(t), r * math.sin(t)) for t in th]
+    return [complex(r * math.cos(t), r * math.sin(t)) for t in _LOOP_THETAS]
 
 
-def handle_loop_waypoints(p: SurfaceParams, lo: float, hi: float, n_sides: int = 64) -> list[complex]:
+def handle_loop_waypoints(p: SurfaceParams, lo: float, hi: float) -> list[complex]:
     """Polygonal loop around one singular interval (an even-crossing cycle).
 
     The loop stays clear of neighboring branch points, crosses the real axis
@@ -217,8 +220,7 @@ def handle_loop_waypoints(p: SurfaceParams, lo: float, hi: float, n_sides: int =
     clearance = min(abs(c - x) for c in others for x in (lo, hi))
     rx = 0.5 * (hi - lo) + 0.5 * clearance
     ry = 0.5 * clearance
-    th = np.linspace(0.0, 2.0 * math.pi, n_sides, endpoint=False)
-    return [complex(cx + rx * math.cos(t), ry * math.sin(t)) for t in th]
+    return [complex(cx + rx * math.cos(t), ry * math.sin(t)) for t in _LOOP_THETAS]
 
 
 def end_loop_residue(d: MinimalData) -> tuple[float, float, float]:

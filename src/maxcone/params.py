@@ -14,18 +14,39 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import LengthMismatch, OrderingViolation, SignDomain
+
+
+def is_int(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A Python or numpy real number that is finite as a float, not a bool."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
 class SurfaceParams:
     """Validated parameter vector (m, n, a, b, alpha, beta).
 
-    Construction validates lengths, sign domains, and the strict ordering of
-    branch points around 0; invalid data raises a typed error. Instances are
-    immutable and hashable, so they are safe to share across threads.
+    Construction validates types, lengths, sign domains, and the strict
+    ordering of branch points around 0; invalid data raises a typed error
+    naming the field. m, n and the signs are stored as Python ints, the
+    branch points as Python floats. Instances are immutable and hashable, so
+    they are safe to share across threads.
     """
 
     m: int
@@ -36,10 +57,22 @@ class SurfaceParams:
     beta: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
-        object.__setattr__(self, "alpha", tuple(int(s) for s in self.alpha))
-        object.__setattr__(self, "beta", tuple(int(s) for s in self.beta))
+        for name, least in (("m", 1), ("n", 0)):
+            v = getattr(self, name)
+            if not is_int(v) or v < least:
+                raise LengthMismatch(f"{name!r} must be an integer >= {least}, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        for name, ok, cast, kind, err in (
+            ("a", is_real, float, "finite reals", OrderingViolation),
+            ("b", is_real, float, "finite reals", OrderingViolation),
+            ("alpha", is_int, int, "integers", SignDomain),
+            ("beta", is_int, int, "integers", SignDomain),
+        ):
+            v = getattr(self, name)
+            listlike = isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim == 1)
+            if not (listlike and all(map(ok, v))):
+                raise err(f"{name!r} must be a list of {kind}, got {v!r}")
+            object.__setattr__(self, name, tuple(map(cast, v)))
         _validate(self)
 
     # -- derived geometry -------------------------------------------------
@@ -97,17 +130,14 @@ class SurfaceParams:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SurfaceParams":
+    def from_dict(cls, d: Mapping) -> "SurfaceParams":
+        if not isinstance(d, Mapping):
+            raise LengthMismatch(f"parameters must be a mapping, got {type(d).__name__}")
         missing = {"m", "n", "a", "alpha"} - set(d)
         if missing:
             raise LengthMismatch(f"missing parameter fields: {sorted(missing)}")
         return cls(
-            m=d["m"],
-            n=d["n"],
-            a=tuple(d["a"]),
-            b=tuple(d.get("b", ())),
-            alpha=tuple(d["alpha"]),
-            beta=tuple(d.get("beta", ())),
+            m=d["m"], n=d["n"], a=d["a"], b=d.get("b", ()), alpha=d["alpha"], beta=d.get("beta", ())
         )
 
     @classmethod
@@ -116,10 +146,6 @@ class SurfaceParams:
 
 
 def _validate(p: SurfaceParams) -> None:
-    if not isinstance(p.m, int) or p.m < 1:
-        raise LengthMismatch(f"m must be a positive integer, got {p.m!r}")
-    if not isinstance(p.n, int) or p.n < 0:
-        raise LengthMismatch(f"n must be a nonnegative integer, got {p.n!r}")
     if len(p.a) != 2 * p.m:
         raise LengthMismatch(f"expected {2 * p.m} a-points, got {len(p.a)}")
     if len(p.b) != 2 * p.n:
@@ -132,9 +158,6 @@ def _validate(p: SurfaceParams) -> None:
         for s in signs:
             if s not in (1, -1):
                 raise SignDomain(f"{name} entries must be +1 or -1, got {s}")
-    for x in p.a + p.b:
-        if not math.isfinite(x):
-            raise OrderingViolation(f"branch points must be finite, got {x}")
     # chain: b_{2n} < ... < b_1 < 0 < a_1 < ... < a_{2m}
     for i in range(len(p.a) - 1):
         if not p.a[i] < p.a[i + 1]:
@@ -156,11 +179,11 @@ def validate_params(raw) -> SurfaceParams:
     """Validate a candidate parameter vector.
 
     Accepts a mapping with keys m, n, a, b, alpha, beta (b and beta optional
-    when n = 0) or an existing SurfaceParams. Raises OrderingViolation,
-    LengthMismatch, or SignDomain on bad input.
+    when n = 0), its JSON text, or an existing SurfaceParams. Raises
+    OrderingViolation, LengthMismatch, or SignDomain on bad input.
     """
     if isinstance(raw, SurfaceParams):
         return raw
     if isinstance(raw, str):
         return SurfaceParams.from_json(raw)
-    return SurfaceParams.from_dict(dict(raw))
+    return SurfaceParams.from_dict(raw)

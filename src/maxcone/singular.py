@@ -189,20 +189,20 @@ def nondegeneracy(component: SingularComponent, p: SurfaceParams) -> list[float]
     return [float(v) for v in vals.real]
 
 
-def endpoint_gauss_check(component: SingularComponent, p: SurfaceParams, tol: float = 1e-8) -> bool:
+def endpoint_gauss_check(component: SingularComponent, p: SurfaceParams) -> bool:
     """Endpoint values of G against the sign table.
 
     Positive axis: G(a_{2j-1}) = -alpha_j, G(a_{2j}) = alpha_j.
     Negative axis: G(b_{2k}) = -beta_k, G(b_{2k-1}) = beta_k.
     On both axes the lower endpoint expects -sign and the upper +sign.
-    Checked at the endpoints (the pointwise convention agrees with the real
-    axis limit) and loosely at a finite offset for continuity.
+    Checked to 1e-8 at the endpoints (the pointwise convention agrees with
+    the real axis limit) and loosely at a finite offset for continuity.
     """
     s = component.sign
     expect_lo, expect_hi = -s, s
     g_lo = core.gauss(complex(component.lo), p).G
     g_hi = core.gauss(complex(component.hi), p).G
-    if abs(g_lo - expect_lo) > tol or abs(g_hi - expect_hi) > tol:
+    if abs(g_lo - expect_lo) > 1e-8 or abs(g_hi - expect_hi) > 1e-8:
         return False
     eps = 1e-12 * max(1.0, component.length)
     g_lo_lim = core.gauss(complex(component.lo + eps), p).G

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,36 @@ def test_types_one_cone():
 def test_types_rejects_zero():
     with pytest.raises(LengthMismatch):
         C.enumerate_types(0)
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (lambda: C.enumerate_types(2.5), LengthMismatch, "total"),
+        (lambda: C.enumerate_types("4"), LengthMismatch, "total"),
+        (lambda: C.classes_for_type(2.0, 0), LengthMismatch, "m >= n"),
+        (lambda: C.classes_for_type(2, False), LengthMismatch, "m >= n"),
+        (lambda: C.build_catalog(True), LengthMismatch, "total"),
+        (lambda: C.ConeConfig(1, 0, (1.5,)), SignDomain, "dirs_pos"),
+        (lambda: C.ConeConfig(1, 1, (1,), (True,)), SignDomain, "dirs_neg"),
+        (lambda: C.ConeConfig(1, 0, 1), SignDomain, "dirs_pos"),
+        (lambda: C.ConeConfig(True, 0, (1,)), LengthMismatch, "m >= 1"),
+        (lambda: C.ConeConfig(1.0, 0, (1,)), LengthMismatch, "m >= 1"),
+    ],
+    ids=["types-float", "types-str", "classes-float", "classes-bool", "catalog-bool",
+         "dirs-float", "dirs-bool", "dirs-scalar", "m-bool", "m-float"],
+)
+def test_counts_and_directions_must_be_integers(call, error, field):
+    # these used to leak range()'s TypeError, or truncate 1.5 to 1
+    with pytest.raises(error, match=field):
+        call()
+
+
+def test_numpy_counts_accepted():
+    assert C.enumerate_types(np.int64(4)) == [(4, 0), (3, 1), (2, 2)]
+    c = C.ConeConfig(np.int64(2), 0, (np.int64(1), -1))
+    assert c == C.ConeConfig(2, 0, (1, -1))
+    assert type(c.m) is int and type(c.dirs_pos[0]) is int
 
 
 def test_four_cone_class_counts():

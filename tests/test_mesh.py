@@ -37,6 +37,40 @@ def test_grid_spec_validation(p10):
     assert r_max == pytest.approx(40.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("radial_samples", 40.5),
+        ("radial_samples", "40"),
+        ("angular_samples", True),
+        ("angular_samples", 4),
+        ("seam_refinement", 1.5),
+        ("seam_refinement", -1),
+        ("r_min", "0.01"),
+        ("r_max", float("nan")),
+        ("r_max", 10**400),
+        ("r_max", [40.0]),
+    ],
+)
+def test_grid_spec_rejects_wrong_types_naming_the_field(field, value):
+    # 40.5 radial samples used to construct and fail later inside numpy
+    with pytest.raises(ValueError, match=field):
+        MM.GridSpec(**{field: value})
+
+
+def test_grid_spec_stores_python_numbers():
+    g = MM.GridSpec(radial_samples=np.int64(28), r_min=np.float64(0.05), r_max=40)
+    assert g == MM.GridSpec(radial_samples=28, r_min=0.05, r_max=40.0)
+    assert [type(v) for v in (g.radial_samples, g.r_min, g.r_max)] == [int, float, float]
+
+
+@pytest.mark.parametrize("copies", [1.5, -1, True, "1", None])
+def test_assemble_rejects_bad_copies(fund10, copies):
+    p, fund = fund10
+    with pytest.raises(ValueError, match="copies"):
+        MM.assemble(fund, p, copies=copies)
+
+
 def test_sample_count_formula(fund10):
     p, fund = fund10
     R, A = len(fund.radii), len(fund.thetas)
