@@ -3,8 +3,9 @@
 Exit codes: 0 all checks pass, 1 verification or numeric failure, 2 usage
 or configuration error. Config values are type-checked by the constructors
 they are passed to (SurfaceParams, GridSpec, ToleranceLadder), so a
-malformed one exits 2 with a message naming its key. Reports are JSON;
-output files are written atomically (write to a temp file, then rename).
+malformed one, like an unknown key, exits 2 with a message naming the key.
+Reports are JSON; output files are written atomically (write to a temp
+file, then rename).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from . import minimal as mini
 from .catalog import build_catalog
 from .core import end_value_w0
 from .errors import MaxconeError, NumericFailure
-from .mesh import GridSpec, build_mesh, export_obj, export_ply, graph_check
-from .params import SurfaceParams, is_real, validate_params
+from .mesh import GridSpec, _atomic_write, build_mesh, export_obj, export_ply, graph_check
+from .params import SurfaceParams, validate_params
 from .report import TOL_LEVELS, ToleranceLadder, run_checks
 from .version import __version__
 
@@ -29,12 +30,18 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
+# top-level config keys besides the SurfaceParams fields
+_SECTIONS = {"params", "grid", "tolerances", "orientation"}
+
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise MaxconeError(f"config must be a JSON object, got {type(config).__name__}")
+    unknown = set(config) - _SECTIONS - {f.name for f in dataclasses.fields(SurfaceParams)}
+    if unknown:
+        raise MaxconeError(f"unknown config keys: {sorted(unknown)}")
     return config
 
 
@@ -51,8 +58,10 @@ def _section(config: dict, key: str, cls) -> dict:
 
 def _grid_from_config(config: dict, grid_flag: str | None) -> GridSpec:
     section = dict(_section(config, "grid", GridSpec))
-    if grid_flag:
+    if grid_flag is not None:
         r, _, a = grid_flag.lower().partition("x")
+        if not (r.isdecimal() and a.isdecimal()):
+            raise MaxconeError(f"--grid takes RxA, two integers like 200x100, got {grid_flag!r}")
         section["radial_samples"] = int(r)
         section["angular_samples"] = int(a)
     return GridSpec(**section)
@@ -63,26 +72,12 @@ def _tol_from_config(config: dict, level: str) -> ToleranceLadder:
     return ToleranceLadder(**section).scaled(TOL_LEVELS[level])
 
 
-def _basepoint_from_config(config: dict, p: SurfaceParams) -> complex:
-    if "basepoint" not in config:
-        return p.default_basepoint()
-    bp = config["basepoint"]
-    if not is_real(bp) or bp <= 0 or p.contains_real(bp):
-        raise MaxconeError(
-            f"basepoint must be a regular point on the positive real axis, got {bp!r}"
-        )
-    return complex(bp)
-
-
 def _write_json(payload: dict, out_path: str | None, to_stdout: bool) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False, default=float)
     if to_stdout or out_path is None:
         print(text)
     if out_path is not None:
-        tmp = out_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, out_path)
+        _atomic_write(out_path, (text + "\n").encode("utf-8"))
 
 
 def _stamp(report: dict) -> dict:
@@ -95,14 +90,7 @@ def cmd_verify(args) -> int:
     p = validate_params(config.get("params", config))
     grid = _grid_from_config(config, args.grid)
     tol = _tol_from_config(config, args.tol)
-    basepoint = _basepoint_from_config(config, p)
-    report = run_checks(
-        p,
-        grid=grid,
-        basepoint=basepoint,
-        tol=tol,
-        require_horizontal_ends=args.require_horizontal_ends,
-    )
+    report = run_checks(p, grid, tol=tol, require_horizontal_ends=args.require_horizontal_ends)
     _write_json(_stamp(report), args.out, args.json)
     if not report["overall_pass"]:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
@@ -115,8 +103,7 @@ def cmd_mesh(args) -> int:
     config = _load_config(args.config)
     p = validate_params(config.get("params", config))
     grid = _grid_from_config(config, args.grid)
-    basepoint = _basepoint_from_config(config, p)
-    mesh = build_mesh(p, grid, copies=args.copies, basepoint=basepoint)
+    mesh = build_mesh(p, grid, copies=args.copies)
     findings = graph_check(mesh)
     out_path = args.out or "surface.obj"
     if out_path.endswith(".ply"):
@@ -187,13 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON config with the parameter vector")
     common.add_argument("--out", default=None, help="output file path")
-    common.add_argument("--grid", default=None, metavar="RxA", help="grid override, e.g. 200x100")
-    common.add_argument(
+    common.add_argument("--json", action="store_true", help="print the report to stdout")
+    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    gridded.add_argument("--grid", default=None, metavar="RxA", help="grid override, e.g. 200x100")
+
+    v = sub.add_parser("verify", parents=[gridded], help="run the verification suite")
+    v.add_argument(
         "--tol", default="default", choices=sorted(TOL_LEVELS), help="tolerance ladder level"
     )
-    common.add_argument("--json", action="store_true", help="print the report to stdout")
-
-    v = sub.add_parser("verify", parents=[common], help="run the verification suite")
     v.add_argument(
         "--require-horizontal-ends",
         action="store_true",
@@ -201,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.set_defaults(func=cmd_verify)
 
-    me = sub.add_parser("mesh", parents=[common], help="export a triangulated mesh")
+    me = sub.add_parser("mesh", parents=[gridded], help="export a triangulated mesh")
     me.add_argument("--copies", type=int, default=0, help="period translates to append")
     me.set_defaults(func=cmd_mesh)
 

@@ -324,12 +324,12 @@ def regular_sample_points(
     count: int,
     rng: np.random.Generator,
     margin: float = 1e-3,
-    half_plane: str = "both",
+    upper: bool = False,
 ) -> np.ndarray:
     """Quasi-random regular points, kept margin-away from the singular set.
 
-    margin is relative to the surface scale. half_plane selects 'upper',
-    'lower', or 'both'.
+    margin is relative to the surface scale. upper keeps the points in the
+    upper half-plane; otherwise they fill both.
     """
     scale = p.scale()
     lo_r, hi_r = 0.05 * p.inner_radius(), 20.0 * scale
@@ -338,12 +338,7 @@ def regular_sample_points(
     while len(out) < count:
         k = max(64, 2 * (count - len(out)))
         r = np.exp(rng.uniform(np.log(lo_r), np.log(hi_r), size=k))
-        if half_plane == "upper":
-            th = rng.uniform(0.0, np.pi, size=k)
-        elif half_plane == "lower":
-            th = rng.uniform(-np.pi, 0.0, size=k)
-        else:
-            th = rng.uniform(-np.pi, np.pi, size=k)
+        th = rng.uniform(0.0 if upper else -np.pi, np.pi, size=k)
         z = r * np.exp(1j * th)
         ok = np.abs(z) > guard
         for lo, hi in p.intervals():

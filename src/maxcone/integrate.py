@@ -7,7 +7,8 @@ straight segments (user paths), and a square-root reparametrized approach
 leg for endpoints sitting exactly on a branch point. Arc/radial routing
 keeps the integrand analytic along every leg and makes winding bookkeeping
 exact, so f2 = -(accumulated angle) + Arg(basepoint) holds to quadrature
-accuracy.
+accuracy. Only immersion takes a basepoint; everything else integrates
+from the fixed origin a_{2m} + 1, where f2 = -Arg z.
 
 Loop periods around the two ends, polyline path integrals, running sums
 along chains of consecutive legs, and the transverse apex limits of singular
@@ -448,9 +449,10 @@ def immersion(z: complex, p: SurfaceParams, basepoint: complex | None = None) ->
     """f(z) = Re of the path integral from the basepoint, with auto routing.
 
     The default basepoint is a_{2m} + 1 on the positive real axis, giving
-    f(basepoint) = 0 and f2(z) = -Arg(z). Branch-point targets are reached
-    through the square-root substitution leg; interior points of singular
-    intervals are rejected.
+    f(basepoint) = 0 and f2(z) = -Arg(z); a regular basepoint b > 0 gives
+    the same surface translated by -immersion(b, p).f. Branch-point targets
+    are reached through the square-root substitution leg; interior points of
+    singular intervals are rejected.
     """
     z = complex(z)
     if z == 0:
@@ -594,11 +596,12 @@ def apex(
     interval: tuple[float, float],
     side: str,
     p: SurfaceParams,
-    basepoint: complex | None = None,
+    *,
     tol: float = 1e-6,
 ) -> tuple[tuple[float, float, float], float]:
     """Limit of f approaching a singular interval transversally.
 
+    f is immersion(z, p), integrated from the fixed origin a_{2m} + 1.
     Evaluates f above or below the interval midpoint at offsets
     1e-3 * length / 2^i, i < 5, and Richardson-extrapolates in sqrt(eps).
     Returns (apex, extrapolation residual); raises NonConvergent when the
@@ -614,8 +617,7 @@ def apex(
     mid = 0.5 * (lo + hi)
     sign = 1.0 if side == "above" else -1.0
     values = [
-        np.asarray(immersion(complex(mid, sign * eps0 / 2.0**i), p, basepoint).f)
-        for i in range(5)
+        np.asarray(immersion(complex(mid, sign * eps0 / 2.0**i), p).f) for i in range(5)
     ]
     est, resid = _richardson_sqrt(values)
     if resid > tol:
@@ -624,11 +626,10 @@ def apex(
             f"for interval [{lo}, {hi}] side {side}"
         )
     # f is defined modulo the period (0, 2pi, 0); report the fundamental
-    # representative (x2 matching -Arg of the interval plus the basepoint
-    # constant), so below-side approaches to negative-axis intervals agree
-    # with the other sides instead of landing one period away
-    bp = basepoint if basepoint is not None else p.default_basepoint()
-    expected_x2 = cmath.phase(bp) - cmath.phase(complex(mid))
+    # representative (x2 matching -Arg of the interval), so below-side
+    # approaches to negative-axis intervals agree with the other sides
+    # instead of landing one period away
+    expected_x2 = -cmath.phase(complex(mid))
     k = round((est[1] - expected_x2) / (2.0 * math.pi))
     est[1] -= 2.0 * math.pi * k
     return tuple(est), resid

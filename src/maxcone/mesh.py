@@ -7,14 +7,14 @@ sqrt-graded angular sub-rows near both boundary rows. Boundary-row samples
 over a closed singular interval all collapse onto that component's apex
 vertex, so the quads there degenerate into the cone's triangle fan with the
 finest sub-row as its epsilon-offset ring. Assembly appends the mirror
-image through the x2 = c plane (c is the basepoint image height, 0 by
-default) welded along the fixed row, plus any number of period translates
-by (0, 2pi, 0).
+image through the x2 = 0 plane (f is integrated from the fixed origin
+a_{2m} + 1, so f2 = -Arg z) welded along the fixed row, plus any number of
+period translates by (0, 2pi, 0).
 
 f-values are accumulated incrementally: one radial chain up the grid
 anchor ray and one angular chain each way around every ring, so each grid
 vertex costs one short quadrature leg from its neighbor instead of a routed
-path from the basepoint (31,730 legs on the default grid of the README
+path from the origin (31,730 legs on the default grid of the README
 surface, nearly all of them one G7/K15 panel). The ring arcs of all rings
 (31,524 of those legs) are generated lazily and integrated in chunks of at
 most integrate._CHUNK legs, whose first panels share one kernel call of
@@ -107,25 +107,19 @@ class FundamentalSamples:
     nu3: np.ndarray  # (R, A) float, nan at apex positions
     comps: list[SingularComponent]
     apex_samples: list[ImmersionSample]
-    basepoint: complex
-    mirror_constant: float
+    mirror_constant: float  # x2 of the mirror plane, always -0.0
     f2_max_dev: float
 
 
-def sample_fundamental(
-    p: SurfaceParams, g: GridSpec | None = None, basepoint: complex | None = None
-) -> FundamentalSamples:
+def sample_fundamental(p: SurfaceParams, g: GridSpec | None = None) -> FundamentalSamples:
     """Sample f over the closed upper half-plane annulus.
 
     Returns the values on the radial_samples x angular_samples grid (plus
     inserted seam radii and graded angular sub-rows) and the m + n apex
-    samples.
+    samples, all integrated from the fixed origin a_{2m} + 1.
     """
     if g is None:
         g = GridSpec()
-    if basepoint is None:
-        basepoint = p.default_basepoint()
-    c_mirror = -math.atan2(basepoint.imag, basepoint.real)
     r_min, r_max = g.resolve(p)
     comps = components(p)
     radii = _build_radii(p, g, r_min, r_max)
@@ -148,11 +142,11 @@ def sample_fundamental(
     # boundary-row positions over an interval all collapse to the apex, so
     # their chain steps (which would end on the cut) are skipped
     regular = apex_ref < 0
-    f_grid, err_grid = _incremental_grid(p, radii, thetas, basepoint, ~regular)
+    f_grid, err_grid = _incremental_grid(p, radii, thetas, ~regular)
 
     apex_samples = []
     for ci, comp in enumerate(comps):
-        v, resid = apex((comp.lo, comp.hi), "above", p, basepoint=basepoint)
+        v, resid = apex((comp.lo, comp.hi), "above", p)
         apex_samples.append(
             ImmersionSample(z=complex(comp.midpoint), f=tuple(v), quad_error=resid)
         )
@@ -160,7 +154,7 @@ def sample_fundamental(
 
     # math.atan2 per point: numpy's vectorized arctan2 can differ in the last bit
     arg = np.array([math.atan2(z.imag, z.real) for z in z_grid.ravel().tolist()]).reshape(R, A)
-    dev = np.abs(f_grid[..., 1] + arg - c_mirror)
+    dev = np.abs(f_grid[..., 1] + arg)
     return FundamentalSamples(
         f=f_grid,
         quad_error=err_grid,
@@ -170,8 +164,7 @@ def sample_fundamental(
         nu3=_grid_nu3(z_grid, apex_ref, p),
         comps=comps,
         apex_samples=apex_samples,
-        basepoint=basepoint,
-        mirror_constant=c_mirror,
+        mirror_constant=-0.0,
         f2_max_dev=float(np.max(dev[regular], initial=0.0)),
     )
 
@@ -225,7 +218,7 @@ def _build_radii(p: SurfaceParams, g: GridSpec, r_min: float, r_max: float):
     return radii[keep]
 
 
-def _incremental_grid(p, radii, thetas, basepoint, skip):
+def _incremental_grid(p, radii, thetas, skip):
     """f on the (R, A) grid via chained radial and angular legs.
 
     skip marks boundary-row positions whose values are overridden later
@@ -235,7 +228,7 @@ def _incremental_grid(p, radii, thetas, basepoint, skip):
     R, A = len(radii), len(thetas)
     j_anchor = A // 2
     th_anchor = float(thetas[j_anchor])
-    r0, th0 = abs(basepoint), math.atan2(basepoint.imag, basepoint.real)
+    r0 = p.default_basepoint().real
 
     f = np.zeros((R, A, 3))
     err = np.zeros((R, A))
@@ -244,7 +237,7 @@ def _incremental_grid(p, radii, thetas, basepoint, skip):
     # r0 through radii[i_near], then inward from radii[i_near]
     i_near = int(np.argmin(np.abs(radii - r0)))
     legs = [
-        ArcLeg(r=r0, theta_a=th0, theta_b=th_anchor),
+        ArcLeg(r=r0, theta_a=0.0, theta_b=th_anchor),
         RadialLeg(theta=th_anchor, r_a=r0, r_b=float(radii[i_near])),
     ] + [
         RadialLeg(theta=th_anchor, r_a=float(radii[i - 1]), r_b=float(radii[i]))
@@ -314,19 +307,23 @@ class GraphMesh:
     apex_residual_max: float  # largest Richardson residual of the apex samples
 
 
+def _check_copies(copies) -> int:
+    if not is_int(copies) or copies < 0:
+        raise ValueError(f"copies must be an integer >= 0, got {copies!r}")
+    return int(copies)
+
+
 def assemble(fund: FundamentalSamples, p: SurfaceParams, copies: int = 0) -> GraphMesh:
     """Triangulate the sampled fundamental piece, mirror, and translate.
 
     Welds seam rows to apex vertices (closing each cone with a triangle
-    fan), reflects through x2 = mirror_constant matching the surface's
-    symmetry, and appends `copies` translates by (0, 2pi, 0). Raises
-    WeldFailure when a direct branch-point-endpoint integral disagrees with
-    the extrapolated apex by more than the mesh rung of the tolerance
-    ladder, 1e-6, or by a non-finite amount.
+    fan), reflects through the x2 = 0 plane (mirror_constant) matching the
+    surface's symmetry, and appends `copies` translates by (0, 2pi, 0).
+    Raises WeldFailure when a direct branch-point-endpoint integral
+    disagrees with the extrapolated apex by more than the mesh rung of the
+    tolerance ladder, 1e-6, or by a non-finite amount.
     """
-    if not is_int(copies) or copies < 0:
-        raise ValueError(f"copies must be an integer >= 0, got {copies!r}")
-    copies = int(copies)
+    copies = _check_copies(copies)
     R, A = fund.apex_ref.shape
     n_comp = len(fund.comps)
 
@@ -350,10 +347,10 @@ def assemble(fund: FundamentalSamples, p: SurfaceParams, copies: int = 0) -> Gra
     triangles = tris[(u != v) & (v != w) & (u != w)]
     half_nv = len(vertices)
 
-    # mirror copy through x2 = c, welded along the fixed row; fixed-plane
-    # membership is structural (gap vertices of the theta=0 row and apexes
-    # of positive-axis intervals), not a coordinate comparison, so apex
-    # extrapolation residuals cannot crack the weld
+    # mirror copy through x2 = c (-0.0), welded along the fixed row;
+    # fixed-plane membership is structural (gap vertices of the theta=0 row
+    # and apexes of positive-axis intervals), not a coordinate comparison,
+    # so apex extrapolation residuals cannot crack the weld
     c = fund.mirror_constant
     on_plane = np.zeros(half_nv, dtype=bool)
     on_plane[vid[:, 0]] = True
@@ -403,7 +400,7 @@ def _weld_check(fund: FundamentalSamples, p: SurfaceParams) -> list[float]:
     for comp, s in zip(fund.comps, fund.apex_samples):
         worst = 0.0
         for endpoint in (comp.lo, comp.hi):
-            direct = immersion(complex(endpoint), p, fund.basepoint)
+            direct = immersion(complex(endpoint), p)
             gap = float(np.max(np.abs(np.asarray(direct.f) - np.asarray(s.f))))
             # the mesh rung of the tolerance ladder, written so that a NaN
             # gap fails; max() would drop it
@@ -594,12 +591,7 @@ def _atomic_write(destination, payload: bytes) -> None:
         raise IOFailure(f"could not write {destination}: {exc}") from exc
 
 
-def build_mesh(
-    p: SurfaceParams,
-    g: GridSpec | None = None,
-    copies: int = 0,
-    basepoint: complex | None = None,
-) -> GraphMesh:
-    """Sample and assemble in one call."""
-    fund = sample_fundamental(p, g, basepoint=basepoint)
-    return assemble(fund, p, copies=copies)
+def build_mesh(p: SurfaceParams, g: GridSpec | None = None, copies: int = 0) -> GraphMesh:
+    """Sample and assemble in one call; copies is checked before sampling."""
+    _check_copies(copies)
+    return assemble(sample_fundamental(p, g), p, copies=copies)

@@ -54,18 +54,17 @@ TOL_LEVELS = {"strict": 0.1, "default": 1.0, "relaxed": 10.0}
 def run_checks(
     p: SurfaceParams,
     grid: GridSpec | None = None,
-    basepoint: complex | None = None,
+    *,
     tol: ToleranceLadder | None = None,
     require_horizontal_ends: bool = False,
 ) -> dict:
     """Run the invariant suite and return the report dictionary.
 
     The pointwise checks run on 1000 regular points drawn with CHECK_SEED.
+    f is integrated from the fixed origin a_{2m} + 1 (conventions.basepoint).
     """
     if tol is None:
         tol = ToleranceLadder()
-    if basepoint is None:
-        basepoint = p.default_basepoint()
     if grid is None:
         grid = GridSpec()
     rng = np.random.default_rng(CHECK_SEED)
@@ -78,16 +77,17 @@ def run_checks(
     checks.append(_check_gauss_modulus(w, G, tol))
     checks.append(_check_singular_set(p, tol))
     comps = singular.components(p)
-    reports, cone_checks = _cone_checks(comps, p, basepoint, tol)
+    reports, cone_checks = _cone_checks(comps, p, tol)
     checks.extend(cone_checks)
     checks.append(_check_periods(p, tol))
-    mesh_check, quad_max = _check_graph(p, grid, basepoint, tol)
+    mesh_check, quad_max = _check_graph(p, grid, tol)
     checks.append(mesh_check)
-    checks.append(_check_symmetry(p, basepoint, rng, tol))
+    checks.append(_check_symmetry(p, rng, tol))
     if require_horizontal_ends:
         checks.append(_check_horizontal_ends(p, tol))
 
     overall = all(c["passed"] for c in checks)
+    basepoint = p.default_basepoint()
     return {
         "version": __version__,
         "params": p.to_dict(),
@@ -163,7 +163,7 @@ def _check_singular_set(p, tol):
     )
 
 
-def _cone_checks(comps, p, basepoint, tol):
+def _cone_checks(comps, p, tol):
     reports = []
     spread_worst = 0.0
     dir_ok = True
@@ -171,7 +171,7 @@ def _cone_checks(comps, p, basepoint, tol):
     mismatches = []
     try:
         for comp in comps:
-            r = singular.classify_cone(comp, p, basepoint=basepoint, apex_tol=tol.mesh)
+            r = singular.classify_cone(comp, p, apex_tol=tol.mesh)
             reports.append(r)
             spread_worst = max(spread_worst, r.apex_spread)
             if not r.matches_theorem:
@@ -231,9 +231,9 @@ def _check_periods(p, tol):
     )
 
 
-def _check_graph(p, grid, basepoint, tol):
+def _check_graph(p, grid, tol):
     try:
-        mesh = build_mesh(p, grid, basepoint=basepoint)
+        mesh = build_mesh(p, grid)
         rep = graph_check(mesh)
     except MaxconeError as exc:
         return _entry("graph_checks", False, error=str(exc)), math.nan
@@ -254,12 +254,12 @@ def _check_graph(p, grid, basepoint, tol):
     )
 
 
-def _check_symmetry(p, basepoint, rng, tol):
-    pts = core.regular_sample_points(p, 8, rng, half_plane="upper")
+def _check_symmetry(p, rng, tol):
+    pts = core.regular_sample_points(p, 8, rng, upper=True)
     worst = 0.0
     for z in pts:
-        fu = np.asarray(immersion(complex(z), p, basepoint).f)
-        fl = np.asarray(immersion(complex(z).conjugate(), p, basepoint).f)
+        fu = np.asarray(immersion(complex(z), p).f)
+        fl = np.asarray(immersion(complex(z).conjugate(), p).f)
         worst = max(worst, float(np.max(np.abs(fu - fl * np.array([1.0, -1.0, 1.0])))))
     return _entry("symmetry", worst <= tol.integrated, max_mirror_deviation=worst)
 

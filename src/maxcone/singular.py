@@ -225,14 +225,15 @@ def lemma_statement_direction(component: SingularComponent) -> str:
 def classify_cone(
     component: SingularComponent,
     p: SurfaceParams,
-    basepoint: complex | None = None,
+    *,
     apex_tol: float = 1e-6,
 ) -> ConeReport:
     """Numeric up/down classification plus the verification bundle.
 
-    The apex is the limit from above; apex_spread is the largest gap
-    between it, the limit from below and the endpoint values f(lo) and
-    f(hi), which are the along-axis limits. The apex x3 is compared with
+    f is integrated from the fixed origin a_{2m} + 1. The apex is the
+    limit from above; apex_spread is the largest gap between it, the limit
+    from below and the endpoint values f(lo) and f(hi), which are the
+    along-axis limits. The apex x3 is compared with
     f3 at real-axis points just outside both endpoints, at eps and eps/10
     (the two must agree); each of those values is f(lo) or f(hi) plus one
     short real-axis leg from the endpoint into the adjacent gap. Up means
@@ -241,7 +242,7 @@ def classify_cone(
     numeric result matches each.
     """
     iv = (component.lo, component.hi)
-    apex_f, spread, f_ends = _apex_with_spread(iv, p, basepoint, apex_tol)
+    apex_f, spread, f_ends = _apex_with_spread(iv, p, apex_tol)
     eps_outer = _clamp_outer(1e-2 * component.length, component, p)
     votes = []
     for eps in (eps_outer, eps_outer / 10.0):
@@ -273,7 +274,7 @@ def classify_cone(
         direction=direction,
         dg_over_gdh_samples=samples,
         nondegenerate=True,
-        embedded_neighborhood_check=embedded_neighborhood_proxy(component, p, basepoint),
+        embedded_neighborhood_check=embedded_neighborhood_proxy(component, p),
         theorem_direction=thm,
         lemma_statement_direction=lem,
         matches_theorem=direction == thm,
@@ -283,10 +284,10 @@ def classify_cone(
     )
 
 
-def _apex_with_spread(iv, p, basepoint, apex_tol):
+def _apex_with_spread(iv, p, apex_tol):
     """(apex from above, four-limit spread, (f(lo), f(hi)))."""
-    vals = [np.asarray(apex(iv, s, p, basepoint, tol=apex_tol)[0]) for s in ("above", "below")]
-    vals += [np.asarray(immersion(complex(x), p, basepoint).f) for x in iv]
+    vals = [np.asarray(apex(iv, s, p, tol=apex_tol)[0]) for s in ("above", "below")]
+    vals += [np.asarray(immersion(complex(x), p).f) for x in iv]
     spread = float(max(np.max(np.abs(a - b)) for a in vals for b in vals))
     return vals[0], spread, vals[2:]
 
@@ -315,23 +316,19 @@ def _clamp_outer(eps: float, component: SingularComponent, p: SurfaceParams) -> 
     return min(eps, 0.4 * min(gaps))
 
 
-def embedded_neighborhood_proxy(
-    component: SingularComponent,
-    p: SurfaceParams,
-    basepoint: complex | None = None,
-) -> bool:
+def embedded_neighborhood_proxy(component: SingularComponent, p: SurfaceParams) -> bool:
     """Finite proxy for the embedded punctured neighborhood condition.
 
     Projects the image of a stadium-shaped loop around the component,
     integrated as one chain, to the x1x2-plane and checks the polyline is
     simple. A pass is evidence, not a proof; reports label it as a proxy.
     """
-    pts = _stadium_image(component, p, basepoint)[1][:, :2]
+    pts = _stadium_image(component, p)[1][:, :2]
     ring = np.arange(len(pts))
     return touching_pairs(pts, np.stack([ring, np.roll(ring, -1)], axis=1)) == 0
 
 
-def _stadium_image(component: SingularComponent, p: SurfaceParams, basepoint: complex | None):
+def _stadium_image(component: SingularComponent, p: SurfaceParams):
     """The 62-point stadium loop and its image, integrated as one chain.
 
     One routed immersion reaches the first point; straight legs join the
@@ -339,7 +336,7 @@ def _stadium_image(component: SingularComponent, p: SurfaceParams, basepoint: co
     below 0 by the sign of Arg and split a period jump into the loop).
     """
     loop = _stadium_points(component, _clamp_outer(0.2 * component.length, component, p))
-    start = immersion(complex(loop[0]), p, basepoint)
+    start = immersion(complex(loop[0]), p)
     legs = [SegmentLeg(z_a=complex(u), z_b=complex(v)) for u, v in zip(loop[:-1], loop[1:])]
     f, _ = _running_sum(legs, p, start.f, start.quad_error)
     return loop, np.vstack([start.f, f])

@@ -8,6 +8,8 @@ The set is pinned, so adding or removing one is a visible edit here.
 import dataclasses
 import inspect
 
+import pytest
+
 import maxcone
 
 OPTIONS = {
@@ -24,21 +26,16 @@ OPTIONS = {
     "ToleranceLadder.algebraic",
     "ToleranceLadder.integrated",
     "ToleranceLadder.mesh",
-    "apex(basepoint)",
     "apex(tol)",
     "assemble(copies)",
-    "build_mesh(basepoint)",
     "build_mesh(copies)",
     "build_mesh(g)",
     "classify_cone(apex_tol)",
-    "classify_cone(basepoint)",
     "immersion(basepoint)",
     "instantiate(spacing)",
-    "run_checks(basepoint)",
     "run_checks(grid)",
     "run_checks(require_horizontal_ends)",
     "run_checks(tol)",
-    "sample_fundamental(basepoint)",
     "sample_fundamental(g)",
     "singular_set(verify)",
 }
@@ -65,5 +62,17 @@ def _options():
 
 
 def test_option_surface_is_pinned():
-    assert len(OPTIONS) == 30
+    assert len(OPTIONS) == 25
     assert _options() == OPTIONS
+
+
+def test_tolerances_are_keyword_only():
+    # a stale positional basepoint must not be read as a tolerance
+    p = maxcone.SurfaceParams(m=1, n=0, a=(1, 2), alpha=(1,))
+    comp = maxcone.singular_set(p)[0]
+    with pytest.raises(TypeError):
+        maxcone.apex((1.0, 2.0), "above", p, 1e-6)
+    with pytest.raises(TypeError):
+        maxcone.classify_cone(comp, p, 1e-6)
+    with pytest.raises(TypeError):
+        maxcone.run_checks(p, None, maxcone.ToleranceLadder())

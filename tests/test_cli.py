@@ -232,12 +232,40 @@ def test_tol_level_flag(tmp_path):
         ({**BASE_10, "a": 5}, "'a'"),
         ({**BASE_10, "alpha": [1.5]}, "alpha"),
         ([BASE_10], "JSON object"),
+        ({**BASE_10, "basepoint": 4.6}, "basepoint"),
+        ({**BASE_10, "gird": {"radial_samples": 28}}, "gird"),
     ],
     ids=["basepoint-pair", "radial-float", "seam-float", "r_min-string", "tol-string",
-         "tol-unknown", "a-number", "alpha-float", "top-level-list"],
+         "tol-unknown", "a-number", "alpha-float", "top-level-list", "basepoint-number",
+         "section-misspelled"],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, payload, key):
     # a bad value is a config error naming its key, not a traceback
     cfg = write_config(tmp_path, payload)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["40", "40x", "x20", "40x20x3", "ax20"])
+def test_malformed_grid_flag_exit_2(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, BASE_10)
+    assert main(["verify", "--config", cfg, "--grid", grid]) == EXIT_CONFIG
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mesh", "--tol", "strict"], ["minimal-measure", "--grid", "10x10", "--tol", "relaxed"]],
+    ids=["mesh-tol", "minimal-measure-grid-tol"],
+)
+def test_flags_only_on_subcommands_that_read_them(tmp_path, argv):
+    cfg = write_config(tmp_path, BASE_10)
+    out = str(tmp_path / "out.json")
+    assert main(argv + ["--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_report_write_failure_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "catalog.json")
+    assert main(["catalog", "--cones", "1", "--out", out]) == EXIT_CONFIG
+    assert "could not write" in capsys.readouterr().err

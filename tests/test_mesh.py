@@ -71,6 +71,16 @@ def test_assemble_rejects_bad_copies(fund10, copies):
         MM.assemble(fund, p, copies=copies)
 
 
+@pytest.mark.parametrize("copies", [1.5, -1, True, "1", None])
+def test_build_mesh_rejects_bad_copies_before_sampling(p10, monkeypatch, copies):
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before checking copies")
+
+    monkeypatch.setattr(MM, "sample_fundamental", fail)
+    with pytest.raises(ValueError, match="copies"):
+        MM.build_mesh(p10, copies=copies)
+
+
 def test_sample_count_formula(fund10):
     p, fund = fund10
     R, A = len(fund.radii), len(fund.thetas)

@@ -162,7 +162,7 @@ def test_stadium_image_is_one_continuous_loop(p21):
     # the stadium crosses the negative axis; routing each point from the
     # basepoint used to split a 2pi jump in x2 into the loop
     comp = next(c for c in S.components(p21) if c.axis == "neg")
-    loop, img = S._stadium_image(comp, p21, None)
+    loop, img = S._stadium_image(comp, p21)
     assert img.shape == (62, 3)
     steps = np.linalg.norm(np.diff(img, axis=0), axis=1)
     assert steps.max() <= 0.5
