@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
+_FIELDS = {f.name for f in dataclasses.fields(SurfaceParams)}
 # top-level config keys besides the SurfaceParams fields
 _SECTIONS = {"params", "grid", "tolerances", "orientation"}
 
@@ -39,7 +40,7 @@ def _load_config(path: str) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise MaxconeError(f"config must be a JSON object, got {type(config).__name__}")
-    unknown = set(config) - _SECTIONS - {f.name for f in dataclasses.fields(SurfaceParams)}
+    unknown = set(config) - _SECTIONS - _FIELDS
     if unknown:
         raise MaxconeError(f"unknown config keys: {sorted(unknown)}")
     return config
@@ -54,6 +55,16 @@ def _section(config: dict, key: str, cls) -> dict:
     if unknown:
         raise MaxconeError(f"unknown {key} keys: {sorted(unknown)}")
     return value
+
+
+def _params_from_config(config: dict) -> SurfaceParams:
+    """The surface: its fields at the top level, or a params section, not both."""
+    if "params" not in config:
+        return validate_params(config)
+    both = sorted(_FIELDS & set(config))
+    if both:
+        raise MaxconeError(f"config has a params section and top-level surface keys {both}")
+    return validate_params(_section(config, "params", SurfaceParams))
 
 
 def _grid_from_config(config: dict, grid_flag: str | None) -> GridSpec:
@@ -87,7 +98,7 @@ def _stamp(report: dict) -> dict:
 
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
-    p = validate_params(config.get("params", config))
+    p = _params_from_config(config)
     grid = _grid_from_config(config, args.grid)
     tol = _tol_from_config(config, args.tol)
     report = run_checks(p, grid, tol=tol, require_horizontal_ends=args.require_horizontal_ends)
@@ -101,7 +112,7 @@ def cmd_verify(args) -> int:
 
 def cmd_mesh(args) -> int:
     config = _load_config(args.config)
-    p = validate_params(config.get("params", config))
+    p = _params_from_config(config)
     grid = _grid_from_config(config, args.grid)
     mesh = build_mesh(p, grid, copies=args.copies)
     findings = graph_check(mesh)
@@ -140,7 +151,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_minimal_measure(args) -> int:
     config = _load_config(args.config)
-    p = validate_params(config.get("params", config))
+    p = _params_from_config(config)
     orientation = config.get("orientation", "vertical-ends")
     d = mini.MinimalData(params=p, orientation=orientation)
     normalized = None

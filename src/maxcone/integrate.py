@@ -23,7 +23,11 @@ only those sums. Legs are integrated in chunks of at most _CHUNK: the
 first panels of a chunk are evaluated and reduced in one batch, which
 stays below the 16,384 points at which w_values can differ in the last
 bit from 15-node calls, and any number of legs, a generator of them
-included, runs in bounded memory.
+included, runs in bounded memory. Every chain streams through that batch:
+the mesh grid's ring arcs, the routes of immersion, the five routes of an
+apex side together, the stadium chain, and the sheet-tagged loop pieces
+of minimal, whose omega-triple is passed in as the form with each piece's
+sheet as the sign of w.
 """
 
 from __future__ import annotations
@@ -297,18 +301,22 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
 
 
 class _LegCoeffs:
-    """coeff_fn of one leg for the maximal-surface form triple.
+    """coeff_fn of one leg for a form triple form(z, w) of the branch values w.
 
-    first, when given, holds the first panel's sums, computed in a batch by
-    _leg_coeffs: a call with _T_FIRST itself returns it and sets used. Every
-    other call, a split panel's, evaluates the forms directly. Either way
-    one call per panel, with the same bytes.
+    form is phi_from_w (the maximal surface) unless given; minimal passes its
+    omega-triple. sheet, when given, multiplies w_values elementwise (+1 or
+    -1: the branch of w the leg lies on). first, when given, holds the first
+    panel's sums, computed in a batch by _leg_coeffs: a call with _T_FIRST
+    itself returns it and sets used. Every other call, a split panel's,
+    evaluates the form directly. Either way one call per panel, with the
+    same bytes.
     """
 
-    __slots__ = ("leg", "p", "first", "used")
+    __slots__ = ("leg", "p", "form", "sheet", "first", "used")
 
-    def __init__(self, leg: _Leg, p: SurfaceParams, first=None):
-        self.leg, self.p, self.first, self.used = leg, p, first, False
+    def __init__(self, leg: _Leg, p: SurfaceParams, form=phi_from_w, sheet=None, first=None):
+        self.leg, self.p, self.form, self.sheet = leg, p, form, sheet
+        self.first, self.used = first, False
 
     def __call__(self, t: np.ndarray):
         if t is _T_FIRST and self.first is not None:
@@ -317,7 +325,13 @@ class _LegCoeffs:
         z, dz = self.leg.points(t)
         # a node on a branch point divides by w = 0; adaptive_leg raises on it
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _panel_sums(phi_from_w(z, w_values(z, self.p)) * dz)
+            return _panel_sums(self.form(z, _branch(z, self.p, self.sheet)) * dz)
+
+
+def _branch(z: np.ndarray, p: SurfaceParams, sheet) -> np.ndarray:
+    """w_values(z, p), times sheet (a scalar or a column of +-1) when given."""
+    w = w_values(z, p)
+    return w if sheet is None else sheet * w
 
 
 def _integrate_leg(leg: _Leg, p: SurfaceParams) -> tuple[np.ndarray, float]:
@@ -327,32 +341,53 @@ def _integrate_leg(leg: _Leg, p: SurfaceParams) -> tuple[np.ndarray, float]:
 
 def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
     """(z, dz/dt) at the first-panel nodes of K legs, (K, 15) each, as leg.points gives them."""
-    if all(type(leg) is ArcLeg for leg in legs):
+    kinds = {type(leg) for leg in legs}
+    if kinds == {ArcLeg}:
         # the angular chains of a mesh grid: ArcLeg.points over all rows at once
         r, ta, tb = np.array([(leg.r, leg.theta_a, leg.theta_b) for leg in legs]).T[..., None]
         z = r * np.exp(1j * (ta + (tb - ta) * _T_FIRST))
         return z, 1j * (tb - ta) * z
+    if kinds == {SegmentLeg}:
+        # the stadium chain and the loop pieces of minimal: SegmentLeg.points over all legs
+        za, zb = np.array([(leg.z_a, leg.z_b) for leg in legs], dtype=complex).T[..., None]
+        dz = zb - za
+        return za + dz * _T_FIRST, np.broadcast_to(dz, (len(legs), _T_FIRST.size))
     z, dz = zip(*(leg.points(_T_FIRST) for leg in legs))
     return np.stack(z), np.stack(dz)
 
 
-def _leg_coeffs(legs, p: SurfaceParams) -> list[_LegCoeffs]:
+def _leg_coeffs(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> list[_LegCoeffs]:
     """One coeff_fn per leg; the first panels of all legs are reduced together.
 
     Most legs of a chain need only their first panel, so one (3, K, 15)
-    evaluation and one batched _panel_sums replace K small ones. The kernels
-    are elementwise and the sums run over a contiguous (K, 3, 15) array, so
-    each leg's sums are the ones a 15-node call gives, bit for bit, as long
-    as K * 15 stays below the 16,384 points noted at _CHUNK.
+    evaluation and one batched _panel_sums replace K small ones. form and
+    the per-leg sheets are as in _LegCoeffs; the sheets enter the batch as a
+    (K, 1) column. The kernels are elementwise and the sums run over a
+    contiguous (K, 3, 15) array, so each leg's sums are the ones a 15-node
+    call gives, bit for bit, as long as K * 15 stays below the 16,384 points
+    noted at _CHUNK.
     """
     if not legs:
         return []
     z, dz = _first_points(legs)
+    column = None if sheets is None else np.array(sheets)[:, None]
     # a node on a branch point divides by w = 0; adaptive_leg raises on it
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = phi_from_w(z, w_values(z, p)) * dz
+        vals = form(z, _branch(z, p, column)) * dz
         k, d = _panel_sums(np.ascontiguousarray(vals.transpose(1, 0, 2)))
-    return [_LegCoeffs(leg, p, first) for leg, first in zip(legs, zip(k, d.tolist()))]
+    if sheets is None:
+        sheets = [None] * len(legs)
+    return [
+        _LegCoeffs(leg, p, form, sheet, first)
+        for leg, sheet, first in zip(legs, sheets, zip(k, d.tolist()))
+    ]
+
+
+def _chunks(items):
+    """Lists of at most _CHUNK consecutive items of any iterable, a generator included."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        yield chunk
 
 
 def _leg_sums(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
@@ -362,9 +397,8 @@ def _leg_sums(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
     of at most _CHUNK legs, whose first panels are evaluated together, and
     only the per-leg results are kept.
     """
-    legs = iter(legs)
     re, err = [np.zeros((0, 3))], [np.zeros(0)]
-    while chunk := list(itertools.islice(legs, _CHUNK)):
+    for chunk in _chunks(legs):
         fns = _leg_coeffs(chunk, p)
         parts = [adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL) for leg, fn in zip(chunk, fns)]
         re.append(np.array([v for v, _ in parts]).real)
@@ -604,6 +638,9 @@ def apex(
     f is immersion(z, p), integrated from the fixed origin a_{2m} + 1.
     Evaluates f above or below the interval midpoint at offsets
     1e-3 * length / 2^i, i < 5, and Richardson-extrapolates in sqrt(eps).
+    The five samples take immersion's routes, and the legs of all five run
+    through one _leg_sums batch; each sample sums its own legs in order, as
+    immersion does, so the values are immersion's bytes.
     Returns (apex, extrapolation residual); raises NonConvergent when the
     residual exceeds tol. The along-axis limits need no extrapolation: f is
     constant on the closed interval, so they are the endpoint values
@@ -616,8 +653,12 @@ def apex(
     eps0 = 1e-3 * (hi - lo)
     mid = 0.5 * (lo + hi)
     sign = 1.0 if side == "above" else -1.0
+    base = p.default_basepoint()
+    routes = [_route_legs(complex(mid, sign * eps0 / 2.0**i), p, base) for i in range(5)]
+    re, err = _leg_sums([leg for route in routes for leg in route], p)
+    ends = np.cumsum([0] + [len(route) for route in routes])
     values = [
-        np.asarray(immersion(complex(mid, sign * eps0 / 2.0**i), p).f) for i in range(5)
+        _accumulate(np.zeros(3), 0.0, re[a:b], err[a:b])[0][-1] for a, b in zip(ends, ends[1:])
     ]
     est, resid = _richardson_sqrt(values)
     if resid > tol:

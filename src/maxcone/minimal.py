@@ -10,11 +10,14 @@ The horizontal triple relates to the maximal-surface forms by
 measured, never solved: closed loops on the curve are integrated with sheet
 tracking across the branch cuts (the singular intervals), and the resulting
 vectors are reported so the distance to a genuine horizontal period lattice
-can be inspected.
+can be inspected. The pieces of a loop stream through the same batched
+first panels as the maximal-surface legs (integrate._leg_coeffs), each
+piece still integrated to the same tolerance by its own adaptive_leg call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +25,14 @@ import numpy as np
 
 from . import core
 from .errors import NotClosedOnCurve, OrderingInfeasible, PathThroughSingularity, SignDomain
-from .integrate import DEFAULT_SEGMENT_TOL, PathSpec, SegmentLeg, _panel_sums, adaptive_leg
+from .integrate import (
+    DEFAULT_SEGMENT_TOL,
+    PathSpec,
+    SegmentLeg,
+    _chunks,
+    _leg_coeffs,
+    adaptive_leg,
+)
 from .params import SurfaceParams
 
 ORIENTATIONS = ("vertical-ends", "horizontal-ends")
@@ -173,29 +183,19 @@ def measure_period(loop, d: MinimalData) -> tuple[tuple[float, float, float], fl
         raise NotClosedOnCurve(
             "loop crosses an odd number of branch cuts; it ends on the other sheet"
         )
+    form = functools.partial(omega_from_w, orientation=d.orientation)
     total = np.zeros(3, dtype=complex)
     err = 0.0
-    for z_from, z_to, sheet in pieces:
-        if z_from == z_to:
-            continue
-        v, e = _integrate_omega_segment(z_from, z_to, sheet, d)
-        total += v
-        err += e
+    # the first panels of a chunk of pieces are evaluated in one batch, with
+    # each piece's sheet as the sign of w; split panels one at a time
+    for chunk in _chunks((a, b, sheet) for a, b, sheet in pieces if a != b):
+        legs = [SegmentLeg(z_a=a, z_b=b) for a, b, _ in chunk]
+        fns = _leg_coeffs(legs, p, form, sheets=[sheet for _, _, sheet in chunk])
+        for leg, fn in zip(legs, fns):
+            v, e = adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL)
+            total += v
+            err += e
     return tuple(total.real), err
-
-
-def _integrate_omega_segment(z_a, z_b, sheet, d: MinimalData):
-    """Adaptive quadrature of the omega-triple on one straight piece."""
-    p = d.params
-    leg = SegmentLeg(z_a=z_a, z_b=z_b)
-
-    def coeff(t):
-        z, dz = leg.points(t)
-        # a node on a branch point divides by w = 0; adaptive_leg raises on it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _panel_sums(omega_from_w(z, sheet * core.w_values(z, p), d.orientation) * dz)
-
-    return adaptive_leg(leg, coeff, DEFAULT_SEGMENT_TOL)
 
 
 # vertex angles of the 64-sided loop polygons

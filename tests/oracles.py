@@ -9,7 +9,10 @@ hyperboloid preimage of a Gauss map value (the inverse that stereographic
 projection must undo), and the loop mesh assembly, struct-packed PLY body
 and per-row OBJ text that the array versions in the package must
 reproduce byte for byte. Values frozen into the tests were computed with
-these routines.
+these routines. One oracle is not independent of the package: the loop
+period integrator that evaluated each loop piece on its own, with the
+package's kernels and adaptive rule, which the batched version must
+reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -368,3 +371,38 @@ def obj_text_ref(mesh):
     for a, b, c in mesh.triangles:
         lines.append(f"f {a + 1} {b + 1} {c + 1}")
     return "\n".join(lines) + "\n"
+
+
+def measure_period_ref(waypoints, d):
+    """Loop period (Re vector, error estimate), one piece at a time.
+
+    The integrator minimal.measure_period used before the first panels of a
+    loop's pieces were batched: the loop is split into sheet-tagged pieces
+    at the cut crossings, and each non-empty piece is integrated alone, its
+    first panel in its own 15-node kernel call.
+    """
+    from maxcone import core
+    from maxcone import integrate as I
+    from maxcone import minimal as M
+
+    pts = [complex(z) for z in waypoints]
+    if pts[0] != pts[-1]:
+        pts.append(pts[0])
+    pieces, _ = M._sheet_split_segments(pts, d.params)
+    total = np.zeros(3, dtype=complex)
+    err = 0.0
+    for z_a, z_b, sheet in pieces:
+        if z_a == z_b:
+            continue
+        leg = I.SegmentLeg(z_a=z_a, z_b=z_b)
+
+        def coeff(t, leg=leg, sheet=sheet):
+            z, dz = leg.points(t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = sheet * core.w_values(z, d.params)
+                return I._panel_sums(M.omega_from_w(z, w, d.orientation) * dz)
+
+        v, e = I.adaptive_leg(leg, coeff, I.DEFAULT_SEGMENT_TOL)
+        total += v
+        err += e
+    return tuple(total.real), err

@@ -199,6 +199,22 @@ def test_minimal_measure(tmp_path, capsys):
     assert np.asarray(end["re_period"]) == pytest.approx([0, -2 * math.pi, 0], abs=1e-8)
 
 
+def test_params_section_reads_the_same_surface(tmp_path):
+    # the surface under "params" and at the top level give the same report
+    surface = {"m": 1, "n": 1, "a": [1, 2], "b": [-1, -1.5], "alpha": [1], "beta": [1]}
+    reports = []
+    for payload in (surface, {"params": surface}):
+        payload = {**payload, "orientation": "horizontal-ends"}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "mm.json"
+        assert main(["minimal-measure", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        rep.pop("timestamp")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert reports[0]["params"]["b"] == [-1.0, -1.5]
+
+
 def test_json_flag_prints_to_stdout(tmp_path, capsys):
     cfg = write_config(tmp_path, {**BASE_10, **FAST_GRID})
     rc = main(["verify", "--config", cfg, "--json"])
@@ -234,10 +250,16 @@ def test_tol_level_flag(tmp_path):
         ([BASE_10], "JSON object"),
         ({**BASE_10, "basepoint": 4.6}, "basepoint"),
         ({**BASE_10, "gird": {"radial_samples": 28}}, "gird"),
+        ({"params": {**BASE_10, "bta": [1]}, "m": 2, "a": [1, 2, 3, 4]}, "['a', 'm']"),
+        ({"params": BASE_10, "alpha": [1]}, "['alpha']"),
+        ({"params": {**BASE_10, "bta": [1]}}, "bta"),
+        ({"params": {**BASE_10, **FAST_GRID}}, "grid"),
+        ({"params": [BASE_10]}, "params"),
     ],
     ids=["basepoint-pair", "radial-float", "seam-float", "r_min-string", "tol-string",
          "tol-unknown", "a-number", "alpha-float", "top-level-list", "basepoint-number",
-         "section-misspelled"],
+         "section-misspelled", "params-and-top-level", "params-and-one-field",
+         "params-stray-key", "params-holds-grid", "params-not-object"],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, payload, key):
     # a bad value is a config error naming its key, not a traceback

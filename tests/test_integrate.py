@@ -301,6 +301,56 @@ def test_batched_first_panels_match_per_leg_quadrature(fixture, request):
             assert fn.used  # the stored first panel was used
 
 
+def _first_points_checked(legs, monkeypatch):
+    """_first_points(legs), checked byte for byte against leg.points(_T_FIRST)
+    per leg; returns the SegmentLegs whose points method it called."""
+    z, dz = zip(*(leg.points(I._T_FIRST) for leg in legs))
+    calls = []
+    points = I.SegmentLeg.points
+
+    def spy(leg, t):
+        calls.append(leg)
+        return points(leg, t)
+
+    monkeypatch.setattr(I.SegmentLeg, "points", spy)
+    got = I._first_points(legs)
+    monkeypatch.undo()
+    for a, b in zip(got, (np.stack(z), np.stack(dz))):
+        assert a.shape == b.shape == (len(legs), 15)
+        assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+    return calls
+
+
+def test_first_points_of_segment_legs_match_per_leg_points(p21, p22, monkeypatch):
+    # the stadium chain of every cone and the pieces of a loop crossing two
+    # cuts, each as one array expression with no per-leg call
+    from maxcone import minimal as M
+    from maxcone import singular as S
+
+    lists = []
+    for comp in S.singular_set(p21):
+        loop = S._stadium_points(comp, S._clamp_outer(0.2 * comp.length, comp, p21))
+        lists.append([I.SegmentLeg(z_a=complex(u), z_b=complex(v)) for u, v in zip(loop, loop[1:])])
+    loop = [1.5 + 0.5j, 1.5 - 0.5j, 3.5 - 0.5j, 3.5 + 0.5j, 1.5 + 0.5j]
+    pieces, _ = M._sheet_split_segments(loop, p22)
+    lists.append([I.SegmentLeg(z_a=a, z_b=b) for a, b, _ in pieces])
+    for legs in lists:
+        assert _first_points_checked(legs, monkeypatch) == []
+
+
+def test_first_points_of_mixed_lists_take_the_per_leg_path(p21, monkeypatch):
+    # a list that mixes leg types calls each leg's own points
+    chains = _mixed_chains(p21)
+    chains.append([I.SegmentLeg(z_a=3.0 + 1.0j, z_b=3.0 + 0.5j),
+                   I.ArcLeg(r=2.0, theta_a=0.1, theta_b=0.2)])
+    chains.append(I._split_branch_segment(3.0 + 1.0j, 2.5 + 0j, p21, into=True))
+    mixed = [legs for legs in chains if len({type(leg) for leg in legs}) > 1]
+    assert len(mixed) >= 3
+    for legs in mixed:
+        segments = [leg for leg in legs if type(leg) is I.SegmentLeg]
+        assert _first_points_checked(legs, monkeypatch) == segments
+
+
 def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10):
     # counted as the benchmark counts panels, by a wrapper around coeff_fn, on
     # an arc that starts just outside the branch point 1 and so splits

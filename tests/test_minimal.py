@@ -1,12 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from maxcone import core
+from maxcone import integrate as I
 from maxcone import minimal as M
-from maxcone.errors import NotClosedOnCurve, OrderingInfeasible, PathThroughSingularity, SignDomain
+from maxcone.errors import (
+    NotClosedOnCurve,
+    OrderingInfeasible,
+    PathThroughSingularity,
+    QuadratureFailure,
+    SignDomain,
+)
 from maxcone.params import SurfaceParams
 
 
@@ -112,6 +120,80 @@ def test_even_cut_crossings_accepted(p22, monkeypatch):
     monkeypatch.setattr(M, "DEFAULT_SEGMENT_TOL", 1e-12)
     v2, _ = M.measure_period(loop, d)
     assert np.asarray(v) == pytest.approx(np.asarray(v2), abs=1e-9)
+
+
+# loops that cross two cuts, so that half of their pieces lie on sheet -1
+CROSSING_LOOPS = {
+    "p11": [1.5 + 0.5j, 1.5 - 0.5j, -1.5 - 0.5j, -1.5 + 0.5j],
+    "p22": [1.5 + 0.5j, 1.5 - 0.5j, 3.5 - 0.5j, 3.5 + 0.5j],
+}
+
+
+@pytest.mark.parametrize("fixture", ["p10", "p11", "p21", "p22"])
+def test_measure_period_matches_per_piece_oracle(fixture, request):
+    # batched first panels give the bytes of each piece integrated alone: the
+    # end loop, every handle loop and a cut-crossing loop, both orientations
+    # (p21 is the README surface)
+    p = request.getfixturevalue(fixture)
+    loops = [M.end_loop_waypoints(p)]
+    loops += [M.handle_loop_waypoints(p, lo, hi) for lo, hi in sorted(p.intervals())]
+    loops += [CROSSING_LOOPS[fixture]] if fixture in CROSSING_LOOPS else []
+    for orientation in M.ORIENTATIONS:
+        d = M.MinimalData(params=p, orientation=orientation)
+        for wps in loops:
+            v, e = M.measure_period(wps, d)
+            v_ref, e_ref = oracles.measure_period_ref(wps, d)
+            assert np.asarray(v).tobytes() == np.asarray(v_ref).tobytes()
+            assert np.float64(e).tobytes() == np.float64(e_ref).tobytes()
+
+
+def test_omega_pieces_one_leg_each_and_batched_first_panels(p10, monkeypatch):
+    d = _vertical(p10)
+    legs = []
+    adaptive_leg = M.adaptive_leg
+
+    def counted_leg(leg, coeff_fn, tol):
+        calls = []
+
+        def spy(t):
+            calls.append(t)
+            return coeff_fn(t)
+
+        out = adaptive_leg(leg, spy, tol)
+        legs.append((leg, coeff_fn, calls))
+        return out
+
+    sizes = []
+    w_values = I.w_values
+
+    def counted_w(z, p):
+        sizes.append(np.size(z))
+        return w_values(z, p)
+
+    monkeypatch.setattr(M, "adaptive_leg", counted_leg)
+    monkeypatch.setattr(I, "w_values", counted_w)
+    M.measure_period(M.end_loop_waypoints(p10), d)
+    # one adaptive_leg call per piece, and one kernel call for all first panels
+    assert len(legs) == 64
+    assert sizes[0] == 64 * 15 and all(n == 15 for n in sizes[1:])
+    assert len(sizes) == 1 + sum(len(calls) - 1 for _, _, calls in legs)
+    for leg, fn, calls in legs:
+        assert calls[0] is I._T_FIRST and fn.used
+        k, e = fn.first
+        k_ref, e_ref = I._LegCoeffs(leg, p10, fn.form, fn.sheet)(I._T_FIRST.copy())
+        assert k.tobytes() == k_ref.tobytes() and np.float64(e).tobytes() == e_ref.tobytes()
+
+
+def test_piece_with_a_node_on_a_branch_point_fails_alone(p10):
+    # the second piece runs along the axis from 0.5 to 3.5: its middle node is
+    # the branch point 2, where 1/w overflows
+    d = _vertical(p10)
+    loop = [0.5 + 1j, 0.5 + 0j, 3.5 + 0j, 3.5 + 1j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        leg = r"z_a=\(0\.5\+0j\), z_b=\(3\.5\+0j\)"
+        with pytest.raises(QuadratureFailure, match="non-finite .*" + leg):
+            M.measure_period(loop, d)
 
 
 def test_waypoint_on_cut_rejected(p10):
