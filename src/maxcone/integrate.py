@@ -28,6 +28,9 @@ the mesh grid's ring arcs, the routes of immersion, the five routes of an
 apex side together, the stadium chain, and the sheet-tagged loop pieces
 of minimal, whose omega-triple is passed in as the form with each piece's
 sheet as the sign of w.
+
+User paths, the stadium chain and the loops of minimal become legs
+through one function, _polyline_legs, under the rules PathSpec states.
 """
 
 from __future__ import annotations
@@ -118,17 +121,26 @@ _CHUNK = 512
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Polyline integration path.
+    """Polyline path: two or more finite waypoints, consecutive ones distinct.
 
-    integrate_path keeps its interior waypoints 1e-3 times the smallest gap
-    between consecutive branch points of the surface away from 0 and from
-    every branch point.
+    One rule set keeps every polyline (integrate_path, the stadium chain,
+    minimal.measure_period) off 0 and the closed singular intervals. No
+    waypoint is 0 or on an interval, except that integrate_path lets the
+    first or last sit on a branch point. A segment on the real axis does not
+    contain 0 and meets an interval in at most one point. A segment from one
+    side of the axis to the other does not cross it at 0 or a branch point;
+    inside an interval integrate_path rejects the crossing, and
+    measure_period splits the segment there and changes sheet. z = inf is
+    an end and NaN is not a point, so neither is a waypoint.
     """
 
     waypoints: tuple[complex, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "waypoints", tuple(complex(w) for w in self.waypoints))
+        for w in self.waypoints:
+            if not cmath.isfinite(w):
+                raise PathThroughSingularity(f"waypoint {w} is not a finite point")
         if len(self.waypoints) < 2:
             raise PathThroughSingularity("a path needs at least two waypoints")
         for u, v in zip(self.waypoints, self.waypoints[1:]):
@@ -279,8 +291,8 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
         neg_e, _, t0, t1, k15 = heapq.heappop(heap)
         if t1 - t0 <= min_width:
             raise QuadratureFailure(
-                f"segment tolerance {tol:g} not reached at max depth "
-                f"(err {err_sum:g}); the path may pass too close to a singularity"
+                f"segment tolerance {tol:g} not reached at max depth (err {err_sum:g}) "
+                f"on {_leg_text(leg, t0, t1)}; the path may pass too close to a singularity"
             )
         if counter + 3 > MAX_PANELS:  # 1 + counter panels so far, 2 more to come
             raise QuadratureFailure(
@@ -511,37 +523,66 @@ def immersion(z: complex, p: SurfaceParams, basepoint: complex | None = None) ->
 def integrate_path(path: PathSpec, p: SurfaceParams) -> tuple[tuple[float, float, float], float]:
     """Re of the integral of the form triple along a user polyline.
 
-    Interior waypoints must keep a clearance of 1e-3 times the smallest
-    branch-point gap from 0 and all branch points; segments may not touch or
-    cross singular intervals.
-    Endpoints sitting exactly on a branch point are integrated through the
-    square-root substitution.
+    The path obeys PathSpec's rules, and a segment may not cross a singular
+    interval; a path that breaks one raises PathThroughSingularity before
+    any quadrature. The first or last waypoint may sit exactly on a branch
+    point, which is reached through the square-root substitution.
     """
-    pts = path.waypoints
-    bps = p.branch_points()
-    avoid = 1e-3 * p.min_gap()
-    for w in pts[1:-1]:
-        if abs(w) < avoid:
-            raise PathThroughSingularity(f"interior waypoint {w} too close to 0")
-        for c in bps:
-            if abs(w - c) < avoid:
-                raise PathThroughSingularity(f"interior waypoint {w} too close to branch point {c}")
-    legs: list[_Leg] = []
-    for i, (u, v) in enumerate(zip(pts, pts[1:])):
-        first, last = i == 0, i == len(pts) - 2
-        _check_segment_clear(u, v, p, allow_branch_endpoints=(first, last))
-        u_bp = first and any(u == c for c in bps)
-        v_bp = last and any(v == c for c in bps)
-        if u_bp and v_bp:
-            raise PathThroughSingularity("segment joins two branch points")
-        if v_bp:
-            legs.extend(_split_branch_segment(u, v, p, into=True))
-        elif u_bp:
-            legs.extend(_split_branch_segment(v, u, p, into=False))
-        else:
-            legs.append(SegmentLeg(z_a=u, z_b=v))
+    legs, _, _ = _polyline_legs(path.waypoints, p, cuts="reject")
     f, err = _running_sum(legs, p, np.zeros(3), 0.0)
     return tuple(f[-1]), float(err[-1])
+
+
+def _polyline_legs(waypoints, p: SurfaceParams, *, cuts: str):
+    """(legs, sheet of each leg, final sheet) of a PathSpec's waypoints.
+
+    Applies PathSpec's rules and raises PathThroughSingularity on a breach.
+    A segment crossing the axis does so at t = u.imag / (u.imag - v.imag),
+    x = u + t * (v - u). Inside an interval, cuts="reject" raises, and
+    cuts="flip" splits the segment at x and moves to the other sheet (+1 is
+    the Re w >= 0 branch, -1 its continuation -w across a cut); empty pieces
+    are dropped. With cuts="reject" an end on a branch point c gets the
+    square-root leg into c.
+    """
+    flip = cuts == "flip"
+    bps = p.branch_points()
+    for i, z in enumerate(waypoints):
+        if z == 0:
+            raise PathThroughSingularity("path touches the puncture z = 0")
+        end = not flip and i in (0, len(waypoints) - 1) and z in bps
+        if z.imag == 0 and p.contains_real(z.real) and not end:
+            raise PathThroughSingularity(f"waypoint {z} lies on a singular interval")
+    out, sheet = [], 1
+    for u, v in zip(waypoints, waypoints[1:]):
+        pieces = [(u, v, sheet)]
+        if u.imag == 0 and v.imag == 0:
+            lo, hi = sorted((u.real, v.real))
+            if lo < 0 < hi:
+                raise PathThroughSingularity(f"segment from {u} to {v} passes through z = 0")
+            for a, b in p.intervals():
+                if max(lo, a) < min(hi, b):
+                    raise PathThroughSingularity(
+                        f"segment from {u} to {v} overlaps singular interval [{a}, {b}]"
+                    )
+        elif u.imag < 0 < v.imag or v.imag < 0 < u.imag:
+            t = u.imag / (u.imag - v.imag)
+            x = u + t * (v - u)
+            if x.real == 0 or x.real in bps or (p.contains_real(x.real) and not flip):
+                raise PathThroughSingularity(
+                    f"segment from {u} to {v} crosses the real axis at the singular point x={x.real}"
+                )
+            if p.contains_real(x.real):
+                pieces = [(u, x, sheet), (x, v, -sheet)]
+                sheet = -sheet
+        if u in bps and v in bps:
+            raise PathThroughSingularity("segment joins two branch points")
+        if v in bps:
+            out += [(leg, sheet) for leg in _split_branch_segment(u, v, p, into=True)]
+        elif u in bps:
+            out += [(leg, sheet) for leg in _split_branch_segment(v, u, p, into=False)]
+        else:
+            out += [(SegmentLeg(z_a=a, z_b=b), s) for a, b, s in pieces if a != b]
+    return [leg for leg, _ in out], [s for _, s in out], sheet
 
 
 def _split_branch_segment(z_far: complex, c: complex, p: SurfaceParams, into: bool) -> list["_Leg"]:
@@ -567,31 +608,6 @@ class _ReversedLeg(_Leg):
     def points(self, t):
         z, dz = self.inner.points(1.0 - t)
         return z, -dz
-
-
-def _check_segment_clear(u: complex, v: complex, p: SurfaceParams, allow_branch_endpoints):
-    """Reject segments meeting the singular set away from allowed endpoints."""
-    if u == 0 or v == 0:
-        raise PathThroughSingularity("path touches the puncture z = 0")
-    # crossing of the real axis inside a closed interval
-    if (u.imag > 0) != (v.imag > 0) and u.imag != v.imag:
-        t = u.imag / (u.imag - v.imag)
-        if 0.0 <= t <= 1.0:
-            x = u.real + t * (v.real - u.real)
-            if p.contains_real(x):
-                raise PathThroughSingularity(f"segment crosses singular interval at x={x}")
-    # segment lying on the real axis passing through an interval
-    if u.imag == 0 and v.imag == 0:
-        lo, hi = min(u.real, v.real), max(u.real, v.real)
-        for ilo, ihi in p.intervals():
-            inter_lo, inter_hi = max(lo, ilo), min(hi, ihi)
-            if inter_lo < inter_hi:
-                first_ok = allow_branch_endpoints[0] and u.real in (ilo, ihi)
-                last_ok = allow_branch_endpoints[1] and v.real in (ilo, ihi)
-                if not (first_ok or last_ok):
-                    raise PathThroughSingularity(
-                        f"segment overlaps singular interval [{ilo}, {ihi}]"
-                    )
 
 
 # ---------------------------------------------------------------------------

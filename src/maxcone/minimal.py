@@ -10,9 +10,12 @@ The horizontal triple relates to the maximal-surface forms by
 measured, never solved: closed loops on the curve are integrated with sheet
 tracking across the branch cuts (the singular intervals), and the resulting
 vectors are reported so the distance to a genuine horizontal period lattice
-can be inspected. The pieces of a loop stream through the same batched
-first panels as the maximal-surface legs (integrate._leg_coeffs), each
-piece still integrated to the same tolerance by its own adaptive_leg call.
+can be inspected. A loop obeys the polyline rules of integrate.PathSpec,
+the ones a maximal-surface path obeys; only a crossing inside a cut
+differs: here it changes sheet. The loop's sheet-tagged pieces stream
+through the same batched first panels as the maximal-surface legs
+(integrate._leg_coeffs), each piece still integrated to the same
+tolerance by its own adaptive_leg call.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import NotClosedOnCurve, OrderingInfeasible, PathThroughSingularity, SignDomain
+from .errors import NotClosedOnCurve, OrderingInfeasible, SignDomain
 from .integrate import (
     DEFAULT_SEGMENT_TOL,
     PathSpec,
-    SegmentLeg,
     _chunks,
     _leg_coeffs,
+    _polyline_legs,
     adaptive_leg,
 )
 from .params import SurfaceParams
@@ -114,71 +117,25 @@ def omega(z: complex, d: MinimalData) -> tuple[complex, complex, complex]:
     return complex(c[0]), complex(c[1]), complex(c[2])
 
 
-def _cut_crossing(u: complex, v: complex, p: SurfaceParams) -> float | None:
-    """Real-axis crossing of segment (u, v) inside a branch cut, if any.
-
-    Returns the crossing parameter t in (0, 1), or None. Crossing at a
-    branch point or interval endpoint is rejected.
-    """
-    if (u.imag > 0) == (v.imag > 0):
-        return None
-    if u.imag == v.imag:
-        return None
-    t = u.imag / (u.imag - v.imag)
-    if not 0.0 < t < 1.0:
-        return None
-    x = u.real + t * (v.real - u.real)
-    for lo, hi in p.intervals():
-        if lo < x < hi:
-            return t
-        if x == lo or x == hi:
-            raise PathThroughSingularity(f"loop passes through branch point at x={x}")
-    return None
-
-
-def _sheet_split_segments(waypoints, p: SurfaceParams):
-    """Split a polyline at cut crossings, tagging each piece with its sheet.
-
-    Sheet +1 is the Re w >= 0 branch; crossing a cut moves to the analytic
-    continuation -w. Returns (pieces, final_sheet) with pieces as
-    (z_from, z_to, sheet).
-    """
-    pieces = []
-    sheet = 1
-    for u, v in zip(waypoints, waypoints[1:]):
-        u, v = complex(u), complex(v)
-        t = _cut_crossing(u, v, p)
-        if t is None:
-            pieces.append((u, v, sheet))
-            continue
-        x = u + t * (v - u)
-        pieces.append((u, x, sheet))
-        sheet = -sheet
-        pieces.append((x, v, sheet))
-    return pieces, sheet
-
-
 def measure_period(loop, d: MinimalData) -> tuple[tuple[float, float, float], float]:
     """Re of the omega-triple integral over a closed loop on the curve.
 
-    `loop` is a PathSpec or waypoint sequence; it is closed if the last
-    waypoint equals the first (the closing edge is appended otherwise).
-    Loops crossing an odd number of branch cuts do not close on the curve
-    and raise NotClosedOnCurve. Returns (vector, error estimate).
+    `loop` is a PathSpec or a waypoint sequence, which is made one; it is
+    closed if the last waypoint equals the first (the closing edge is
+    appended otherwise). The loop obeys PathSpec's rules and raises
+    PathThroughSingularity before any quadrature when it breaks one. A
+    segment crossing a branch cut (a singular interval) is split there and
+    continues on the other sheet; loops crossing an odd number of cuts do
+    not close on the curve and raise NotClosedOnCurve. Returns (vector,
+    error estimate).
     """
-    if isinstance(loop, PathSpec):
-        pts = list(loop.waypoints)
-    else:
-        pts = [complex(z) for z in loop]
+    if not isinstance(loop, PathSpec):
+        loop = PathSpec(loop)
+    pts = list(loop.waypoints)
     if pts[0] != pts[-1]:
         pts.append(pts[0])
     p = d.params
-    for z in pts:
-        if z == 0:
-            raise PathThroughSingularity("loop touches the puncture z = 0")
-        if z.imag == 0 and p.contains_real(z.real):
-            raise PathThroughSingularity(f"waypoint {z} lies on a branch cut")
-    pieces, final_sheet = _sheet_split_segments(pts, p)
+    legs, sheets, final_sheet = _polyline_legs(pts, p, cuts="flip")
     if final_sheet != 1:
         raise NotClosedOnCurve(
             "loop crosses an odd number of branch cuts; it ends on the other sheet"
@@ -188,10 +145,10 @@ def measure_period(loop, d: MinimalData) -> tuple[tuple[float, float, float], fl
     err = 0.0
     # the first panels of a chunk of pieces are evaluated in one batch, with
     # each piece's sheet as the sign of w; split panels one at a time
-    for chunk in _chunks((a, b, sheet) for a, b, sheet in pieces if a != b):
-        legs = [SegmentLeg(z_a=a, z_b=b) for a, b, _ in chunk]
-        fns = _leg_coeffs(legs, p, form, sheets=[sheet for _, _, sheet in chunk])
-        for leg, fn in zip(legs, fns):
+    for chunk in _chunks(zip(legs, sheets)):
+        chunk_legs, chunk_sheets = zip(*chunk)
+        fns = _leg_coeffs(chunk_legs, p, form, sheets=chunk_sheets)
+        for leg, fn in zip(chunk_legs, fns):
             v, e = adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL)
             total += v
             err += e

@@ -101,11 +101,6 @@ class SurfaceParams:
         """Distance from 0 to the nearest branch point."""
         return min(abs(x) for x in self.branch_points())
 
-    def min_gap(self) -> float:
-        """Smallest gap between consecutive branch points."""
-        pts = self.branch_points()
-        return min(b - a for a, b in zip(pts, pts[1:]))
-
     def default_basepoint(self) -> complex:
         """Integration basepoint a_{2m} + 1 on the positive real axis."""
         return complex(self.a[-1] + 1.0, 0.0)

@@ -27,7 +27,7 @@ from .errors import (
     NotOnHyperboloid,
     VerificationFailure,
 )
-from .integrate import PathSpec, SegmentLeg, _running_sum, apex, immersion, integrate_path
+from .integrate import PathSpec, _polyline_legs, _running_sum, apex, immersion, integrate_path
 from .params import SurfaceParams
 
 # smallest |dG/(G dh)| that nondegeneracy accepts
@@ -337,7 +337,7 @@ def _stadium_image(component: SingularComponent, p: SurfaceParams):
     """
     loop = _stadium_points(component, _clamp_outer(0.2 * component.length, component, p))
     start = immersion(complex(loop[0]), p)
-    legs = [SegmentLeg(z_a=complex(u), z_b=complex(v)) for u, v in zip(loop[:-1], loop[1:])]
+    legs, _, _ = _polyline_legs(PathSpec(loop).waypoints, p, cuts="reject")
     f, _ = _running_sum(legs, p, start.f, start.quad_error)
     return loop, np.vstack([start.f, f])
 

@@ -12,7 +12,8 @@ reproduce byte for byte. Values frozen into the tests were computed with
 these routines. One oracle is not independent of the package: the loop
 period integrator that evaluated each loop piece on its own, with the
 package's kernels and adaptive rule, which the batched version must
-reproduce byte for byte.
+reproduce byte for byte. The sheet splitter it uses is the package's
+former one, kept verbatim as the reference for the shared polyline rules.
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ def measure_period_ref(waypoints, d):
     pts = [complex(z) for z in waypoints]
     if pts[0] != pts[-1]:
         pts.append(pts[0])
-    pieces, _ = M._sheet_split_segments(pts, d.params)
+    pieces, _ = sheet_split_segments_ref(pts, d.params)
     total = np.zeros(3, dtype=complex)
     err = 0.0
     for z_a, z_b, sheet in pieces:
@@ -406,3 +407,53 @@ def measure_period_ref(waypoints, d):
         total += v
         err += e
     return tuple(total.real), err
+
+
+def _cut_crossing_ref(u: complex, v: complex, p):
+    """Real-axis crossing of segment (u, v) inside a branch cut, if any.
+
+    Returns the crossing parameter t in (0, 1), or None. Crossing at a
+    branch point or interval endpoint is rejected.
+    """
+    from maxcone.errors import PathThroughSingularity
+
+    if (u.imag > 0) == (v.imag > 0):
+        return None
+    if u.imag == v.imag:
+        return None
+    t = u.imag / (u.imag - v.imag)
+    if not 0.0 < t < 1.0:
+        return None
+    x = u.real + t * (v.real - u.real)
+    for lo, hi in p.intervals():
+        if lo < x < hi:
+            return t
+        if x == lo or x == hi:
+            raise PathThroughSingularity(f"loop passes through branch point at x={x}")
+    return None
+
+
+def sheet_split_segments_ref(waypoints, p):
+    """Split a polyline at cut crossings, tagging each piece with its sheet.
+
+    The splitter minimal.measure_period used before the polyline rules were
+    shared with integrate_path (minimal._sheet_split_segments and
+    _cut_crossing, copied verbatim). Sheet +1 is the Re w >= 0 branch;
+    crossing a cut moves to the analytic continuation -w. Returns (pieces,
+    final_sheet) with pieces as (z_from, z_to, sheet). It checks only
+    crossings with 0 < t < 1 in floating point, and no piece that lies on
+    the real axis.
+    """
+    pieces = []
+    sheet = 1
+    for u, v in zip(waypoints, waypoints[1:]):
+        u, v = complex(u), complex(v)
+        t = _cut_crossing_ref(u, v, p)
+        if t is None:
+            pieces.append((u, v, sheet))
+            continue
+        x = u + t * (v - u)
+        pieces.append((u, x, sheet))
+        sheet = -sheet
+        pieces.append((x, v, sheet))
+    return pieces, sheet

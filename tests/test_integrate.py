@@ -324,7 +324,6 @@ def _first_points_checked(legs, monkeypatch):
 def test_first_points_of_segment_legs_match_per_leg_points(p21, p22, monkeypatch):
     # the stadium chain of every cone and the pieces of a loop crossing two
     # cuts, each as one array expression with no per-leg call
-    from maxcone import minimal as M
     from maxcone import singular as S
 
     lists = []
@@ -332,7 +331,7 @@ def test_first_points_of_segment_legs_match_per_leg_points(p21, p22, monkeypatch
         loop = S._stadium_points(comp, S._clamp_outer(0.2 * comp.length, comp, p21))
         lists.append([I.SegmentLeg(z_a=complex(u), z_b=complex(v)) for u, v in zip(loop, loop[1:])])
     loop = [1.5 + 0.5j, 1.5 - 0.5j, 3.5 - 0.5j, 3.5 + 0.5j, 1.5 + 0.5j]
-    pieces, _ = M._sheet_split_segments(loop, p22)
+    pieces, _ = oracles.sheet_split_segments_ref(loop, p22)
     lists.append([I.SegmentLeg(z_a=a, z_b=b) for a, b, _ in pieces])
     for legs in lists:
         assert _first_points_checked(legs, monkeypatch) == []
@@ -433,3 +432,11 @@ def test_adaptive_leg_raises_past_the_panel_budget():
         I.adaptive_leg(leg, same, I.DEFAULT_SEGMENT_TOL)
     assert time.perf_counter() - start < 1.0
     assert len(calls) <= I.MAX_PANELS
+
+
+def test_max_depth_failure_names_the_leg(p10):
+    # a leg along the cut [1, 2]: the rule cannot resolve the kink of the
+    # integrand at the branch point 1, so a panel reaches the width cap
+    leg = I.SegmentLeg(0.5 + 0j, 3.4 + 0j)
+    with pytest.raises(QuadratureFailure, match=r"max depth .* on SegmentLeg.*z from"):
+        I.adaptive_leg(leg, I._LegCoeffs(leg, p10), I.DEFAULT_SEGMENT_TOL)
