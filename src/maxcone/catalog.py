@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .core import cone_direction
 from .errors import LengthMismatch, SignDomain
-from .params import SurfaceParams, is_int
+from .params import SurfaceParams, is_int, is_real
 
 UP, DOWN = 1, -1
 
@@ -142,17 +143,18 @@ def build_catalog(total: int) -> dict:
 def instantiate(c: ConeConfig, spacing: float = 1.0) -> SurfaceParams:
     """Evenly spaced parameters realizing a canonical configuration.
 
-    Gauge a_1 = 1 with consecutive gaps `spacing` on each axis, mirrored
-    placement on the negative axis. Signs follow the main-theorem mapping:
-    up on the positive axis means alpha = -1, up on the negative axis means
-    beta = +1. The remaining free real parameters number 2(m + n) - 1.
+    Gauge a_1 = 1 with consecutive gaps `spacing` (a finite positive number)
+    on each axis, mirrored placement on the negative axis. Each sign is the
+    inverse of core.cone_direction for its row of
+    SurfaceParams.signed_intervals(). The remaining free real parameters
+    number 2(m + n) - 1.
     """
-    if spacing <= 0:
-        raise SignDomain(f"spacing must be positive, got {spacing}")
+    if not (is_real(spacing) and spacing > 0):
+        raise SignDomain(f"spacing must be a finite positive number, got {spacing!r}")
     a = tuple(1.0 + i * spacing for i in range(2 * c.m))
     b = tuple(-(1.0 + i * spacing) for i in range(2 * c.n))
-    alpha = tuple(-d for d in c.dirs_pos)
-    beta = tuple(c.dirs_neg)
+    alpha = tuple(cone_direction(lo, d) for lo, d in zip(a[::2], c.dirs_pos))
+    beta = tuple(cone_direction(lo, d) for lo, d in zip(b[1::2], c.dirs_neg))
     return SurfaceParams(m=c.m, n=c.n, a=a, b=b, alpha=alpha, beta=beta)
 
 

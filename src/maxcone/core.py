@@ -19,7 +19,7 @@ continuity rather than assuming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -61,30 +61,11 @@ class GaussValue:
 
 @lru_cache(maxsize=256)
 def _signed_roots(p: SurfaceParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Numerator and denominator roots of the w^2 product, sign-resolved.
-
-    For alpha_k = +1 the k-th positive factor is (z - a_{2k})/(z - a_{2k-1});
-    alpha_k = -1 swaps the pair. Likewise (z - b_{2k-1})/(z - b_{2k}) with
-    beta_k. Returns (num_roots, den_roots), each m + n Python floats.
-    """
-    num, den = [], []
-    for k in range(p.m):
-        lo, hi = p.a[2 * k], p.a[2 * k + 1]
-        if p.alpha[k] == 1:
-            num.append(hi)
-            den.append(lo)
-        else:
-            num.append(lo)
-            den.append(hi)
-    for k in range(p.n):
-        hi, lo = p.b[2 * k], p.b[2 * k + 1]  # b_{2k-1} > b_{2k}
-        if p.beta[k] == 1:
-            num.append(hi)
-            den.append(lo)
-        else:
-            num.append(lo)
-            den.append(hi)
-    return tuple(num), tuple(den)
+    """(num_roots, den_roots) of the w^2 product: the zero and the pole of
+    each row of p.signed_intervals(), m + n Python floats each."""
+    rows = p.signed_intervals()
+    num = tuple(hi if s == 1 else lo for lo, hi, s in rows)
+    return num, tuple(lo if s == 1 else hi for lo, hi, s in rows)
 
 
 def w2_values(z: np.ndarray, p: SurfaceParams) -> np.ndarray:
@@ -260,35 +241,33 @@ def end_value_w0(p: SurfaceParams) -> float:
     The end at z = 0 is horizontal exactly when this equals 1.
     """
     prod = 1.0
-    for k in range(p.m):
-        prod *= (p.a[2 * k + 1] / p.a[2 * k]) ** p.alpha[k]
-    for k in range(p.n):
-        prod *= (p.b[2 * k] / p.b[2 * k + 1]) ** p.beta[k]
+    for lo, hi, s in p.signed_intervals():
+        prod *= (hi / lo) ** s
     return math.sqrt(prod)
 
 
 def _coordinate_exponent(p: SurfaceParams, axis: str, index: int) -> int:
-    """Exponent of the chosen coordinate inside the w(0)^2 product."""
-    if axis == "a":
-        if not 1 <= index <= 2 * p.m:
-            raise IndexError(f"a index out of range: {index}")
-        k = (index + 1) // 2 - 1
-        return p.alpha[k] if index % 2 == 0 else -p.alpha[k]
-    if axis == "b":
-        if not 1 <= index <= 2 * p.n:
-            raise IndexError(f"b index out of range: {index}")
-        k = (index + 1) // 2 - 1
-        return p.beta[k] if index % 2 == 1 else -p.beta[k]
-    raise ValueError(f"axis must be 'a' or 'b', got {axis!r}")
+    """Exponent of a coordinate in w(0)^2: its row's sign at hi, minus that sign at lo."""
+    if axis not in ("a", "b"):
+        raise ValueError(f"axis must be 'a' or 'b', got {axis!r}")
+    coords, first = (p.a, 0) if axis == "a" else (p.b, p.m)
+    if not 1 <= index <= len(coords):
+        raise IndexError(f"{axis} index out of range: {index}")
+    _, hi, s = p.signed_intervals()[first + (index - 1) // 2]
+    return s if coords[index - 1] == hi else -s
+
+
+def cone_direction(lo: float, sign: int) -> int:
+    """+1 (up) or -1 (down): up exactly when w^2 vanishes at the endpoint nearer 0.
+
+    Its own inverse in the sign: cone_direction(lo, d) is the sign that points d.
+    """
+    return -sign if lo > 0 else sign
 
 
 def directions_from_signs(p: SurfaceParams) -> list[int]:
-    """Predicted cone directions (+1 up, -1 down), positive axis first.
-
-    Positive-axis cone j points up iff alpha_j = -1; negative-axis cone k
-    points up iff beta_k = +1.
-    """
-    return [-s for s in p.alpha] + [s for s in p.beta]
+    """Predicted cone directions (+1 up, -1 down), positive axis first."""
+    return [cone_direction(lo, s) for lo, _, s in p.signed_intervals()]
 
 
 def normalize_horizontal_end(p: SurfaceParams, free_index: tuple[str, int]) -> SurfaceParams:
@@ -298,8 +277,7 @@ def normalize_horizontal_end(p: SurfaceParams, free_index: tuple[str, int]) -> S
     Infeasible when all cones point the same way (no solution exists) or when
     the solved value breaks the strict ordering.
     """
-    dirs = directions_from_signs(p)
-    if all(d == dirs[0] for d in dirs):
+    if len(set(directions_from_signs(p))) == 1:
         raise Infeasible("all cones point the same direction; end at 0 cannot be horizontal")
     axis, index = free_index
     e = _coordinate_exponent(p, axis, index)
@@ -310,13 +288,9 @@ def normalize_horizontal_end(p: SurfaceParams, free_index: tuple[str, int]) -> S
     solved = (1.0 / k_rest) if e == 1 else k_rest
     coords[index - 1] = solved
     try:
-        if axis == "a":
-            q = SurfaceParams(m=p.m, n=p.n, a=tuple(coords), b=p.b, alpha=p.alpha, beta=p.beta)
-        else:
-            q = SurfaceParams(m=p.m, n=p.n, a=p.a, b=tuple(coords), alpha=p.alpha, beta=p.beta)
+        return replace(p, **{axis: tuple(coords)})
     except OrderingViolation as exc:
         raise Infeasible(f"solved {axis}_{index} = {solved} violates ordering: {exc}") from exc
-    return q
 
 
 def regular_sample_points(

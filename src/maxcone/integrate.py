@@ -491,6 +491,14 @@ def _route_to_branch_point(c: float, p: SurfaceParams, basepoint: complex) -> li
     return legs
 
 
+def _route_end(z, what: str) -> complex:
+    """z as a complex a route can reach: finite, and 2 pi |z| (so every arc's dz) finite."""
+    z = complex(z)
+    if not (cmath.isfinite(z) and math.isfinite(2.0 * math.pi * math.hypot(z.real, z.imag))):
+        raise PathThroughSingularity(f"{what} {z} is not a point: not finite or 2 pi |z| overflows")
+    return z
+
+
 def immersion(z: complex, p: SurfaceParams, basepoint: complex | None = None) -> ImmersionSample:
     """f(z) = Re of the path integral from the basepoint, with auto routing.
 
@@ -498,13 +506,16 @@ def immersion(z: complex, p: SurfaceParams, basepoint: complex | None = None) ->
     f(basepoint) = 0 and f2(z) = -Arg(z); a regular basepoint b > 0 gives
     the same surface translated by -immersion(b, p).f. Branch-point targets
     are reached through the square-root substitution leg; interior points of
-    singular intervals are rejected.
+    singular intervals are rejected. A target or basepoint that is not a
+    point (see _route_end), and a basepoint at 0 or on a branch point, raise
+    PathThroughSingularity before any quadrature.
     """
-    z = complex(z)
+    z = _route_end(z, "target")
     if z == 0:
         raise PathThroughSingularity("z = 0 is an end, not a surface point")
-    if basepoint is None:
-        basepoint = p.default_basepoint()
+    basepoint = _route_end(p.default_basepoint() if basepoint is None else basepoint, "basepoint")
+    if basepoint == 0 or (basepoint.imag == 0 and basepoint.real in p.branch_points()):
+        raise PathThroughSingularity(f"basepoint {basepoint} is 0 or a branch point, not regular")
     if z == basepoint:
         return ImmersionSample(z=z, f=(0.0, 0.0, 0.0), quad_error=0.0)
     c, dist = _nearest_branch_point(z, p)
@@ -657,15 +668,18 @@ def apex(
     The five samples take immersion's routes, and the legs of all five run
     through one _leg_sums batch; each sample sums its own legs in order, as
     immersion does, so the values are immersion's bytes.
-    Returns (apex, extrapolation residual); raises NonConvergent when the
-    residual exceeds tol. The along-axis limits need no extrapolation: f is
-    constant on the closed interval, so they are the endpoint values
-    immersion(lo) and immersion(hi), integrated exactly through the
-    square-root leg.
+    The interval must be a finite lo < hi inside one closed singular
+    interval of p, else ValueError. Returns (apex, extrapolation residual);
+    raises NonConvergent when the residual exceeds tol. The along-axis
+    limits need no extrapolation: f is constant on the closed interval, so
+    they are the endpoint values immersion(lo) and immersion(hi),
+    integrated exactly through the square-root leg.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
+    if not any(a <= lo < hi <= b for a, b in p.intervals()):
+        raise ValueError(f"interval [{lo}, {hi}] is not lo < hi inside one singular interval of p")
     eps0 = 1e-3 * (hi - lo)
     mid = 0.5 * (lo + hi)
     sign = 1.0 if side == "above" else -1.0

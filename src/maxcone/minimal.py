@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,20 +82,17 @@ def b2n_normalize(p: SurfaceParams) -> SurfaceParams:
     """
     if p.n < 1:
         raise SignDomain("b_{2n} normalization needs n >= 1")
-    if any(s != 1 for s in p.alpha) or any(s != 1 for s in p.beta):
+    table = p.signed_intervals()
+    if any(s != 1 for _, _, s in table):
         raise SignDomain("b_{2n} normalization is defined for the all-plus sign pattern")
     factor = 1.0
-    for k in range(p.m):
-        factor *= p.a[2 * k + 1] / p.a[2 * k]
-    for k in range(p.n - 1):
-        factor *= p.b[2 * k] / p.b[2 * k + 1]
-    b2n = factor * p.b[2 * p.n - 2]  # b_{2n-1} times the product
-    if not b2n < p.b[2 * p.n - 2]:
-        raise OrderingInfeasible(
-            f"solved b_2n = {b2n} is not below b_2n-1 = {p.b[2 * p.n - 2]}"
-        )
-    b = p.b[:-1] + (b2n,)
-    return SurfaceParams(m=p.m, n=p.n, a=p.a, b=b, alpha=p.alpha, beta=p.beta)
+    for lo, hi, _ in table[:-1]:
+        factor *= hi / lo
+    b2n_1 = table[-1][1]
+    b2n = factor * b2n_1
+    if not b2n < b2n_1:
+        raise OrderingInfeasible(f"solved b_2n = {b2n} is not below b_2n-1 = {b2n_1}")
+    return replace(p, b=p.b[:-1] + (b2n,))
 
 
 def omega_from_w(z: np.ndarray, w: np.ndarray, orientation: str) -> np.ndarray:

@@ -85,6 +85,20 @@ class SurfaceParams:
         """Closed intervals [b_{2k}, b_{2k-1}] for k = 1..n."""
         return [(self.b[2 * k + 1], self.b[2 * k]) for k in range(self.n)]
 
+    def signed_intervals(self) -> list[tuple[float, float, int]]:
+        """The sign table: (lo, hi, sign) per cone, positive axis first, each
+        axis outward from 0.
+
+        Rows are ([a_{2j-1}, a_{2j}], alpha_j) and ([b_{2k}, b_{2k-1}], beta_k).
+        The row's factor of w^2 is ((z - hi)/(z - lo))^sign: with sign = +1,
+        w^2 vanishes at hi and has its pole at lo, so G = +1 at hi and -1 at
+        lo; sign = -1 swaps them. A cone points up exactly when w^2 vanishes
+        at its endpoint nearer 0 (core.cone_direction). Every sign rule of
+        the package is read from this table.
+        """
+        rows = zip(self.positive_intervals() + self.negative_intervals(), self.alpha + self.beta)
+        return [(lo, hi, s) for (lo, hi), s in rows]
+
     def intervals(self) -> list[tuple[float, float]]:
         """All singular intervals, negative axis first, ordered left to right."""
         return sorted(self.negative_intervals() + self.positive_intervals())

@@ -8,9 +8,10 @@ core.dg_over_gdh), classifies each cone as pointing up or down by comparing
 apex height with nearby graph heights, and carries the stereographic
 projection used to tie G to the Gauss vector.
 
-Direction conventions are a known sore point: the classification here is
-numeric, and each report records the two sign conventions printed in the
-source material (they disagree); the numeric result is the arbiter.
+The components and the predicted directions come from one sign table,
+SurfaceParams.signed_intervals(). The classification here is numeric; each
+report also records the two printed sign conventions (they disagree), and
+the numeric result is the arbiter.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class SingularComponent:
     hi: float
     axis: str  # "pos" or "neg"
     index: int  # 1-based j (positive axis) or k (negative axis)
-    sign: int  # alpha_j or beta_k
+    sign: int  # the row's sign in SurfaceParams.signed_intervals()
 
     @property
     def length(self) -> float:
@@ -91,16 +92,13 @@ class ConeReport:
 
 
 def components(p: SurfaceParams) -> list[SingularComponent]:
-    """Closed-form singular components, no numeric verification."""
-    out = [
-        SingularComponent(lo=lo, hi=hi, axis="pos", index=j + 1, sign=p.alpha[j])
-        for j, (lo, hi) in enumerate(p.positive_intervals())
+    """Closed-form singular components, one per sign-table row, no numeric verification."""
+    rows = p.signed_intervals()
+    return [
+        SingularComponent(lo=lo, hi=hi, axis=axis, index=k + 1, sign=s)
+        for axis, part in (("pos", rows[: p.m]), ("neg", rows[p.m :]))
+        for k, (lo, hi, s) in enumerate(part)
     ]
-    out += [
-        SingularComponent(lo=lo, hi=hi, axis="neg", index=k + 1, sign=p.beta[k])
-        for k, (lo, hi) in enumerate(p.negative_intervals())
-    ]
-    return out
 
 
 def singular_set(p: SurfaceParams, verify: bool = True) -> list[SingularComponent]:
@@ -192,9 +190,7 @@ def nondegeneracy(component: SingularComponent, p: SurfaceParams) -> list[float]
 def endpoint_gauss_check(component: SingularComponent, p: SurfaceParams) -> bool:
     """Endpoint values of G against the sign table.
 
-    Positive axis: G(a_{2j-1}) = -alpha_j, G(a_{2j}) = alpha_j.
-    Negative axis: G(b_{2k}) = -beta_k, G(b_{2k-1}) = beta_k.
-    On both axes the lower endpoint expects -sign and the upper +sign.
+    SurfaceParams.signed_intervals() gives G = -sign at lo and +sign at hi.
     Checked to 1e-8 at the endpoints (the pointwise convention agrees with
     the real axis limit) and loosely at a finite offset for continuity.
     """
@@ -211,10 +207,8 @@ def endpoint_gauss_check(component: SingularComponent, p: SurfaceParams) -> bool
 
 
 def theorem_direction(component: SingularComponent) -> str:
-    """Main-theorem sign convention: pos axis up iff alpha = -1, neg axis up iff beta = +1."""
-    if component.axis == "pos":
-        return "up" if component.sign == -1 else "down"
-    return "up" if component.sign == 1 else "down"
+    """Main-theorem sign convention, core.cone_direction of the component's row."""
+    return "up" if core.cone_direction(component.lo, component.sign) == 1 else "down"
 
 
 def lemma_statement_direction(component: SingularComponent) -> str:

@@ -14,6 +14,8 @@ period integrator that evaluated each loop piece on its own, with the
 package's kernels and adaptive rule, which the batched version must
 reproduce byte for byte. The sheet splitter it uses is the package's
 former one, kept verbatim as the reference for the shared polyline rules.
+The sign rules the package derived from alpha and beta one by one, before
+SurfaceParams.signed_intervals() owned them, are kept verbatim as well.
 """
 
 from __future__ import annotations
@@ -457,3 +459,91 @@ def sheet_split_segments_ref(waypoints, p):
         sheet = -sheet
         pieces.append((x, v, sheet))
     return pieces, sheet
+
+
+# The sign rules as the package wrote them before SurfaceParams.signed_intervals()
+# became their one source, copied verbatim (core._signed_roots without its cache,
+# core.end_value_w0, core._coordinate_exponent, core.directions_from_signs,
+# singular.theorem_direction, and the factor of minimal.b2n_normalize). The
+# table-driven versions must reproduce them exactly.
+
+
+def signed_roots_loop_ref(p):
+    """Numerator and denominator roots of the w^2 product, sign-resolved.
+
+    For alpha_k = +1 the k-th positive factor is (z - a_{2k})/(z - a_{2k-1});
+    alpha_k = -1 swaps the pair. Likewise (z - b_{2k-1})/(z - b_{2k}) with
+    beta_k. Returns (num_roots, den_roots), each m + n Python floats.
+    """
+    num, den = [], []
+    for k in range(p.m):
+        lo, hi = p.a[2 * k], p.a[2 * k + 1]
+        if p.alpha[k] == 1:
+            num.append(hi)
+            den.append(lo)
+        else:
+            num.append(lo)
+            den.append(hi)
+    for k in range(p.n):
+        hi, lo = p.b[2 * k], p.b[2 * k + 1]  # b_{2k-1} > b_{2k}
+        if p.beta[k] == 1:
+            num.append(hi)
+            den.append(lo)
+        else:
+            num.append(lo)
+            den.append(hi)
+    return tuple(num), tuple(den)
+
+
+def end_value_w0_ref(p):
+    """w(0): positive square root of the signed product of endpoint ratios.
+
+    The end at z = 0 is horizontal exactly when this equals 1.
+    """
+    prod = 1.0
+    for k in range(p.m):
+        prod *= (p.a[2 * k + 1] / p.a[2 * k]) ** p.alpha[k]
+    for k in range(p.n):
+        prod *= (p.b[2 * k] / p.b[2 * k + 1]) ** p.beta[k]
+    return math.sqrt(prod)
+
+
+def coordinate_exponent_ref(p, axis: str, index: int) -> int:
+    """Exponent of the chosen coordinate inside the w(0)^2 product."""
+    if axis == "a":
+        if not 1 <= index <= 2 * p.m:
+            raise IndexError(f"a index out of range: {index}")
+        k = (index + 1) // 2 - 1
+        return p.alpha[k] if index % 2 == 0 else -p.alpha[k]
+    if axis == "b":
+        if not 1 <= index <= 2 * p.n:
+            raise IndexError(f"b index out of range: {index}")
+        k = (index + 1) // 2 - 1
+        return p.beta[k] if index % 2 == 1 else -p.beta[k]
+    raise ValueError(f"axis must be 'a' or 'b', got {axis!r}")
+
+
+def directions_from_signs_ref(p) -> list[int]:
+    """Predicted cone directions (+1 up, -1 down), positive axis first.
+
+    Positive-axis cone j points up iff alpha_j = -1; negative-axis cone k
+    points up iff beta_k = +1.
+    """
+    return [-s for s in p.alpha] + [s for s in p.beta]
+
+
+def theorem_direction_ref(component) -> str:
+    """Main-theorem sign convention: pos axis up iff alpha = -1, neg axis up iff beta = +1."""
+    if component.axis == "pos":
+        return "up" if component.sign == -1 else "down"
+    return "up" if component.sign == 1 else "down"
+
+
+def b2n_value_ref(p) -> float:
+    """The b_{2n} that b2n_normalize solves for, before its ordering check."""
+    factor = 1.0
+    for k in range(p.m):
+        factor *= p.a[2 * k + 1] / p.a[2 * k]
+    for k in range(p.n - 1):
+        factor *= p.b[2 * k] / p.b[2 * k + 1]
+    return factor * p.b[2 * p.n - 2]  # b_{2n-1} times the product

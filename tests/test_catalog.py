@@ -161,6 +161,18 @@ def test_instantiate_rejects_bad_spacing():
         C.instantiate(C.ConeConfig(m=1, n=0, dirs_pos=(C.UP,)), spacing=0.0)
 
 
+@pytest.mark.parametrize("spacing", ["1", True, None, float("nan"), float("inf"), -0.5])
+def test_instantiate_spacing_is_a_finite_positive_number(spacing):
+    # a string used to raise a bare TypeError and True was taken as 1
+    with pytest.raises(SignDomain, match="spacing"):
+        C.instantiate(C.ConeConfig(m=1, n=0, dirs_pos=(C.UP,)), spacing=spacing)
+
+
+def test_instantiate_accepts_numpy_spacing():
+    cfg = C.ConeConfig(m=2, n=1, dirs_pos=(C.UP, C.DOWN), dirs_neg=(C.UP,))
+    assert C.instantiate(cfg, spacing=np.float64(0.8)) == C.instantiate(cfg, spacing=0.8)
+
+
 def test_nine_cone_types_have_five_entries():
     assert len(C.build_catalog(9)["types"]) == 5
 

@@ -1,6 +1,8 @@
 import cmath
 import math
+import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +222,22 @@ def test_apex_all_components(p22):
                 assert np.max(np.abs(a - b)) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "interval",
+    [(2.0, 1.0), (1.0, 1.0), (math.nan, 2.0), (1.0, math.inf), (0.5, 1.5), (1.5, 2.5), (-2.0, -1.0)],
+)
+def test_apex_rejects_an_interval_outside_the_singular_set(p10, interval):
+    # reversed, empty and non-finite intervals used to return a value or run
+    # to a max-depth QuadratureFailure
+    with pytest.raises(ValueError, match=r"inside one singular interval"):
+        I.apex(interval, "above", p10)
+
+
+def test_apex_rejects_an_interval_spanning_two_cones(p22):
+    with pytest.raises(ValueError, match=r"\[1.5, 3.5\]"):
+        I.apex((1.5, 3.5), "below", p22)
+
+
 def test_apex_nonconvergent_raises(p10):
     with pytest.raises(NonConvergent):
         I.apex((1.0, 2.0), "above", p10, tol=1e-18)
@@ -232,6 +250,35 @@ def test_non_finite_panel_raises():
     for x in (2.0, 2.001):
         with pytest.raises(QuadratureFailure, match="non-finite integrand on SqrtApproachLeg"):
             I.immersion(complex(x), p)
+
+
+@pytest.mark.parametrize(
+    "z", [complex(math.inf, 0.0), 1e308 + 1e308j, complex(math.nan, 0.0), 1.5e308 + 0j]
+)
+def test_immersion_rejects_a_target_that_is_not_a_point(p10, z):
+    # these used to warn on overflow or raise the numeric QuadratureFailure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathThroughSingularity, match=r"target .* is not a point"):
+            I.immersion(z, p10)
+
+
+@pytest.mark.parametrize("b", [complex(math.nan, 0.0), complex(math.inf, 0.0), 0j, 1.0, 2.0])
+def test_immersion_rejects_a_basepoint_that_is_not_regular(p10, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathThroughSingularity, match=r"basepoint"):
+            I.immersion(3.0 + 1.0j, p10, b)
+
+
+def test_immersion_just_inside_the_point_bound_fails_typed(p10):
+    # |z| just below max/(2 pi): every route leg stays finite, so the far
+    # radial leg fails as a typed numeric failure with no overflow warning
+    r = 0.999999 * sys.float_info.max / (2.0 * math.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure):
+            I.immersion(r * cmath.exp(0.25j * math.pi), p10)
 
 
 def test_immersion_rejects_singular_targets(p10):
