@@ -31,11 +31,17 @@ sheet as the sign of w.
 
 User paths, the stadium chain and the loops of minimal become legs
 through one function, _polyline_legs, under the rules PathSpec states.
+
+Inside _leg_memo(p), opened by one cone classification or one symmetry
+check, _leg_sums integrates each distinct leg once and serves repeats
+from the memo, with the same bytes; the memo ends with that call.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import heapq
 import itertools
 import math
@@ -402,13 +408,50 @@ def _chunks(items):
         yield chunk
 
 
+# (surface, {leg: (re row, err)}) of the innermost open _leg_memo, or None
+_LEG_MEMO: contextvars.ContextVar = contextvars.ContextVar("maxcone_leg_memo", default=None)
+
+
+@contextlib.contextmanager
+def _leg_memo(p: SurfaceParams):
+    """Integrate each distinct leg of p once until the with-block ends.
+
+    Inside the block _leg_sums keeps {leg: (re row, err)} for p and
+    integrates only the legs it has not seen. A leg gives the same bytes
+    alone or in any batch (see _leg_coeffs), so every value inside the
+    block is the one it would be outside. The memo lives in a ContextVar
+    and is dropped on exit, normal or not: no state outlives the call that
+    opened it, so each call does the same work whenever it runs.
+    """
+    token = _LEG_MEMO.set((p, {}))
+    try:
+        yield
+    finally:
+        _LEG_MEMO.reset(token)
+
+
 def _leg_sums(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
     """Re-integrals (N, 3) and error estimates (N,) of legs, each integrated alone.
 
     legs may be any iterable, a generator included: it is consumed in chunks
     of at most _CHUNK legs, whose first panels are evaluated together, and
-    only the per-leg results are kept.
+    only the per-leg results are kept. Inside _leg_memo(p) only the legs not
+    yet integrated there are, in order of first appearance, and every row
+    comes from the memo.
     """
+    scope = _LEG_MEMO.get()
+    if scope is None or scope[0] is not p:
+        return _integrate_legs(legs, p)
+    memo = scope[1]
+    legs = list(legs)
+    new = [leg for leg in dict.fromkeys(legs) if leg not in memo]
+    memo.update(zip(new, zip(*_integrate_legs(new, p))))
+    rows = [memo[leg] for leg in legs]
+    return np.array([r for r, _ in rows]).reshape(-1, 3), np.array([e for _, e in rows])
+
+
+def _integrate_legs(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
+    """_leg_sums without a memo: every leg integrated, chunk by chunk."""
     re, err = [np.zeros((0, 3))], [np.zeros(0)]
     for chunk in _chunks(legs):
         fns = _leg_coeffs(chunk, p)
@@ -674,6 +717,11 @@ def apex(
     limits need no extrapolation: f is constant on the closed interval, so
     they are the endpoint values immersion(lo) and immersion(hi),
     integrated exactly through the square-root leg.
+    The five routes open with the same quarter arc at the origin's radius.
+    Called by singular.classify_cone, inside its _leg_memo, that arc and
+    every other leg shared with the classification's other routes is
+    integrated once per classification; the memo ends with that call, so
+    the work of one call does not depend on earlier calls.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if side not in _SIDES:

@@ -28,7 +28,15 @@ from .errors import (
     NotOnHyperboloid,
     VerificationFailure,
 )
-from .integrate import PathSpec, _polyline_legs, _running_sum, apex, immersion, integrate_path
+from .integrate import (
+    PathSpec,
+    _leg_memo,
+    _polyline_legs,
+    _running_sum,
+    apex,
+    immersion,
+    integrate_path,
+)
 from .params import SurfaceParams
 
 # smallest |dG/(G dh)| that nondegeneracy accepts
@@ -234,48 +242,58 @@ def classify_cone(
     the apex is strictly the local maximum of the timelike coordinate. The
     report also records both printed sign conventions and whether the
     numeric result matches each.
+
+    The four limits, the outside values and the stadium chain all start
+    from the origin, and most of their routes open with the same quarter
+    arc. The body runs inside integrate._leg_memo, so one classification
+    integrates each distinct leg once and returns the bytes it would
+    without the memo. The memo ends with the call: kept longer, a call's
+    work would depend on what ran before it, and leg and panel counts
+    could no longer be compared across calls. Widening it waits for work
+    counts kept by the library itself (ROADMAP item 1).
     """
-    iv = (component.lo, component.hi)
-    apex_f, spread, f_ends = _apex_with_spread(iv, p, apex_tol)
-    eps_outer = _clamp_outer(1e-2 * component.length, component, p)
-    votes = []
-    for eps in (eps_outer, eps_outer / 10.0):
-        f_out = _outside_values(component, p, f_ends, eps)
-        d_lo = apex_f[2] - f_out[0][2]
-        d_hi = apex_f[2] - f_out[1][2]
-        margin = 1e-12 * max(1.0, abs(apex_f[2]))
-        if d_lo > margin and d_hi > margin:
-            votes.append("up")
-        elif d_lo < -margin and d_hi < -margin:
-            votes.append("down")
-        else:
+    with _leg_memo(p):
+        iv = (component.lo, component.hi)
+        apex_f, spread, f_ends = _apex_with_spread(iv, p, apex_tol)
+        eps_outer = _clamp_outer(1e-2 * component.length, component, p)
+        votes = []
+        for eps in (eps_outer, eps_outer / 10.0):
+            f_out = _outside_values(component, p, f_ends, eps)
+            d_lo = apex_f[2] - f_out[0][2]
+            d_hi = apex_f[2] - f_out[1][2]
+            margin = 1e-12 * max(1.0, abs(apex_f[2]))
+            if d_lo > margin and d_hi > margin:
+                votes.append("up")
+            elif d_lo < -margin and d_hi < -margin:
+                votes.append("down")
+            else:
+                raise AmbiguousDirection(
+                    f"x3 differences ({d_lo:g}, {d_hi:g}) below tolerance on "
+                    f"[{component.lo}, {component.hi}] at eps={eps:g}"
+                )
+        if votes[0] != votes[1]:
             raise AmbiguousDirection(
-                f"x3 differences ({d_lo:g}, {d_hi:g}) below tolerance on "
-                f"[{component.lo}, {component.hi}] at eps={eps:g}"
+                f"direction votes disagree across eps scales: {votes} on "
+                f"[{component.lo}, {component.hi}]"
             )
-    if votes[0] != votes[1]:
-        raise AmbiguousDirection(
-            f"direction votes disagree across eps scales: {votes} on "
-            f"[{component.lo}, {component.hi}]"
+        direction = votes[0]
+        samples = tuple(nondegeneracy(component, p))
+        thm = theorem_direction(component)
+        lem = lemma_statement_direction(component)
+        return ConeReport(
+            component=component,
+            apex=tuple(apex_f),
+            direction=direction,
+            dg_over_gdh_samples=samples,
+            nondegenerate=True,
+            embedded_neighborhood_check=embedded_neighborhood_proxy(component, p),
+            theorem_direction=thm,
+            lemma_statement_direction=lem,
+            matches_theorem=direction == thm,
+            matches_lemma_statement=direction == lem,
+            apex_spread=spread,
+            endpoint_gauss_ok=endpoint_gauss_check(component, p),
         )
-    direction = votes[0]
-    samples = tuple(nondegeneracy(component, p))
-    thm = theorem_direction(component)
-    lem = lemma_statement_direction(component)
-    return ConeReport(
-        component=component,
-        apex=tuple(apex_f),
-        direction=direction,
-        dg_over_gdh_samples=samples,
-        nondegenerate=True,
-        embedded_neighborhood_check=embedded_neighborhood_proxy(component, p),
-        theorem_direction=thm,
-        lemma_statement_direction=lem,
-        matches_theorem=direction == thm,
-        matches_lemma_statement=direction == lem,
-        apex_spread=spread,
-        endpoint_gauss_ok=endpoint_gauss_check(component, p),
-    )
 
 
 def _apex_with_spread(iv, p, apex_tol):
