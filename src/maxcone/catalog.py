@@ -156,9 +156,3 @@ def instantiate(c: ConeConfig, spacing: float = 1.0) -> SurfaceParams:
     alpha = tuple(cone_direction(lo, d) for lo, d in zip(a[::2], c.dirs_pos))
     beta = tuple(cone_direction(lo, d) for lo, d in zip(b[1::2], c.dirs_neg))
     return SurfaceParams(m=c.m, n=c.n, a=a, b=b, alpha=alpha, beta=beta)
-
-
-def moduli_dimension(c: ConeConfig) -> int:
-    """Free real parameters after the a_1 = 1 gauge: 2(m + n) - 1."""
-    return 2 * (c.m + c.n) - 1
-

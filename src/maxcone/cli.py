@@ -117,7 +117,7 @@ def cmd_mesh(args) -> int:
     mesh = build_mesh(p, grid, copies=args.copies)
     findings = graph_check(mesh)
     out_path = args.out or "surface.obj"
-    if out_path.endswith(".ply"):
+    if out_path.lower().endswith(".ply"):
         export_ply(mesh, out_path)
     else:
         export_obj(mesh, out_path)

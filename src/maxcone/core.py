@@ -80,10 +80,12 @@ def w2_values(z: np.ndarray, p: SurfaceParams) -> np.ndarray:
     out = np.ones_like(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         for nr, dr in zip(num, den):
-            # not in place: numpy rounds an in-place complex product of a
-            # one-element array differently, which would move the scalar
-            # helpers by an ulp
-            out = out * (z - nr)
+            # z - nr is named so that numpy cannot reuse the temporary as the
+            # product's output (it does on large arrays, swapping operands,
+            # and its complex product is not bitwise commutative); not in
+            # place either, which rounds one-element arrays differently
+            zn = z - nr
+            out = out * zn
             out /= z - dr
     if not np.isfinite(out).all():
         pole = z == den[0]
@@ -179,12 +181,6 @@ def phi_from_w(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     np.divide(1j, z, out=out[1, ...])
     np.divide(0.5 * (inv - w), z, out=out[2, ...])
     return out
-
-
-def phi_values(z: np.ndarray, p: SurfaceParams) -> np.ndarray:
-    """Vectorized form coefficients; caller keeps nodes off branch points."""
-    z = np.asarray(z, dtype=complex)
-    return phi_from_w(z, w_values(z, p))
 
 
 def phi(z: complex, p: SurfaceParams) -> FormTriple:

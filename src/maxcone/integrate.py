@@ -20,14 +20,15 @@ immersion(hi), which the square-root leg integrates exactly.
 A panel's integrand values are reduced to its K15 sum and |K15 - G7|
 estimate (_panel_sums) where they are computed, so adaptive_leg handles
 only those sums. Legs are integrated in chunks of at most _CHUNK: the
-first panels of a chunk are evaluated and reduced in one batch, which
-stays below the 16,384 points at which w_values can differ in the last
-bit from 15-node calls, and any number of legs, a generator of them
-included, runs in bounded memory. Every chain streams through that batch:
-the mesh grid's ring arcs, the routes of immersion, the five routes of an
-apex side together, the stadium chain, and the sheet-tagged loop pieces
-of minimal, whose omega-triple is passed in as the form with each piece's
-sheet as the sign of w.
+first panels of a chunk are evaluated and reduced in one batch, and any
+number of legs, a generator of them included, runs in bounded memory.
+The kernels give each point the same bits whatever the call size, so a
+leg's result does not depend on the chunk it falls in. Every leg streams
+through that batch: the mesh grid's ring arcs, the routes of immersion,
+the five routes of an apex side together, the stadium chain, the loop
+of loop_period, and the sheet-tagged loop pieces of minimal, whose
+omega-triple is passed in as the form with each piece's sheet as the
+sign of w.
 
 User paths, the stadium chain and the loops of minimal become legs
 through one function, _polyline_legs, under the rules PathSpec states.
@@ -119,9 +120,8 @@ MAX_DEPTH = 40
 # wide-ratio surface uses 73, and an estimate that does not shrink under
 # splitting would otherwise grow the heap toward 2^MAX_DEPTH panels
 MAX_PANELS = 2000
-# legs whose first panels share one kernel call: 7,680 nodes. w_values on
-# 16,384 or more points can differ in the last bit from the same points
-# evaluated in 15-node calls, so a chunk must stay below that
+# legs whose first panels share one kernel call (7,680 nodes); it bounds the
+# memory of a batch only, as a leg gives the same bytes in a chunk of any size
 _CHUNK = 512
 
 
@@ -325,20 +325,17 @@ class _LegCoeffs:
     omega-triple. sheet, when given, multiplies w_values elementwise (+1 or
     -1: the branch of w the leg lies on). first, when given, holds the first
     panel's sums, computed in a batch by _leg_coeffs: a call with _T_FIRST
-    itself returns it and sets used. Every other call, a split panel's,
-    evaluates the form directly. Either way one call per panel, with the
-    same bytes.
+    itself returns it. Every other call, a split panel's, evaluates the form
+    directly. Either way one call per panel, with the same bytes.
     """
 
-    __slots__ = ("leg", "p", "form", "sheet", "first", "used")
+    __slots__ = ("leg", "p", "form", "sheet", "first")
 
     def __init__(self, leg: _Leg, p: SurfaceParams, form=phi_from_w, sheet=None, first=None):
-        self.leg, self.p, self.form, self.sheet = leg, p, form, sheet
-        self.first, self.used = first, False
+        self.leg, self.p, self.form, self.sheet, self.first = leg, p, form, sheet, first
 
     def __call__(self, t: np.ndarray):
         if t is _T_FIRST and self.first is not None:
-            self.used = True
             return self.first
         z, dz = self.leg.points(t)
         # a node on a branch point divides by w = 0; adaptive_leg raises on it
@@ -350,11 +347,6 @@ def _branch(z: np.ndarray, p: SurfaceParams, sheet) -> np.ndarray:
     """w_values(z, p), times sheet (a scalar or a column of +-1) when given."""
     w = w_values(z, p)
     return w if sheet is None else sheet * w
-
-
-def _integrate_leg(leg: _Leg, p: SurfaceParams) -> tuple[np.ndarray, float]:
-    """Adaptive quadrature of the maximal-surface form triple over one leg."""
-    return adaptive_leg(leg, _LegCoeffs(leg, p), DEFAULT_SEGMENT_TOL)
 
 
 def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
@@ -380,10 +372,10 @@ def _leg_coeffs(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> list[_L
     Most legs of a chain need only their first panel, so one (3, K, 15)
     evaluation and one batched _panel_sums replace K small ones. form and
     the per-leg sheets are as in _LegCoeffs; the sheets enter the batch as a
-    (K, 1) column. The kernels are elementwise and the sums run over a
-    contiguous (K, 3, 15) array, so each leg's sums are the ones a 15-node
-    call gives, bit for bit, as long as K * 15 stays below the 16,384 points
-    noted at _CHUNK.
+    (K, 1) column. The kernels are elementwise and give the same bits at
+    any call size, and the sums run over a contiguous (K, 3, 15) array, so
+    each leg's sums are the ones a 15-node call gives, bit for bit, for
+    any K.
     """
     if not legs:
         return []
@@ -681,11 +673,11 @@ def loop_period(center, p: SurfaceParams) -> PeriodVector:
         leg = ArcLeg(r=0.5 * p.inner_radius(), theta_a=0.0, theta_b=2.0 * math.pi)
     else:
         leg = ArcLeg(r=2.0 * p.scale(), theta_a=0.0, theta_b=-2.0 * math.pi)
-    total, err = _integrate_leg(leg, p)
+    re, err = _leg_sums([leg], p)
     return PeriodVector(
-        v=tuple(total.real),
+        v=tuple(re[0]),
         loop_center=0.0 if at_zero else math.inf,
-        quad_error=err,
+        quad_error=float(err[0]),
     )
 
 

@@ -17,9 +17,9 @@ vertex costs one short quadrature leg from its neighbor instead of a routed
 path from the origin (31,730 legs on the default grid of the README
 surface, nearly all of them one G7/K15 panel). The ring arcs of all rings
 (31,524 of those legs) are generated lazily and integrated in chunks of at
-most integrate._CHUNK legs, whose first panels share one kernel call of
-fewer than 16,384 points; only each leg's real part and error estimate are
-kept, and each ring's chains are summed from their anchor value afterwards.
+most integrate._CHUNK legs, whose first panels share one kernel call; only
+each leg's real part and error estimate are kept, and each ring's chains
+are summed from their anchor value afterwards.
 """
 
 from __future__ import annotations

@@ -157,7 +157,8 @@ def off_axis_probe_points(p: SurfaceParams, count: int) -> np.ndarray:
         glo, ghi = lo + pad, hi - pad
         if ghi > glo:
             segments.append((glo, ghi))
-    # drop the gap spanning zero into two pieces clear of the puncture
+    # the gap spanning zero stays whole; only samples within 1e-6 * scale
+    # of the puncture at 0 are dropped
     out = []
     per = max(1, count // max(1, len(segments)))
     for glo, ghi in segments:

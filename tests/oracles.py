@@ -9,10 +9,11 @@ hyperboloid preimage of a Gauss map value (the inverse that stereographic
 projection must undo), and the loop mesh assembly, struct-packed PLY body
 and per-row OBJ text that the array versions in the package must
 reproduce byte for byte. Values frozen into the tests were computed with
-these routines. One oracle is not independent of the package: the loop
-period integrator that evaluated each loop piece on its own, with the
-package's kernels and adaptive rule, which the batched version must
-reproduce byte for byte. The sheet splitter it uses is the package's
+these routines. Two oracles are not independent of the package: the
+single-leg integrator and the loop period integrator that evaluated each
+loop piece on its own, both with the package's kernels and adaptive rule
+and every panel in its own kernel call, which the batched first panels
+must reproduce byte for byte. The sheet splitter it uses is the package's
 former one, kept verbatim as the reference for the shared polyline rules.
 The sign rules the package derived from alpha and beta one by one, before
 SurfaceParams.signed_intervals() owned them, are kept verbatim as well.
@@ -374,6 +375,18 @@ def obj_text_ref(mesh):
     for a, b, c in mesh.triangles:
         lines.append(f"f {a + 1} {b + 1} {c + 1}")
     return "\n".join(lines) + "\n"
+
+
+def integrate_leg_ref(leg, p):
+    """(complex 3-vector, error estimate) of one leg integrated on its own.
+
+    The package's adaptive rule over the maximal-surface form triple, with
+    the first panel, like every other, evaluated in its own 15-node kernel
+    call instead of taken from a batch.
+    """
+    from maxcone import integrate as I
+
+    return I.adaptive_leg(leg, I._LegCoeffs(leg, p), I.DEFAULT_SEGMENT_TOL)
 
 
 def measure_period_ref(waypoints, d):

@@ -90,7 +90,7 @@ def test_criterion_2_conformality(random_configs):
     for p in random_configs:
         rng = np.random.default_rng(7)
         pts = core.regular_sample_points(p, 1000, rng)
-        c = core.phi_values(pts, p)
+        c = core.phi_from_w(pts, core.w_values(pts, p))
         num = np.abs(c[0] ** 2 + c[1] ** 2 - c[2] ** 2)
         den = np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2
         worst = max(worst, float(np.max(num / den)))
@@ -308,7 +308,7 @@ def test_nine_cone_types_build_and_export(tmp_path):
         # criterion 2: conformality
         rng = np.random.default_rng(2)
         pts = core.regular_sample_points(p, 1000, rng)
-        c = core.phi_values(pts, p)
+        c = core.phi_from_w(pts, core.w_values(pts, p))
         num = np.abs(c[0] ** 2 + c[1] ** 2 - c[2] ** 2)
         den = np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2
         assert float(np.max(num / den)) <= 1e-12

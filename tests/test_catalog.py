@@ -134,7 +134,9 @@ def test_instantiate_gauge_and_moduli():
     cfg = C.ConeConfig(m=2, n=1, dirs_pos=(C.UP, C.DOWN), dirs_neg=(C.DOWN,))
     p = C.instantiate(cfg, spacing=0.5)
     assert p.a[0] == 1.0
-    assert C.moduli_dimension(cfg) == 2 * 3 - 1
+    # the catalog's moduli dimension counts the coordinates left free by the gauge
+    (entry,) = [t for t in C.build_catalog(3)["types"] if t["type"] == [2, 1]]
+    assert entry["moduli_dimension"] == len(p.a) + len(p.b) - 1 == 2 * 3 - 1
     # consecutive gaps equal the spacing on each axis
     import numpy as np
 

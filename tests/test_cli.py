@@ -114,6 +114,15 @@ def test_mesh_single_cone_tag(tmp_path, capsys):
     assert report["graph_check"]["passed"] is True
 
 
+def test_mesh_ply_suffix_in_any_case_writes_ply(tmp_path):
+    cfg = write_config(tmp_path, BASE_10)
+    out = tmp_path / "M.PLY"
+    rc = main(["mesh", "--config", cfg, "--grid", "28x16", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert out.read_bytes().startswith(b"ply\nformat binary_little_endian 1.0\n")
+    assert (tmp_path / "M.report.json").exists()
+
+
 def test_mesh_copies_extend_x2(tmp_path):
     cfg = write_config(tmp_path, BASE_10)
 

@@ -91,7 +91,7 @@ def test_phi_refuses_branch_points(p10):
 
 def test_conformality_random_points(p22):
     pts = core.regular_sample_points(p22, 1000, np.random.default_rng(3))
-    c = core.phi_values(pts, p22)
+    c = core.phi_from_w(pts, core.w_values(pts, p22))
     num = np.abs(c[0] ** 2 + c[1] ** 2 - c[2] ** 2)
     den = np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2
     assert float(np.max(num / den)) <= 1e-12

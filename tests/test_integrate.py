@@ -329,12 +329,36 @@ def _mixed_chains(p):
     return chains
 
 
+def _counted_kernel(monkeypatch):
+    """The sizes of the w_values calls the quadrature makes from now on."""
+    sizes, w_values = [], I.w_values
+
+    def counted(z, p):
+        sizes.append(np.size(z))
+        return w_values(z, p)
+
+    monkeypatch.setattr(I, "w_values", counted)
+    return sizes
+
+
+def _counted_leg(leg, fn, kernel):
+    """adaptive_leg(leg, fn), and its panels minus its kernel calls."""
+    panels, before = [], len(kernel)
+
+    def counted(t):
+        panels.append(t)
+        return fn(t)
+
+    v, e = I.adaptive_leg(leg, counted, I.DEFAULT_SEGMENT_TOL)
+    return v, e, panels, len(panels) - (len(kernel) - before)
+
+
 @pytest.mark.parametrize("fixture", ["p10", "p21", "p22"])
-def test_batched_first_panels_match_per_leg_quadrature(fixture, request):
+def test_batched_first_panels_match_per_leg_quadrature(fixture, request, monkeypatch):
     # every leg's first panel comes from the batch, and each leg's integral
     # and error estimate are the bytes of a leg integrated on its own
     p = request.getfixturevalue(fixture)
-    tol = I.DEFAULT_SEGMENT_TOL
+    kernel = _counted_kernel(monkeypatch)
     for legs in _mixed_chains(p):
         coeffs = I._leg_coeffs(legs, p)
         for leg, fn in zip(legs, coeffs):
@@ -342,10 +366,10 @@ def test_batched_first_panels_match_per_leg_quadrature(fixture, request):
             k, d = fn.first
             k_ref, d_ref = I._LegCoeffs(leg, p)(I._T_FIRST.copy())
             assert k.tobytes() == k_ref.tobytes() and np.float64(d).tobytes() == d_ref.tobytes()
-            v, e = I.adaptive_leg(leg, fn, tol)
-            v_ref, e_ref = I._integrate_leg(leg, p)
+            v, e, _, batched = _counted_leg(leg, fn, kernel)
+            assert batched == 1  # one panel, the first, made no kernel call
+            v_ref, e_ref = oracles.integrate_leg_ref(leg, p)
             assert v.tobytes() == v_ref.tobytes() and e == e_ref
-            assert fn.used  # the stored first panel was used
 
 
 def _first_points_checked(legs, monkeypatch):
@@ -397,19 +421,15 @@ def test_first_points_of_mixed_lists_take_the_per_leg_path(p21, monkeypatch):
         assert _first_points_checked(legs, monkeypatch) == segments
 
 
-def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10):
+def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10, monkeypatch):
     # counted as the benchmark counts panels, by a wrapper around coeff_fn, on
     # an arc that starts just outside the branch point 1 and so splits
     leg = I.ArcLeg(r=1.001, theta_a=0.0, theta_b=0.1)
+    kernel = _counted_kernel(monkeypatch)
     fn = I._leg_coeffs([leg], p10)[0]
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return fn(t)
-
-    v, e = I.adaptive_leg(leg, counted, I.DEFAULT_SEGMENT_TOL)
-    assert calls[0] is I._T_FIRST and fn.used
+    v, e, calls, batched = _counted_leg(leg, fn, kernel)
+    # the first panel was the batch's; every split panel made one 15-node call
+    assert calls[0] is I._T_FIRST and batched == 1 and kernel[1:] == [15] * (len(calls) - 1)
     # each call is the 15 nodes of one panel of the bisection tree of [0, 1],
     # no panel is evaluated twice, and a split panel has both halves evaluated
     pending, panels = {(0.0, 1.0)}, []
@@ -426,7 +446,7 @@ def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10):
     for a, b in panels[1:]:
         width = b - a
         assert (a + width, b + width) in halves or (a - width, b - width) in halves
-    ref_v, ref_e = I._integrate_leg(leg, p10)
+    ref_v, ref_e = oracles.integrate_leg_ref(leg, p10)
     assert v.tobytes() == ref_v.tobytes() and e == ref_e
 
 
@@ -436,7 +456,7 @@ def test_batched_first_panels_keep_the_failing_leg(p10):
     bad = I.SegmentLeg(z_a=2.0 - 1.0j, z_b=2.0 + 1.0j)
     coeffs = I._leg_coeffs([good, bad], p10)
     v, _ = I.adaptive_leg(good, coeffs[0], I.DEFAULT_SEGMENT_TOL)
-    assert v.tobytes() == I._integrate_leg(good, p10)[0].tobytes()
+    assert v.tobytes() == oracles.integrate_leg_ref(good, p10)[0].tobytes()
     with pytest.raises(QuadratureFailure):
         I.adaptive_leg(bad, coeffs[1], I.DEFAULT_SEGMENT_TOL)
     with pytest.raises(QuadratureFailure):
@@ -444,15 +464,17 @@ def test_batched_first_panels_keep_the_failing_leg(p10):
 
 
 def test_batched_panel_sums_match_per_row_sums():
-    # a chunk's worth of panels with magnitudes over many decades: the batched
-    # reduction gives each row's bytes, and scaling by a power-of-two
-    # half-width gives the K15 sum and |K15 - G7| estimate of the scaled values
+    # 4,096 panels (61,440 values, eight chunks' worth) with magnitudes over
+    # many decades: the batched reduction gives each row's bytes at any batch
+    # size, and scaling by a power-of-two half-width gives the K15 sum and
+    # |K15 - G7| estimate of the scaled values
     rng = np.random.default_rng(5)
-    shape = (I._CHUNK, 3, 15)
+    rows = 4096
+    shape = (rows, 3, 15)
     scale = 10.0 ** rng.uniform(-12, 12, size=shape)
     vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
     k, d = I._panel_sums(vals)
-    assert k.shape == (I._CHUNK, 3) and d.shape == (I._CHUNK,)
+    assert k.shape == (rows, 3) and d.shape == (rows,)
     for j, (row, k_row, d_row) in enumerate(zip(vals, k, d)):
         k1, d1 = I._panel_sums(row)
         assert k1.tobytes() == k_row.tobytes() and d1.tobytes() == d_row.tobytes()

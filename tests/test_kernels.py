@@ -4,7 +4,8 @@ core.w2_values and core.w_values mask only when a value is non-finite;
 core.phi_from_w and minimal.omega_from_w fill a preallocated output. The
 references in oracles.py keep the per-factor pole mask and np.stack. Every
 floating-point operation happens in the same order in both, so the bytes
-must agree, NaN payloads and signed zeros included.
+must agree, NaN payloads and signed zeros included. Every kernel also
+gives each point the same bytes in one large call as in 15-point calls.
 """
 
 import numpy as np
@@ -64,6 +65,35 @@ def test_kernels_match_references_at_hard_points(fixture, request):
         w = core.w_values(z, p)
     assert np.isinf(w2).any() and np.isnan(z).any()
     assert ((w.real == 0.0) & (np.signbit(z.imag))).any()
+
+
+def all_kernels(z, p):
+    """Every pointwise kernel at the points z, each with the point axis last."""
+    with np.errstate(all="ignore"):  # as in assert_kernels_match
+        w = core.w_values(z, p)
+        out = [core.w2_values(z, p), w, core.dlog_w2(z, p), core.dg_over_gdh(z, p)]
+        out += [*core.weierstrass_data(z, p), core.phi_from_w(z, w)]
+        out += [np.moveaxis(core.nu_from_w(w), -1, 0)]
+        out += [M.omega_from_w(z, w, o) for o in M.ORIENTATIONS]
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["p21", "p22"])
+def test_kernels_give_the_same_bytes_at_any_call_size(fixture, request):
+    # one call on 60,000 points against 4,000 calls on 15 of them, the
+    # nodes of one panel: numpy evaluates some expressions on large arrays
+    # in place, and that must not reach the bits
+    p = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    hard = np.tile(hard_points(p), 40)
+    n = 60_000 - hard.size
+    z = np.concatenate([hard, rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n)])
+    rng.shuffle(z)
+    big = all_kernels(z, p)
+    small = [all_kernels(z[i : i + 15], p) for i in range(0, z.size, 15)]
+    for k, out in enumerate(big):
+        ref = np.concatenate([s[k] for s in small], axis=-1)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
 @st.composite

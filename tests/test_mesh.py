@@ -118,12 +118,13 @@ def test_sample_fundamental_work_counts(p21, monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["p10", "p21", "p22"])
 def test_chunk_size_does_not_change_samples(fixture, request, monkeypatch):
-    # the ring arcs stream through the quadrature in chunks; each leg
-    # integrated alone gives the same bytes, and no kernel call reaches the
-    # 16,384 points at which w_values can differ in the last bit
+    # the ring arcs stream through the quadrature in chunks, which bound
+    # memory only: chunks of up to 4,096 legs (kernel calls of up to 61,440
+    # points) give the bytes of each leg integrated alone
     from maxcone import core, integrate
 
     p = request.getfixturevalue(fixture)
+    grid = MM.GridSpec(60, 30)
     w_values, sizes = core.w_values, []
 
     def sized(z, p):
@@ -132,10 +133,11 @@ def test_chunk_size_does_not_change_samples(fixture, request, monkeypatch):
 
     monkeypatch.setattr(core, "w_values", sized)
     monkeypatch.setattr(integrate, "w_values", sized)
-    chunked = MM.sample_fundamental(p, COARSE)
-    assert 0 < max(sizes) < 16384
+    monkeypatch.setattr(integrate, "_CHUNK", 4096)
+    chunked = MM.sample_fundamental(p, grid)
+    assert 50_000 < max(sizes) <= 4096 * 15
     monkeypatch.setattr(integrate, "_CHUNK", 1)
-    alone = MM.sample_fundamental(p, COARSE)
+    alone = MM.sample_fundamental(p, grid)
     assert chunked.f.tobytes() == alone.f.tobytes()
     assert chunked.quad_error.tobytes() == alone.quad_error.tobytes()
 
