@@ -22,13 +22,14 @@ estimate (_panel_sums) where they are computed, so adaptive_leg handles
 only those sums. Legs are integrated in chunks of at most _CHUNK: the
 first panels of a chunk are evaluated and reduced in one batch, and any
 number of legs, a generator of them included, runs in bounded memory.
-The kernels give each point the same bits whatever the call size, so a
-leg's result does not depend on the chunk it falls in. Every leg streams
-through that batch: the mesh grid's ring arcs, the routes of immersion,
-the five routes of an apex side together, the stadium chain, the loop
-of loop_period, and the sheet-tagged loop pieces of minimal, whose
-omega-triple is passed in as the form with each piece's sheet as the
-sign of w.
+After that, the two halves of a split share one kernel call. The kernels
+give each point the same bits whatever the call size, so a leg's result
+depends neither on the chunk it falls in nor on the pairing. Every leg
+streams through that batch: the mesh grid's ring arcs, the routes of
+immersion, the five routes of an apex side together, the stadium chain,
+the loop of loop_period, and the sheet-tagged loop pieces of minimal,
+whose omega-triple is passed in as the form with each piece's sheet as
+the sign of w.
 
 User paths, the stadium chain and the loops of minimal become legs
 through one function, _polyline_legs, under the rules PathSpec states.
@@ -109,7 +110,7 @@ _WG = np.array(
     dtype=complex,
 )
 _GAUSS_IDX = np.arange(1, 15, 2)  # Gauss-7 nodes inside the Kronrod set
-# nodes of a leg's first panel, computed as adaptive_leg's panel(0.0, 1.0) does
+# nodes of a leg's first panel, computed as adaptive_leg computes every other panel's
 _T_FIRST = 0.5 + 0.5 * _XK
 
 # absolute error budget of every leg, read only by the quadrature calls here
@@ -265,7 +266,11 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     coeff_fn call, so counting the calls counts the panels (the benchmark's
     panel anchor does that). The first call, on the panel [0, 1], receives
     the module array _T_FIRST itself, so a coeff_fn can recognize it by
-    identity and return sums computed in advance (_leg_coeffs does).
+    identity and return sums computed in advance (_leg_coeffs does). The
+    two halves of a split are the rows of one (2, 15) array, each computed
+    as a lone panel's nodes, passed left then right, so a coeff_fn can
+    recognize the pair by the rows' .base and let the two halves share one
+    kernel call (_LegCoeffs does).
     Interval halving against a global absolute budget: the worst panel is
     split until the summed estimate drops below tol. Panel width is capped
     at 2^-MAX_DEPTH and the panel count at MAX_PANELS; hitting either with
@@ -274,11 +279,9 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     a non-finite value or estimate, at once.
     """
 
-    def panel(t0: float, t1: float):
-        mid = 0.5 * (t0 + t1)
+    def panel(t0: float, t1: float, t: np.ndarray):
+        k, d = coeff_fn(t)
         half = 0.5 * (t1 - t0)
-        # the panel [0, 1] passes _T_FIRST itself: the same nodes, by identity
-        k, d = coeff_fn(_T_FIRST if half == 0.5 else mid + half * _XK)
         e = half * float(d)
         # a non-finite K15 or G7 sum makes e non-finite; NaN would otherwise
         # slip through the budget test below, as nan > tol is False
@@ -286,7 +289,7 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
             raise QuadratureFailure(f"non-finite integrand on {_leg_text(leg, t0, t1)}")
         return e, t0, t1, half * k
 
-    e, t0, t1, k15 = panel(0.0, 1.0)
+    e, t0, t1, k15 = panel(0.0, 1.0, _T_FIRST)
     if e <= tol:
         return k15, e
     counter = 0
@@ -307,8 +310,11 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
             )
         err_sum += neg_e  # remove the split panel's estimate
         mid = 0.5 * (t0 + t1)
-        for lo, hi in ((t0, mid), (mid, t1)):
-            e, a, b, v = panel(lo, hi)
+        halves = ((t0, mid), (mid, t1))
+        # the rows of one array, each the nodes of a lone panel, left first
+        rows = np.array([0.5 * (lo + hi) + 0.5 * (hi - lo) * _XK for lo, hi in halves])
+        for (lo, hi), t in zip(halves, rows):
+            e, a, b, v = panel(lo, hi, t)
             counter += 1
             heapq.heappush(heap, (-e, counter, a, b, v))
             err_sum += e
@@ -325,22 +331,41 @@ class _LegCoeffs:
     omega-triple. sheet, when given, multiplies w_values elementwise (+1 or
     -1: the branch of w the leg lies on). first, when given, holds the first
     panel's sums, computed in a batch by _leg_coeffs: a call with _T_FIRST
-    itself returns it. Every other call, a split panel's, evaluates the form
-    directly. Either way one call per panel, with the same bytes.
+    itself returns it. The two halves of a split share one kernel call: a
+    call with a row of adaptive_leg's (2, 15) array, the left half, evaluates
+    both rows and keeps the right one's sums for the next call, which passes
+    the other row of that array (its .base). Any other call evaluates the
+    form on its nodes alone. Either way one call per panel, with the same
+    bytes.
     """
 
-    __slots__ = ("leg", "p", "form", "sheet", "first")
+    __slots__ = ("leg", "p", "form", "sheet", "first", "right")
 
     def __init__(self, leg: _Leg, p: SurfaceParams, form=phi_from_w, sheet=None, first=None):
         self.leg, self.p, self.form, self.sheet, self.first = leg, p, form, sheet, first
+        self.right = None  # (the (2, 15) array of a split, its right half's sums)
 
     def __call__(self, t: np.ndarray):
         if t is _T_FIRST and self.first is not None:
             return self.first
-        z, dz = self.leg.points(t)
-        # a node on a branch point divides by w = 0; adaptive_leg raises on it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _panel_sums(self.form(z, _branch(z, self.p, self.sheet)) * dz)
+        rows = t.base
+        if rows is None or rows.shape != (2, _XK.size):
+            return _sums(*self.leg.points(t), self.p, self.form, self.sheet)
+        if self.right is not None and self.right[0] is rows:
+            sums, self.right = self.right[1], None
+            return sums
+        k, d = _sums(*self.leg.points(rows), self.p, self.form, self.sheet)
+        self.right = (rows, (k[1], d[1]))
+        return k[0], d[0]
+
+
+def _sums(z: np.ndarray, dz: np.ndarray, p: SurfaceParams, form, sheet):
+    """_panel_sums of the panels with nodes at z, (..., 15), reduced as one
+    contiguous (..., 3, 15) array: each panel gets its 15-node call's bytes."""
+    # a node on a branch point divides by w = 0; adaptive_leg raises on it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = form(z, _branch(z, p, sheet)) * dz
+        return _panel_sums(np.ascontiguousarray(vals.swapaxes(0, -2)))
 
 
 def _branch(z: np.ndarray, p: SurfaceParams, sheet) -> np.ndarray:
@@ -379,12 +404,8 @@ def _leg_coeffs(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> list[_L
     """
     if not legs:
         return []
-    z, dz = _first_points(legs)
     column = None if sheets is None else np.array(sheets)[:, None]
-    # a node on a branch point divides by w = 0; adaptive_leg raises on it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = form(z, _branch(z, p, column)) * dz
-        k, d = _panel_sums(np.ascontiguousarray(vals.transpose(1, 0, 2)))
+    k, d = _sums(*_first_points(legs), p, form, column)
     if sheets is None:
         sheets = [None] * len(legs)
     return [

@@ -141,7 +141,8 @@ def measure_period(loop, d: MinimalData) -> tuple[tuple[float, float, float], fl
     total = np.zeros(3, dtype=complex)
     err = 0.0
     # the first panels of a chunk of pieces are evaluated in one batch, with
-    # each piece's sheet as the sign of w; split panels one at a time
+    # each piece's sheet as the sign of w; the two halves of a split share
+    # one kernel call
     for chunk in _chunks(zip(legs, sheets)):
         chunk_legs, chunk_sheets = zip(*chunk)
         fns = _leg_coeffs(chunk_legs, p, form, sheets=chunk_sheets)

@@ -236,7 +236,7 @@ def _check_graph(p, grid, tol):
         mesh = build_mesh(p, grid)
         rep = graph_check(mesh)
     except MaxconeError as exc:
-        return _entry("graph_checks", False, error=str(exc)), math.nan
+        return _entry("graph_checks", False, error=str(exc)), None
     f2_ok = mesh.f2_max_dev <= 1e-10
     weld_ok = max(mesh.weld_residuals) <= tol.mesh
     details = rep.to_dict()

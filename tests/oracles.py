@@ -12,8 +12,8 @@ reproduce byte for byte. Values frozen into the tests were computed with
 these routines. Two oracles are not independent of the package: the
 single-leg integrator and the loop period integrator that evaluated each
 loop piece on its own, both with the package's kernels and adaptive rule
-and every panel in its own kernel call, which the batched first panels
-must reproduce byte for byte. The sheet splitter it uses is the package's
+and every panel in its own kernel call, which the batched first panels and
+the paired halves of split panels must reproduce byte for byte. The sheet splitter it uses is the package's
 former one, kept verbatim as the reference for the shared polyline rules.
 The sign rules the package derived from alpha and beta one by one, before
 SurfaceParams.signed_intervals() owned them, are kept verbatim as well.
@@ -253,7 +253,11 @@ def w2_masked_ref(z, p):
         for nr, dr in zip(num, den):
             hit = z == dr
             pole |= hit
-            out = out * (z - nr) / np.where(hit, 1.0, z - dr)
+            # named, as in core.w2_values: numpy would reuse a bare z - nr
+            # temporary as the product's output on large arrays, with the
+            # operands swapped, and its complex product is not commutative
+            zn = z - nr
+            out = out * zn / np.where(hit, 1.0, z - dr)
     return np.where(pole, complex(np.inf, 0.0), out)
 
 
@@ -381,12 +385,19 @@ def integrate_leg_ref(leg, p):
     """(complex 3-vector, error estimate) of one leg integrated on its own.
 
     The package's adaptive rule over the maximal-surface form triple, with
-    the first panel, like every other, evaluated in its own 15-node kernel
-    call instead of taken from a batch.
+    every panel, the first and both halves of each split among them,
+    evaluated in its own 15-node kernel call instead of taken from a batch
+    or a pair.
     """
+    from maxcone import core
     from maxcone import integrate as I
 
-    return I.adaptive_leg(leg, I._LegCoeffs(leg, p), I.DEFAULT_SEGMENT_TOL)
+    def coeff(t):
+        z, dz = leg.points(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return I._panel_sums(core.phi_from_w(z, core.w_values(z, p)) * dz)
+
+    return I.adaptive_leg(leg, coeff, I.DEFAULT_SEGMENT_TOL)
 
 
 def measure_period_ref(waypoints, d):

@@ -71,6 +71,23 @@ def test_numeric_failure_exit_1(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_failing_verify_report_is_strict_json(tmp_path, capsys):
+    # the graph check fails before any quadrature estimate exists: the report
+    # says null there, not the bare NaN token that strict JSON rejects
+    cfg = write_config(tmp_path, {"m": 2, "n": 0, "a": [1, 2, 2.001, 3], "alpha": [1, -1]})
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--config", cfg, "--grid", "40x20", "--out", str(out)])
+    assert rc == EXIT_CHECK_FAILED
+    assert "graph_checks" in capsys.readouterr().err
+
+    def reject(token):
+        raise ValueError(f"{token} in the report")
+
+    rep = json.loads(out.read_text(), parse_constant=reject)
+    assert rep["overall_pass"] is False
+    assert rep["quadrature"]["max_error_estimate"] is None
+
+
 def test_verify_missing_config_exit_2(tmp_path):
     rc = main(["verify", "--config", str(tmp_path / "nope.json")])
     assert rc == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import sys
 import time
@@ -342,7 +343,7 @@ def _counted_kernel(monkeypatch):
 
 
 def _counted_leg(leg, fn, kernel):
-    """adaptive_leg(leg, fn), and its panels minus its kernel calls."""
+    """adaptive_leg(leg, fn), its panels and the sizes of its kernel calls."""
     panels, before = [], len(kernel)
 
     def counted(t):
@@ -350,7 +351,17 @@ def _counted_leg(leg, fn, kernel):
         return fn(t)
 
     v, e = I.adaptive_leg(leg, counted, I.DEFAULT_SEGMENT_TOL)
-    return v, e, panels, len(panels) - (len(kernel) - before)
+    return v, e, panels, kernel[before:]
+
+
+def _assert_split_pairs(panels, sizes):
+    """The first panel took the batch's sums; each split's two halves, rows
+    of one (2, 15) array passed left then right, made one 30-node call."""
+    assert panels[0] is I._T_FIRST and len(panels) % 2 == 1
+    for left, right in zip(panels[1::2], panels[2::2]):
+        assert left.base is right.base and left.base.shape == (2, 15)
+        assert np.array_equal(left.base, [left, right])
+    assert sizes == [30] * (len(panels) // 2)
 
 
 @pytest.mark.parametrize("fixture", ["p10", "p21", "p22"])
@@ -366,8 +377,8 @@ def test_batched_first_panels_match_per_leg_quadrature(fixture, request, monkeyp
             k, d = fn.first
             k_ref, d_ref = I._LegCoeffs(leg, p)(I._T_FIRST.copy())
             assert k.tobytes() == k_ref.tobytes() and np.float64(d).tobytes() == d_ref.tobytes()
-            v, e, _, batched = _counted_leg(leg, fn, kernel)
-            assert batched == 1  # one panel, the first, made no kernel call
+            v, e, panels, sizes = _counted_leg(leg, fn, kernel)
+            _assert_split_pairs(panels, sizes)
             v_ref, e_ref = oracles.integrate_leg_ref(leg, p)
             assert v.tobytes() == v_ref.tobytes() and e == e_ref
 
@@ -427,9 +438,10 @@ def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10, monkeypatch):
     leg = I.ArcLeg(r=1.001, theta_a=0.0, theta_b=0.1)
     kernel = _counted_kernel(monkeypatch)
     fn = I._leg_coeffs([leg], p10)[0]
-    v, e, calls, batched = _counted_leg(leg, fn, kernel)
-    # the first panel was the batch's; every split panel made one 15-node call
-    assert calls[0] is I._T_FIRST and batched == 1 and kernel[1:] == [15] * (len(calls) - 1)
+    v, e, calls, sizes = _counted_leg(leg, fn, kernel)
+    # the first panel was the batch's; the two halves of every split made one
+    # 30-node call
+    _assert_split_pairs(calls, sizes)
     # each call is the 15 nodes of one panel of the bisection tree of [0, 1],
     # no panel is evaluated twice, and a split panel has both halves evaluated
     pending, panels = {(0.0, 1.0)}, []
@@ -482,6 +494,105 @@ def test_batched_panel_sums_match_per_row_sums():
         k15, g7 = half * (row @ I._WK), half * (row[:, I._GAUSS_IDX] @ I._WG)
         assert (half * k1).tobytes() == k15.tobytes()
         assert half * float(d1) == float(np.abs(k15 - g7).sum())
+
+
+def _hard_legs():
+    """One leg of each type, each passing within 0.01 of a branch point of
+    p22, so that it splits many times."""
+    return [
+        I.ArcLeg(r=1.001, theta_a=0.0, theta_b=0.1),
+        I.RadialLeg(theta=1e-3, r_a=1.5, r_b=3.0),
+        I.SegmentLeg(z_a=2.5 + 1e-3j, z_b=1.5 + 1e-3j),
+        I.SqrtApproachLeg(c=2 + 0j, z_outer=3.0 + 2e-3j),
+        I._ReversedLeg(I.SqrtApproachLeg(c=4 + 0j, z_outer=2.5 + 1e-2j)),
+    ]
+
+
+def _paired_and_alone(leg, p, kernel, form=I.phi_from_w, sheet=None):
+    """adaptive_leg through _LegCoeffs twice: with the halves of each split
+    paired, and with every panel alone (a copy of a row has no .base).
+    Returns both results and the number of splits, after checking that the
+    pairs made one 30-node kernel call per split and the lone panels one
+    15-node call each."""
+    paired, alone = I._LegCoeffs(leg, p, form, sheet), I._LegCoeffs(leg, p, form, sheet)
+    v, e, panels, sizes = _counted_leg(leg, paired, kernel)
+    splits = len(panels) // 2
+    assert sizes == [15] + [30] * splits
+    before = len(kernel)
+    ref = I.adaptive_leg(leg, lambda t: alone(t.copy()), I.DEFAULT_SEGMENT_TOL)
+    assert kernel[before:] == [15] * len(panels)
+    return (v, e), ref, splits
+
+
+def _assert_same(got, ref):
+    (v, e), (v_ref, e_ref) = got, ref
+    assert v.tobytes() == v_ref.tobytes() and np.float64(e).tobytes() == np.float64(e_ref).tobytes()
+
+
+def test_paired_halves_give_the_bytes_of_lone_panels(p22, monkeypatch):
+    kernel = _counted_kernel(monkeypatch)
+    for leg in _hard_legs():
+        got, ref, splits = _paired_and_alone(leg, p22, kernel)
+        assert splits >= 5, leg
+        _assert_same(got, ref)
+        _assert_same(got, oracles.integrate_leg_ref(leg, p22))
+
+
+@pytest.mark.parametrize("fixture", ["p11", "p22"])
+def test_paired_halves_on_the_other_sheet_give_the_bytes_of_lone_panels(fixture, request, monkeypatch):
+    # the sheet -1 pieces of minimal's loops: omega-triple as the form, -w as
+    # the branch, on a loop that passes within 0.01 of the branch points
+    from maxcone import minimal as M
+
+    p = request.getfixturevalue(fixture)
+    kernel = _counted_kernel(monkeypatch)
+    far = 3.5 if fixture == "p22" else -1.5
+    loop = [1.5 + 0.01j, 1.5 - 0.01j, far - 0.01j, far + 0.01j, 1.5 + 0.01j]
+    legs, sheets, _ = I._polyline_legs(loop, p, cuts="flip")
+    for orientation in M.ORIENTATIONS:
+        form = functools.partial(M.omega_from_w, orientation=orientation)
+        hard = 0
+        for leg, sheet in zip(legs, sheets):
+            got, ref, splits = _paired_and_alone(leg, p, kernel, form, sheet)
+            _assert_same(got, ref)
+            hard += sheet == -1 and splits >= 5
+        assert hard >= 1
+
+
+def test_leg_points_of_a_pair_are_the_bytes_of_each_row():
+    # the rows of a split as adaptive_leg builds them, at two depths
+    for t0, t1 in ((0.0, 1.0), (0.375, 0.5)):
+        mid = 0.5 * (t0 + t1)
+        rows = np.array([0.5 * (a + b) + 0.5 * (b - a) * I._XK for a, b in ((t0, mid), (mid, t1))])
+        for leg in _hard_legs():
+            pair = leg.points(rows)
+            for i, row in enumerate(rows):
+                for both, alone in zip(pair, leg.points(row.copy())):
+                    assert both.shape == (2, 15) and both.dtype == alone.dtype
+                    assert np.ascontiguousarray(both[i]).tobytes() == alone.tobytes()
+
+
+def test_the_failing_surface_keeps_its_messages_with_warnings_as_errors():
+    # a = (1, 2, 2.001, 3): the square-root leg into each branch point of
+    # the narrow gap meets a non-finite panel; the messages are frozen from
+    # the version that evaluated every split panel alone
+    from maxcone import singular as S
+
+    bad = SurfaceParams(m=2, n=0, a=(1, 2, 2.001, 3), alpha=(1, -1))
+    expected = [
+        "non-finite integrand on SqrtApproachLeg(c=(2+0j), z_outer=(2.00001+0j)) over t in "
+        "[0.999023, 1] (z from 2.0000000000095368+0j to 2+0j)",
+        "non-finite integrand on SqrtApproachLeg(c=(2.001+0j), z_outer=(2.00099+0j)) over t in "
+        "[0.999023, 1] (z from 2.0009999999904631+0j to 2.0009999999999999+0j)",
+    ]
+    components = S.components(bad)
+    assert len(components) == len(expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, message in zip(components, expected):
+            with pytest.raises(QuadratureFailure) as failure:
+                S.classify_cone(c, bad)
+            assert str(failure.value) == message
 
 
 def test_adaptive_leg_raises_past_the_panel_budget():

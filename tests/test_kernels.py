@@ -78,17 +78,31 @@ def all_kernels(z, p):
     return out
 
 
+def many_points(p):
+    """60,000 points, the hard points 40 times among uniform ones, shuffled."""
+    rng = np.random.default_rng(11)
+    hard = np.tile(hard_points(p), 40)
+    n = 60_000 - hard.size
+    z = np.concatenate([hard, rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n)])
+    rng.shuffle(z)
+    return z
+
+
+@pytest.mark.parametrize("fixture", ["p10", "p11", "p21", "p22"])
+def test_kernels_match_references_on_60000_points(fixture, request):
+    # numpy evaluates some expressions on large arrays in place: the
+    # references hold at that size too, not only on the hard points alone
+    p = request.getfixturevalue(fixture)
+    assert_kernels_match(many_points(p), p)
+
+
 @pytest.mark.parametrize("fixture", ["p21", "p22"])
 def test_kernels_give_the_same_bytes_at_any_call_size(fixture, request):
     # one call on 60,000 points against 4,000 calls on 15 of them, the
     # nodes of one panel: numpy evaluates some expressions on large arrays
     # in place, and that must not reach the bits
     p = request.getfixturevalue(fixture)
-    rng = np.random.default_rng(11)
-    hard = np.tile(hard_points(p), 40)
-    n = 60_000 - hard.size
-    z = np.concatenate([hard, rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n)])
-    rng.shuffle(z)
+    z = many_points(p)
     big = all_kernels(z, p)
     small = [all_kernels(z[i : i + 15], p) for i in range(0, z.size, 15)]
     for k, out in enumerate(big):

@@ -44,6 +44,19 @@ def leg_log(monkeypatch):
     return log
 
 
+@pytest.fixture
+def kernel_log(monkeypatch):
+    """The size of every w_values call the quadrature makes."""
+    w_values, sizes = I.w_values, []
+
+    def counted(z, p):
+        sizes.append(np.size(z))
+        return w_values(z, p)
+
+    monkeypatch.setattr(I, "w_values", counted)
+    return sizes
+
+
 def _route_legs(p):
     """Routes from the origin to a few points: every one opens with a quarter arc."""
     base = p.default_basepoint()
@@ -151,18 +164,21 @@ def test_cone_reports_equal_the_unscoped_values(surfaces, request, monkeypatch):
             assert repr(scoped) == repr(calls), (name, c)
 
 
-def test_classify_cone_integrates_no_leg_twice(p21, leg_log):
+def test_classify_cone_integrates_no_leg_twice(p21, leg_log, kernel_log):
     # legs and panels of each p21 cone; without the memo the two quarter arcs
     # at the origin's radius were integrated 13 times between them, 108 legs
-    # and 336, 310 and 310 panels
+    # and 336, 310 and 310 panels. Kernel calls and points beside them: with
+    # each split panel in its own call there were 172, 146 and 146 calls on
+    # the same points; the two halves of a split now share one
     work = []
     for c in S.components(p21):
         leg_log.clear()
+        kernel_log.clear()
         S.classify_cone(c, p21)
         legs = [leg for leg, _ in leg_log]
         assert len(set(legs)) == len(legs)
-        work.append((len(legs), sum(n for _, n in leg_log)))
-    assert work == [(97, 259), (97, 233), (97, 233)]
+        work.append((len(legs), sum(n for _, n in leg_log), len(kernel_log), sum(kernel_log)))
+    assert work == [(97, 259, 91, 3885), (97, 233, 78, 3495), (97, 233, 78, 3495)]
 
 
 def test_the_memo_does_not_leak_after_a_failure(p21, leg_log):

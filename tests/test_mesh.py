@@ -96,11 +96,13 @@ def test_f2_range_on_fundamental(fund10):
 
 def test_sample_fundamental_work_counts(p21, monkeypatch):
     # legs and panels counted as the benchmark counts them: adaptive_leg calls
-    # and the coeff_fn calls inside them
+    # and the coeff_fn calls inside them; then the quadrature's kernel calls
+    # and points, 310 calls on the same points when each split panel made its
+    # own call, before the two halves of a split shared one
     from maxcone import integrate
 
-    adaptive_leg = integrate.adaptive_leg
-    counts = [0, 0]
+    adaptive_leg, w_values = integrate.adaptive_leg, integrate.w_values
+    counts = [0, 0, 0, 0]
 
     def counted_leg(leg, coeff_fn, tol):
         counts[0] += 1
@@ -111,9 +113,15 @@ def test_sample_fundamental_work_counts(p21, monkeypatch):
 
         return adaptive_leg(leg, counted_panel, tol)
 
+    def counted_kernel(z, p):
+        counts[2] += 1
+        counts[3] += np.size(z)
+        return w_values(z, p)
+
     monkeypatch.setattr(integrate, "adaptive_leg", counted_leg)
+    monkeypatch.setattr(integrate, "w_values", counted_kernel)
     MM.sample_fundamental(p21, COARSE)
-    assert counts == [2548, 2848]
+    assert counts == [2548, 2848, 160, 42720]
 
 
 @pytest.mark.parametrize("fixture", ["p10", "p21", "p22"])
