@@ -34,9 +34,10 @@ the sign of w.
 User paths, the stadium chain and the loops of minimal become legs
 through one function, _polyline_legs, under the rules PathSpec states.
 
-Inside _leg_memo(p), opened by one cone classification or one symmetry
-check, _leg_sums integrates each distinct leg once and serves repeats
-from the memo, with the same bytes; the memo ends with that call.
+Inside _leg_memo(p), opened by one cone classification, one symmetry
+check or one mesh weld check, _leg_sums integrates each distinct leg once
+and serves repeats from the memo, with the same bytes; the memo ends with
+that call.
 """
 
 from __future__ import annotations
@@ -361,11 +362,15 @@ class _LegCoeffs:
 
 def _sums(z: np.ndarray, dz: np.ndarray, p: SurfaceParams, form, sheet):
     """_panel_sums of the panels with nodes at z, (..., 15), reduced as one
-    contiguous (..., 3, 15) array: each panel gets its 15-node call's bytes."""
-    # a node on a branch point divides by w = 0; adaptive_leg raises on it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = form(z, _branch(z, p, sheet)) * dz
-        return _panel_sums(np.ascontiguousarray(vals.swapaxes(0, -2)))
+    contiguous (..., 3, 15) array: each panel gets its 15-node call's bytes.
+
+    A node on a branch point divides by w = 0 (adaptive_leg raises on the
+    non-finite sums), so the caller ignores divide and invalid errors:
+    _leg_coeffs for its batch, and the chunk loops of _integrate_legs and
+    minimal.measure_period for every later panel.
+    """
+    vals = form(z, _branch(z, p, sheet)) * dz
+    return _panel_sums(np.ascontiguousarray(vals.swapaxes(0, -2)))
 
 
 def _branch(z: np.ndarray, p: SurfaceParams, sheet) -> np.ndarray:
@@ -405,7 +410,8 @@ def _leg_coeffs(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> list[_L
     if not legs:
         return []
     column = None if sheets is None else np.array(sheets)[:, None]
-    k, d = _sums(*_first_points(legs), p, form, column)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k, d = _sums(*_first_points(legs), p, form, column)
     if sheets is None:
         sheets = [None] * len(legs)
     return [
@@ -468,7 +474,9 @@ def _integrate_legs(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
     re, err = [np.zeros((0, 3))], [np.zeros(0)]
     for chunk in _chunks(legs):
         fns = _leg_coeffs(chunk, p)
-        parts = [adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL) for leg, fn in zip(chunk, fns)]
+        # one errstate for the later panels of the whole chunk (see _sums)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            parts = [adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL) for leg, fn in zip(chunk, fns)]
         re.append(np.array([v for v, _ in parts]).real)
         err.append(np.array([e for _, e in parts]))
     return np.concatenate(re), np.concatenate(err)

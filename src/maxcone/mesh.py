@@ -20,6 +20,9 @@ surface, nearly all of them one G7/K15 panel). The ring arcs of all rings
 most integrate._CHUNK legs, whose first panels share one kernel call; only
 each leg's real part and error estimate are kept, and each ring's chains
 are summed from their anchor value afterwards.
+
+graph_check runs in bounded memory: no full-size temporary outlives its
+use, so its peak is about 58 bytes per period triangle.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .integrate import (
     ImmersionSample,
     RadialLeg,
     _accumulate,
+    _leg_memo,
     _leg_sums,
     _running_sum,
     apex,
@@ -395,27 +399,36 @@ def assemble(fund: FundamentalSamples, p: SurfaceParams, copies: int = 0) -> Gra
 
 
 def _weld_check(fund: FundamentalSamples, p: SurfaceParams) -> list[float]:
-    """Apex versus direct branch-point-endpoint integration, per component."""
+    """Apex versus direct branch-point-endpoint integration, per component.
+
+    The endpoint routes share their opening legs, so they run inside one
+    _leg_memo: each distinct leg is integrated once, with the same bytes.
+    """
     out = []
-    for comp, s in zip(fund.comps, fund.apex_samples):
-        worst = 0.0
-        for endpoint in (comp.lo, comp.hi):
-            direct = immersion(complex(endpoint), p)
-            gap = float(np.max(np.abs(np.asarray(direct.f) - np.asarray(s.f))))
-            # the mesh rung of the tolerance ladder, written so that a NaN
-            # gap fails; max() would drop it
-            if not gap <= 1e-6:
-                raise WeldFailure(
-                    f"apex of [{comp.lo}, {comp.hi}] disagrees with the integral "
-                    f"to endpoint {endpoint} by {gap:g}"
-                )
-            worst = max(worst, gap)
-        out.append(worst)
+    with _leg_memo(p):
+        for comp, s in zip(fund.comps, fund.apex_samples):
+            worst = 0.0
+            for endpoint in (comp.lo, comp.hi):
+                direct = immersion(complex(endpoint), p)
+                gap = float(np.max(np.abs(np.asarray(direct.f) - np.asarray(s.f))))
+                # the mesh rung of the tolerance ladder, written so that a NaN
+                # gap fails; max() would drop it
+                if not gap <= 1e-6:
+                    raise WeldFailure(
+                        f"apex of [{comp.lo}, {comp.hi}] disagrees with the integral "
+                        f"to endpoint {endpoint} by {gap:g}"
+                    )
+                worst = max(worst, gap)
+            out.append(worst)
     return out
 
 
 # ---------------------------------------------------------------------------
 # graph checks
+
+# triangles per chunk of graph_check's orientation count; it bounds the
+# count's temporaries (about 1 MB a chunk), not its result
+_TRI_CHUNK = 16384
 
 
 @dataclass
@@ -453,8 +466,10 @@ def graph_check(mesh: GraphMesh) -> GraphCheckReport:
     certified without any pair search (Floater, Math. Comp. 72, 2003): a
     piecewise-linear map of an oriented triangulated disk is one-to-one when
     every image triangle is positively oriented and the boundary maps onto
-    a simple closed polygon. Returns findings; never raises: a mesh without
-    a regular vertex fails with normals_up False.
+    a simple closed polygon. Orientations are counted in chunks of
+    _TRI_CHUNK triangles and the disk test holds at most two edge-length
+    key arrays at once. Returns findings; never raises: a mesh without a
+    regular vertex fails with normals_up False.
     """
     nu3 = mesh.nu3[: mesh.period_vertex_count]
     nu3 = nu3[~np.isnan(nu3)]
@@ -471,11 +486,7 @@ def graph_check(mesh: GraphMesh) -> GraphCheckReport:
 
     tris = mesh.triangles[: mesh.period_triangle_count]
     xy = mesh.vertices[:, :2]
-    e1 = xy[tris[:, 1]] - xy[tris[:, 0]]
-    e2 = xy[tris[:, 2]] - xy[tris[:, 0]]
-    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    # written so that zero and NaN areas fail too
-    negative = int(np.count_nonzero(~(area2 > 0)))
+    negative = _not_positive(xy, tris)
     disk, boundary = _disk_boundary(tris)
     crossings = touching_pairs(xy, boundary)
     overlap_free = negative == 0 and disk and crossings == 0
@@ -501,6 +512,19 @@ def _dedup(chain):
     return out
 
 
+def _not_positive(xy: np.ndarray, tris: np.ndarray) -> int:
+    """Triangles whose projection to xy is not positively oriented, _TRI_CHUNK at a time."""
+    count = 0
+    for s in range(0, len(tris), _TRI_CHUNK):
+        t = tris[s : s + _TRI_CHUNK]
+        e1 = xy[t[:, 1]] - xy[t[:, 0]]
+        e2 = xy[t[:, 2]] - xy[t[:, 0]]
+        area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        # written so that zero and NaN areas count too
+        count += int(np.count_nonzero(~(area2 > 0)))
+    return count
+
+
 def _disk_boundary(tris: np.ndarray) -> tuple[bool, np.ndarray]:
     """Whether tris form an oriented triangulated disk, and its boundary edges.
 
@@ -509,21 +533,31 @@ def _disk_boundary(tris: np.ndarray) -> tuple[bool, np.ndarray]:
     boundary is the edges used once, directed as in their triangle; a disk
     has exactly one boundary cycle with no repeated vertex and Euler
     characteristic V - E + F = 1 over the vertices the triangles use.
+    Edge k runs from u[k] to v[k], the next corner of triangle k // 3; its
+    int64 keys are built and sorted in place, one key array at a time.
     """
     u = tris.ravel()
     v = tris[:, [1, 2, 0]].ravel()
     n = np.int64(u.max(initial=0)) + 1
     # grouped by plain sorts: on numpy 2.4, np.unique and np.isin over these
     # int64 keys measured about 40x slower than np.sort
-    directed = np.sort(u * n + v)
-    oriented = not np.any(directed[1:] == directed[:-1])
-    undirected = np.minimum(u, v) * n + np.maximum(u, v)
-    order = np.argsort(undirected)
-    undirected = undirected[order]
+    keys = np.multiply(u, n, dtype=np.int64)
+    keys += v
+    keys.sort()
+    oriented = not np.any(keys[1:] == keys[:-1])
+    del keys
+    # undirected keys min * n + max; v, no longer needed, takes the max
+    keys = np.minimum(u, v, dtype=np.int64)
+    keys *= n
+    keys += np.maximum(u, v, out=v)
+    del v
+    order = np.argsort(keys)
+    keys.sort()  # the same array as keys[order]
     paired = np.zeros(len(u) + 1, dtype=bool)
-    paired[1:-1] = undirected[1:] == undirected[:-1]
+    paired[1:-1] = keys[1:] == keys[:-1]
+    del keys
     once = order[~(paired[:-1] | paired[1:])]
-    edges = np.stack([u[once], v[once]], axis=1)
+    edges = np.stack([u[once], tris[once // 3, (once % 3 + 1) % 3]], axis=1)
     n_edges = (len(u) + len(once)) // 2
     euler = np.count_nonzero(np.bincount(u)) - n_edges + len(tris)
     return bool(oriented and euler == 1 and _one_cycle(edges)), edges

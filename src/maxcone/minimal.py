@@ -146,10 +146,12 @@ def measure_period(loop, d: MinimalData) -> tuple[tuple[float, float, float], fl
     for chunk in _chunks(zip(legs, sheets)):
         chunk_legs, chunk_sheets = zip(*chunk)
         fns = _leg_coeffs(chunk_legs, p, form, sheets=chunk_sheets)
-        for leg, fn in zip(chunk_legs, fns):
-            v, e = adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL)
-            total += v
-            err += e
+        # one errstate for the later panels of the whole chunk (see integrate._sums)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for leg, fn in zip(chunk_legs, fns):
+                v, e = adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL)
+                total += v
+                err += e
     return tuple(total.real), err
 
 

@@ -16,7 +16,9 @@ and every panel in its own kernel call, which the batched first panels and
 the paired halves of split panels must reproduce byte for byte. The sheet splitter it uses is the package's
 former one, kept verbatim as the reference for the shared polyline rules.
 The sign rules the package derived from alpha and beta one by one, before
-SurfaceParams.signed_intervals() owned them, are kept verbatim as well.
+SurfaceParams.signed_intervals() owned them, are kept verbatim as well, and
+so is the disk-and-boundary test of the mesh check as it was before it
+built its edge keys in place (full-size key arrays and gathered copies).
 """
 
 from __future__ import annotations
@@ -152,6 +154,39 @@ def brute_force_overlaps(vertices, triangles, eps=0.0):
             if _tri_overlap(P[T[i]], P[T[j]], eps):
                 count += 1
     return count
+
+
+def not_positive_ref(vertices, triangles) -> int:
+    """Triangles whose x1x2-projection has a signed area that is not > 0
+    (zero and NaN included), one triangle at a time in Python floats."""
+    count = 0
+    for a, b, c in np.asarray(triangles).tolist():
+        (x0, y0), (x1, y1), (x2, y2) = (vertices[k][:2].tolist() for k in (a, b, c))
+        e1x, e1y, e2x, e2y = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+        if not e1x * e2y - e1y * e2x > 0:
+            count += 1
+    return count
+
+
+def disk_boundary_ref(tris):
+    """The mesh check's former _disk_boundary, verbatim: (disk, boundary edges)."""
+    from maxcone.mesh import _one_cycle
+
+    u = tris.ravel()
+    v = tris[:, [1, 2, 0]].ravel()
+    n = np.int64(u.max(initial=0)) + 1
+    directed = np.sort(u * n + v)
+    oriented = not np.any(directed[1:] == directed[:-1])
+    undirected = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(undirected)
+    undirected = undirected[order]
+    paired = np.zeros(len(u) + 1, dtype=bool)
+    paired[1:-1] = undirected[1:] == undirected[:-1]
+    once = order[~(paired[:-1] | paired[1:])]
+    edges = np.stack([u[once], v[once]], axis=1)
+    n_edges = (len(u) + len(once)) // 2
+    euler = np.count_nonzero(np.bincount(u)) - n_edges + len(tris)
+    return bool(oriented and euler == 1 and _one_cycle(edges)), edges
 
 
 def _tri_overlap(A, B, eps):

@@ -620,3 +620,24 @@ def test_max_depth_failure_names_the_leg(p10):
     leg = I.SegmentLeg(0.5 + 0j, 3.4 + 0j)
     with pytest.raises(QuadratureFailure, match=r"max depth .* on SegmentLeg.*z from"):
         I.adaptive_leg(leg, I._LegCoeffs(leg, p10), I.DEFAULT_SEGMENT_TOL)
+
+
+def test_kernel_calls_enter_one_errstate_each(p21, monkeypatch):
+    # w_values' own errstate is the only one a kernel call enters; the later
+    # panels of a chunk share one more, and the first-panel batch its own
+    kernel = _counted_kernel(monkeypatch)
+    entered = []
+
+    class counted_errstate(np.errstate):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", counted_errstate)
+    thetas = np.linspace(0.1, 3.0, I._CHUNK + 40)
+    legs = [I.ArcLeg(r=1.001, theta_a=float(a), theta_b=float(b)) for a, b in zip(thetas, thetas[1:])]
+    legs += I._route_to_branch_point(p21.branch_points()[0], p21, p21.default_basepoint())
+    I._leg_sums(legs, p21)
+    # two chunks, and legs that split, so later panels made kernel calls too
+    assert len(legs) > I._CHUNK and len(kernel) > 2
+    assert len(entered) == len(kernel) + 2 * 2

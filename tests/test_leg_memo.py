@@ -215,3 +215,20 @@ def test_the_mesh_is_sampled_outside_any_memo(p10, monkeypatch):
     monkeypatch.setattr(MM, "sample_fundamental", spy)
     R.run_checks(p10, MM.GridSpec(radial_samples=28, angular_samples=16))
     assert scopes == [None]
+
+
+def test_weld_check_integrates_no_leg_twice(p21, leg_log, monkeypatch):
+    # the six endpoint routes of p21's three cones: without the memo 24 legs,
+    # of which 19 distinct, and 172 panels
+    fund = MM.sample_fundamental(p21, MM.GridSpec(radial_samples=40, angular_samples=20))
+    leg_log.clear()
+    residuals = MM._weld_check(fund, p21)
+    assert I._LEG_MEMO.get() is None
+    legs = [leg for leg, _ in leg_log]
+    assert len(set(legs)) == len(legs)
+    assert (len(legs), sum(n for _, n in leg_log)) == (19, 137)
+    monkeypatch.setattr(MM, "_leg_memo", _no_memo)
+    leg_log.clear()
+    ref = MM._weld_check(fund, p21)
+    assert [r.hex() for r in residuals] == [r.hex() for r in ref]
+    assert (len(leg_log), sum(n for _, n in leg_log)) == (24, 172)

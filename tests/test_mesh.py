@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,104 @@ def test_graph_check_needs_the_boundary_test():
     assert brute > 0 and oracles.overlap_count(vertices, tris, eps=1e-9) == brute
     assert rep.negative_triangles == 0 and rep.disk_topology
     assert rep.boundary_self_intersections > 0 and not rep.overlap_free
+
+
+@pytest.fixture(scope="module")
+def readme_mesh():
+    # the README surface, with more period triangles than one orientation chunk
+    p = SurfaceParams(m=2, n=1, a=(1.0, 1.8, 2.5, 3.6), b=(-1.2, -2.4), alpha=(1, -1), beta=(1,))
+    return MM.build_mesh(p, MM.GridSpec(radial_samples=60, angular_samples=30))
+
+
+@pytest.fixture(scope="module")
+def mesh22():
+    p = SurfaceParams(m=2, n=2, a=(1, 2, 3, 4), b=(-1, -2, -3, -4), alpha=(1, -1), beta=(1, -1))
+    return MM.build_mesh(p, COARSE)
+
+
+# graph_check's traced allocations per period triangle: 164 B when it held
+# full-size edge vectors and key arrays, 58 B with chunked orientation and
+# in-place keys (68 B on meshes of one chunk)
+GRAPH_CHECK_BYTES_PER_TRIANGLE = 100
+
+
+def test_graph_check_transient_memory_is_bounded(readme_mesh):
+    assert readme_mesh.period_triangle_count > MM._TRI_CHUNK
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = MM.graph_check(readme_mesh)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.to_dict()
+    assert peak / readme_mesh.period_triangle_count < GRAPH_CHECK_BYTES_PER_TRIANGLE
+
+
+def test_orientation_count_matches_oracle_at_chunk_edges(oracle_mesh, monkeypatch):
+    # flipped, zero-area and NaN-cornered triangles on both sides of every
+    # edge between chunks of 7, and at both ends
+    monkeypatch.setattr(MM, "_TRI_CHUNK", 7)
+    n_tri = oracle_mesh.period_triangle_count
+    nan_vertex = len(oracle_mesh.vertices)
+    vertices = np.vstack([oracle_mesh.vertices, [[math.nan, math.nan, 0.0]]])
+    tris = oracle_mesh.triangles.copy()
+    faulty = sorted({0, n_tri - 1, *range(6, n_tri, 7), *range(7, n_tri, 7)})
+    for k, i in enumerate(faulty):
+        a, b, c = tris[i]
+        tris[i] = [(a, c, b), (a, a, b), (nan_vertex, b, c)][k % 3]
+    broken = dataclasses.replace(
+        oracle_mesh, vertices=vertices, triangles=tris, nu3=np.append(oracle_mesh.nu3, math.nan)
+    )
+    rep = MM.graph_check(broken)
+    assert rep.negative_triangles == oracles.not_positive_ref(vertices, tris[:n_tri]) == len(faulty)
+    assert not rep.passed
+
+
+@pytest.mark.parametrize(
+    "fixture, breaker",
+    [("readme_mesh", None), ("mesh22", None), ("oracle_mesh", None)]
+    + [
+        ("oracle_mesh", b)
+        for b in (_folded_interior_vertex, _flipped_triangle, _boundary_vertex_across, _not_a_disk)
+    ],
+)
+def test_disk_boundary_matches_former_version(fixture, breaker, request):
+    mesh = request.getfixturevalue(fixture)
+    if breaker is not None:
+        mesh, _ = breaker(mesh)
+    tris = mesh.triangles[: mesh.period_triangle_count]
+    disk, edges = MM._disk_boundary(tris)
+    disk_ref, edges_ref = oracles.disk_boundary_ref(tris)
+    assert disk == disk_ref
+    assert edges.dtype == edges_ref.dtype and edges.shape == edges_ref.shape
+    assert edges.tobytes() == edges_ref.tobytes()
+
+
+def _renumbered(mesh, offset, dtype):
+    """mesh with every vertex id moved up by offset and triangles of dtype."""
+    return dataclasses.replace(
+        mesh,
+        vertices=np.vstack([np.zeros((offset, 3)), mesh.vertices]),
+        nu3=np.concatenate([np.full(offset, math.nan), mesh.nu3]),
+        triangles=(mesh.triangles + offset).astype(dtype),
+        boundary_pos=[v + offset for v in mesh.boundary_pos],
+        boundary_neg=[v + offset for v in mesh.boundary_neg],
+        period_vertex_count=mesh.period_vertex_count + offset,
+    )
+
+
+@pytest.mark.parametrize("breaker", [None, _not_a_disk])
+@pytest.mark.parametrize("offset", [0, 70_000])
+def test_int32_triangles_give_the_same_report(oracle_mesh, breaker, offset):
+    # past 65,536 vertices an edge key u * n + v no longer fits 32 bits
+    mesh = oracle_mesh if breaker is None else breaker(oracle_mesh)[0]
+    wide, narrow = (_renumbered(mesh, offset, dtype) for dtype in (np.int64, np.int32))
+    assert MM.graph_check(narrow) == MM.graph_check(wide) == MM.graph_check(mesh)
+    n_tri = mesh.period_triangle_count
+    edges_wide = MM._disk_boundary(wide.triangles[:n_tri])[1]
+    edges_narrow = MM._disk_boundary(narrow.triangles[:n_tri])[1]
+    assert edges_narrow.dtype == np.int32 and np.array_equal(edges_narrow, edges_wide)
 
 
 def test_boundary_monotonicity(mesh10):
