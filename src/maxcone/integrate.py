@@ -22,10 +22,14 @@ estimate (_panel_sums) where they are computed, so adaptive_leg handles
 only those sums. Legs are integrated in chunks of at most _CHUNK: the
 first panels of a chunk are evaluated and reduced in one batch, and any
 number of legs, a generator of them included, runs in bounded memory.
-After that, the two halves of a split share one kernel call. The kernels
-give each point the same bits whatever the call size, so a leg's result
-depends neither on the chunk it falls in nor on the pairing. Every leg
-streams through that batch: the mesh grid's ring arcs, the routes of
+The legs whose first panel is rejected then refine in lockstep: each
+round splits the worst panel of every open leg under adaptive_leg's rule
+(_Refinement) and evaluates all the halves in one kernel call. After
+that adaptive_leg runs once per leg, in order, on the sums the rounds
+left, and decides its result or raises its error. The kernels give each
+point the same bits whatever the call size, so a leg's result depends
+neither on the chunk it falls in nor on the other legs of a round. Every
+leg streams through that batch: the mesh grid's ring arcs, the routes of
 immersion, the five routes of an apex side together, the stadium chain,
 the loop of loop_period, and the sheet-tagged loop pieces of minimal,
 whose omega-triple is passed in as the form with each piece's sheet as
@@ -37,7 +41,9 @@ through one function, _polyline_legs, under the rules PathSpec states.
 Inside _leg_memo(p), opened by one cone classification, one symmetry
 check or one mesh weld check, _leg_sums integrates each distinct leg once
 and serves repeats from the memo, with the same bytes; the memo ends with
-that call.
+that call. There _plan refines legs in advance, in one lockstep, for the
+calls that follow: a cone classification plans the routes of its four
+limits.
 """
 
 from __future__ import annotations
@@ -258,6 +264,71 @@ def _leg_text(leg: _Leg, t0: float = 0.0, t1: float = 1.0) -> str:
     return f"{leg} over t in [{t0:g}, {t1:g}] (z from {z_ends[0]:.17g} to {z_ends[1]:.17g})"
 
 
+class _Refinement:
+    """One leg's panels under adaptive_leg's rule, refined one split at a time.
+
+    It holds the heap of panels (largest estimate first, ties to the panel
+    made first), the summed estimate and the two limits. adaptive_leg
+    drives it through coeff_fn once a leg's first panel is rejected;
+    _lockstep drives the rejected legs of a chunk side by side. add raises QuadratureFailure on a panel with a
+    non-finite value or estimate, and split on a panel at the width cap or
+    past the panel budget.
+    """
+
+    __slots__ = ("leg", "tol", "heap", "err_sum", "made")
+
+    def __init__(self, leg: _Leg, tol: float, first):
+        self.leg, self.tol = leg, tol
+        self.heap, self.err_sum, self.made = [], 0.0, 0
+        self.add(0.0, 1.0, first)
+
+    @property
+    def open(self) -> bool:
+        return self.err_sum > self.tol
+
+    def add(self, t0: float, t1: float, sums) -> None:
+        """Push the panel [t0, t1] with its _panel_sums (K15 sum, |K15 - G7|)."""
+        k, d = sums
+        half = 0.5 * (t1 - t0)
+        e = half * float(d)
+        # a non-finite K15 or G7 sum makes e non-finite; NaN would otherwise
+        # slip through the budget test, as nan > tol is False
+        if not math.isfinite(e):
+            raise QuadratureFailure(f"non-finite integrand on {_leg_text(self.leg, t0, t1)}")
+        heapq.heappush(self.heap, (-e, self.made, t0, t1, half, k))
+        self.made += 1
+        self.err_sum += e
+
+    def split(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Pop the worst panel and return its halves, left first."""
+        neg_e, _, t0, t1, _, _ = heapq.heappop(self.heap)
+        if t1 - t0 <= 2.0**-MAX_DEPTH:
+            raise QuadratureFailure(
+                f"segment tolerance {self.tol:g} not reached at max depth (err {self.err_sum:g}) "
+                f"on {_leg_text(self.leg, t0, t1)}; the path may pass too close to a singularity"
+            )
+        if self.made + 2 > MAX_PANELS:  # self.made panels so far, 2 more to come
+            raise QuadratureFailure(
+                f"segment tolerance {self.tol:g} not reached within {MAX_PANELS} panels "
+                f"(err {self.err_sum:g}) on {_leg_text(self.leg)}"
+            )
+        self.err_sum += neg_e  # remove the split panel's estimate
+        mid = 0.5 * (t0 + t1)
+        return (t0, mid), (mid, t1)
+
+    def result(self) -> tuple[np.ndarray, float]:
+        """The sum of the panels' scaled K15 sums, in heap order, and the summed estimate."""
+        total = np.zeros(3, dtype=complex)
+        for _, _, _, _, half, k in self.heap:
+            total += half * k
+        return total, self.err_sum
+
+
+def _nodes(t0, t1):
+    """The 15 nodes of the panel [t0, t1]; t0 and t1 may be columns of many panels."""
+    return 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _XK
+
+
 def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     """Adaptive G7/K15 over one leg; returns (complex 3-vector, error estimate).
 
@@ -267,62 +338,28 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     coeff_fn call, so counting the calls counts the panels (the benchmark's
     panel anchor does that). The first call, on the panel [0, 1], receives
     the module array _T_FIRST itself, so a coeff_fn can recognize it by
-    identity and return sums computed in advance (_leg_coeffs does). The
-    two halves of a split are the rows of one (2, 15) array, each computed
-    as a lone panel's nodes, passed left then right, so a coeff_fn can
-    recognize the pair by the rows' .base and let the two halves share one
-    kernel call (_LegCoeffs does).
+    identity; every later panel's nodes are _nodes(t0, t1), so a coeff_fn
+    can recognize them by their bytes. Either way it may return sums
+    computed in advance (_LegCoeffs does).
     Interval halving against a global absolute budget: the worst panel is
-    split until the summed estimate drops below tol. Panel width is capped
-    at 2^-MAX_DEPTH and the panel count at MAX_PANELS; hitting either with
-    the budget still blown signals a mis-routed path or an integrand the
-    rule cannot resolve, and raises QuadratureFailure. So does a panel with
-    a non-finite value or estimate, at once.
+    split until the summed estimate drops below tol (_Refinement holds the
+    rule). Panel width is capped at 2^-MAX_DEPTH and the panel count at
+    MAX_PANELS; hitting either with the budget still blown signals a
+    mis-routed path or an integrand the rule cannot resolve, and raises
+    QuadratureFailure. So does a panel with a non-finite value or estimate,
+    at once.
     """
-
-    def panel(t0: float, t1: float, t: np.ndarray):
-        k, d = coeff_fn(t)
-        half = 0.5 * (t1 - t0)
-        e = half * float(d)
-        # a non-finite K15 or G7 sum makes e non-finite; NaN would otherwise
-        # slip through the budget test below, as nan > tol is False
-        if not math.isfinite(e):
-            raise QuadratureFailure(f"non-finite integrand on {_leg_text(leg, t0, t1)}")
-        return e, t0, t1, half * k
-
-    e, t0, t1, k15 = panel(0.0, 1.0, _T_FIRST)
+    k, d = first = coeff_fn(_T_FIRST)
+    e = 0.5 * float(d)
     if e <= tol:
-        return k15, e
-    counter = 0
-    heap = [(-e, counter, t0, t1, k15)]
-    err_sum = e
-    min_width = 2.0**-MAX_DEPTH
-    while err_sum > tol:
-        neg_e, _, t0, t1, k15 = heapq.heappop(heap)
-        if t1 - t0 <= min_width:
-            raise QuadratureFailure(
-                f"segment tolerance {tol:g} not reached at max depth (err {err_sum:g}) "
-                f"on {_leg_text(leg, t0, t1)}; the path may pass too close to a singularity"
-            )
-        if counter + 3 > MAX_PANELS:  # 1 + counter panels so far, 2 more to come
-            raise QuadratureFailure(
-                f"segment tolerance {tol:g} not reached within {MAX_PANELS} panels "
-                f"(err {err_sum:g}) on {_leg_text(leg)}"
-            )
-        err_sum += neg_e  # remove the split panel's estimate
-        mid = 0.5 * (t0 + t1)
-        halves = ((t0, mid), (mid, t1))
-        # the rows of one array, each the nodes of a lone panel, left first
-        rows = np.array([0.5 * (lo + hi) + 0.5 * (hi - lo) * _XK for lo, hi in halves])
-        for (lo, hi), t in zip(halves, rows):
-            e, a, b, v = panel(lo, hi, t)
-            counter += 1
-            heapq.heappush(heap, (-e, counter, a, b, v))
-            err_sum += e
-    total = np.zeros(3, dtype=complex)
-    for neg_e, _, _, _, v in heap:
-        total += v
-    return total, err_sum
+        # the first panel, [0, 1], meets the budget (a NaN estimate does not):
+        # most legs end here, so they build no _Refinement
+        return 0.5 * k, e
+    state = _Refinement(leg, tol, first)
+    while state.open:
+        for t0, t1 in state.split():
+            state.add(t0, t1, coeff_fn(_nodes(t0, t1)))
+    return state.result()
 
 
 class _LegCoeffs:
@@ -331,33 +368,27 @@ class _LegCoeffs:
     form is phi_from_w (the maximal surface) unless given; minimal passes its
     omega-triple. sheet, when given, multiplies w_values elementwise (+1 or
     -1: the branch of w the leg lies on). first, when given, holds the first
-    panel's sums, computed in a batch by _leg_coeffs: a call with _T_FIRST
-    itself returns it. The two halves of a split share one kernel call: a
-    call with a row of adaptive_leg's (2, 15) array, the left half, evaluates
-    both rows and keeps the right one's sums for the next call, which passes
-    the other row of that array (its .base). Any other call evaluates the
-    form on its nodes alone. Either way one call per panel, with the same
-    bytes.
+    panel's sums: a call with _T_FIRST itself returns it. served, once the
+    leg refines in lockstep, maps the bytes of a later panel's nodes to its
+    sums: a call with those nodes takes them (and drops them). _leg_coeffs
+    fills both in advance. Any other call evaluates the form on its nodes
+    alone. Either way one call per panel, with the same bytes.
     """
 
-    __slots__ = ("leg", "p", "form", "sheet", "first", "right")
+    __slots__ = ("leg", "p", "form", "sheet", "first", "served")
 
     def __init__(self, leg: _Leg, p: SurfaceParams, form=phi_from_w, sheet=None, first=None):
         self.leg, self.p, self.form, self.sheet, self.first = leg, p, form, sheet, first
-        self.right = None  # (the (2, 15) array of a split, its right half's sums)
+        self.served = None
 
     def __call__(self, t: np.ndarray):
         if t is _T_FIRST and self.first is not None:
             return self.first
-        rows = t.base
-        if rows is None or rows.shape != (2, _XK.size):
-            return _sums(*self.leg.points(t), self.p, self.form, self.sheet)
-        if self.right is not None and self.right[0] is rows:
-            sums, self.right = self.right[1], None
-            return sums
-        k, d = _sums(*self.leg.points(rows), self.p, self.form, self.sheet)
-        self.right = (rows, (k[1], d[1]))
-        return k[0], d[0]
+        if self.served:
+            sums = self.served.pop(t.tobytes(), None)
+            if sums is not None:
+                return sums
+        return _sums(*self.leg.points(t), self.p, self.form, self.sheet)
 
 
 def _sums(z: np.ndarray, dz: np.ndarray, p: SurfaceParams, form, sheet):
@@ -366,8 +397,7 @@ def _sums(z: np.ndarray, dz: np.ndarray, p: SurfaceParams, form, sheet):
 
     A node on a branch point divides by w = 0 (adaptive_leg raises on the
     non-finite sums), so the caller ignores divide and invalid errors:
-    _leg_coeffs for its batch, and the chunk loops of _integrate_legs and
-    minimal.measure_period for every later panel.
+    _leg_coeffs for its whole chunk.
     """
     vals = form(z, _branch(z, p, sheet)) * dz
     return _panel_sums(np.ascontiguousarray(vals.swapaxes(0, -2)))
@@ -396,28 +426,92 @@ def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(z), np.stack(dz)
 
 
-def _leg_coeffs(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> list[_LegCoeffs]:
-    """One coeff_fn per leg; the first panels of all legs are reduced together.
+def _leg_coeffs(
+    legs, p: SurfaceParams, form=phi_from_w, sheets=None, planned=None
+) -> list[_LegCoeffs]:
+    """One coeff_fn per leg, holding the sums of every panel adaptive_leg
+    will ask of it at DEFAULT_SEGMENT_TOL.
 
     Most legs of a chain need only their first panel, so one (3, K, 15)
     evaluation and one batched _panel_sums replace K small ones. form and
     the per-leg sheets are as in _LegCoeffs; the sheets enter the batch as a
-    (K, 1) column. The kernels are elementwise and give the same bits at
-    any call size, and the sums run over a contiguous (K, 3, 15) array, so
-    each leg's sums are the ones a 15-node call gives, bit for bit, for
-    any K.
+    (K, 1) column. Every leg whose first panel is rejected then refines in
+    lockstep (_lockstep). The kernels are elementwise and give the same bits
+    at any call size, and the sums run over a contiguous (K, 3, 15) array,
+    so each panel's sums are the ones a 15-node call gives, bit for bit,
+    whatever the other legs. A leg found in planned (see _plan) takes the
+    coeff_fn made there, which is removed.
     """
+    if planned:
+        fns = [planned.pop(leg, None) for leg in legs]
+        new = [i for i, fn in enumerate(fns) if fn is None]
+        sheets = None if sheets is None else [sheets[i] for i in new]
+        for i, fn in zip(new, _leg_coeffs([legs[i] for i in new], p, form, sheets)):
+            fns[i] = fn
+        return fns
     if not legs:
         return []
     column = None if sheets is None else np.array(sheets)[:, None]
+    # one errstate for the whole chunk (see _sums)
     with np.errstate(divide="ignore", invalid="ignore"):
         k, d = _sums(*_first_points(legs), p, form, column)
-    if sheets is None:
-        sheets = [None] * len(legs)
-    return [
-        _LegCoeffs(leg, p, form, sheet, first)
-        for leg, sheet, first in zip(legs, sheets, zip(k, d.tolist()))
-    ]
+        fns = [
+            _LegCoeffs(leg, p, form, sheet, first)
+            for leg, sheet, first in zip(legs, sheets or [None] * len(legs), zip(k, d.tolist()))
+        ]
+        # the first panel's estimate is 0.5 d: a leg that meets its budget
+        # with it has nothing to refine (adaptive_leg accepts it at once),
+        # and a non-finite one fails at once
+        states = []
+        for i in np.flatnonzero(~(0.5 * d <= DEFAULT_SEGMENT_TOL)).tolist():
+            try:
+                states.append((fns[i], _Refinement(legs[i], DEFAULT_SEGMENT_TOL, fns[i].first)))
+            except QuadratureFailure:
+                continue
+            fns[i].served = {}
+        _lockstep(states, p, form)
+    return fns
+
+
+def _lockstep(active, p: SurfaceParams, form) -> None:
+    """Refine legs side by side, filling each coeff_fn's served sums.
+
+    active holds a (coeff_fn, _Refinement) pair per open leg. Each round
+    splits the worst panel of every open leg, as adaptive_leg does, and
+    evaluates all the halves in one kernel call. A leg leaves on meeting
+    its budget or on a failure, which raises nothing here: adaptive_leg
+    meets it again when it replays the leg, and raises it there.
+    """
+    while active:
+        split = []
+        for fn, s in active:
+            try:
+                split.append((fn, s, s.split()))
+            except QuadratureFailure:
+                pass
+        if not split:
+            return
+        # (K, 2, 15): the nodes of both halves of each split
+        t = _nodes(*np.array([halves for _, _, halves in split]).transpose(2, 0, 1)[..., None])
+        z, dz = map(np.concatenate, zip(*(fn.leg.points(ts) for (fn, _, _), ts in zip(split, t))))
+        sheet = None
+        if split[0][0].sheet is not None:
+            sheet = np.repeat([fn.sheet for fn, _, _ in split], 2)[:, None]
+        k, d = _sums(z, dz, p, form, sheet)
+        sums = list(zip(k, d.tolist()))
+        nodes, n = t.tobytes(), t[0, 0].nbytes
+        active = []
+        for i, (fn, s, ((t0, mid), (_, t1))) in enumerate(split):
+            left, right = sums[2 * i], sums[2 * i + 1]
+            fn.served[nodes[2 * i * n : (2 * i + 1) * n]] = left
+            fn.served[nodes[(2 * i + 1) * n : (2 * i + 2) * n]] = right
+            try:
+                s.add(t0, mid, left)
+                s.add(mid, t1, right)
+            except QuadratureFailure:
+                continue
+            if s.open:
+                active.append((fn, s))
 
 
 def _chunks(items):
@@ -427,7 +521,8 @@ def _chunks(items):
         yield chunk
 
 
-# (surface, {leg: (re row, err)}) of the innermost open _leg_memo, or None
+# (surface, {leg: (re row, err)}, {leg: coeff_fn made by _plan}) of the
+# innermost open _leg_memo, or None
 _LEG_MEMO: contextvars.ContextVar = contextvars.ContextVar("maxcone_leg_memo", default=None)
 
 
@@ -436,17 +531,35 @@ def _leg_memo(p: SurfaceParams):
     """Integrate each distinct leg of p once until the with-block ends.
 
     Inside the block _leg_sums keeps {leg: (re row, err)} for p and
-    integrates only the legs it has not seen. A leg gives the same bytes
-    alone or in any batch (see _leg_coeffs), so every value inside the
-    block is the one it would be outside. The memo lives in a ContextVar
-    and is dropped on exit, normal or not: no state outlives the call that
-    opened it, so each call does the same work whenever it runs.
+    integrates only the legs it has not seen, and _plan may refine legs for
+    it in advance. A leg gives the same bytes alone or in any batch (see
+    _leg_coeffs), so every value inside the block is the one it would be
+    outside. The memo lives in a ContextVar and is dropped on exit, normal
+    or not: no state outlives the call that opened it, so each call does the
+    same work whenever it runs.
     """
-    token = _LEG_MEMO.set((p, {}))
+    token = _LEG_MEMO.set((p, {}, {}))
     try:
         yield
     finally:
         _LEG_MEMO.reset(token)
+
+
+def _plan(legs, p: SurfaceParams) -> None:
+    """Refine legs of p in lockstep now, for the open _leg_memo(p).
+
+    Only the legs neither integrated nor planned there yet are, in chunks.
+    _leg_sums replays each through adaptive_leg when a caller asks for it,
+    so errors and work counts fall where they would without the plan.
+    Outside a memo of p it does nothing.
+    """
+    scope = _LEG_MEMO.get()
+    if scope is None or scope[0] is not p:
+        return
+    _, memo, planned = scope
+    new = [leg for leg in dict.fromkeys(legs) if leg not in memo and leg not in planned]
+    for chunk in _chunks(new):
+        planned.update(zip(chunk, _leg_coeffs(chunk, p)))
 
 
 def _leg_sums(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
@@ -461,22 +574,30 @@ def _leg_sums(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
     scope = _LEG_MEMO.get()
     if scope is None or scope[0] is not p:
         return _integrate_legs(legs, p)
-    memo = scope[1]
+    _, memo, planned = scope
     legs = list(legs)
     new = [leg for leg in dict.fromkeys(legs) if leg not in memo]
-    memo.update(zip(new, zip(*_integrate_legs(new, p))))
+    memo.update(zip(new, zip(*_integrate_legs(new, p, planned=planned))))
     rows = [memo[leg] for leg in legs]
     return np.array([r for r, _ in rows]).reshape(-1, 3), np.array([e for _, e in rows])
 
 
-def _integrate_legs(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
-    """_leg_sums without a memo: every leg integrated, chunk by chunk."""
+def _integrate_legs(
+    legs, p: SurfaceParams, form=phi_from_w, sheets=None, planned=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """_leg_sums without a memo: every leg integrated, chunk by chunk.
+
+    form, the per-leg sheets and planned are as in _leg_coeffs. adaptive_leg
+    integrates the legs of a chunk in order, so the first failing leg
+    raises, after the legs before it.
+    """
     re, err = [np.zeros((0, 3))], [np.zeros(0)]
-    for chunk in _chunks(legs):
-        fns = _leg_coeffs(chunk, p)
-        # one errstate for the later panels of the whole chunk (see _sums)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            parts = [adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL) for leg, fn in zip(chunk, fns)]
+    for chunk in _chunks(legs if sheets is None else zip(legs, sheets)):
+        chunk_sheets = None
+        if sheets is not None:
+            chunk, chunk_sheets = zip(*chunk)
+        fns = _leg_coeffs(chunk, p, form, chunk_sheets, planned)
+        parts = [adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL) for leg, fn in zip(chunk, fns)]
         re.append(np.array([v for v, _ in parts]).real)
         err.append(np.array([e for _, e in parts]))
     return np.concatenate(re), np.concatenate(err)
@@ -574,6 +695,16 @@ def immersion(z: complex, p: SurfaceParams, basepoint: complex | None = None) ->
     point (see _route_end), and a basepoint at 0 or on a branch point, raise
     PathThroughSingularity before any quadrature.
     """
+    legs = _immersion_legs(z, p, basepoint)
+    z = complex(z)
+    if not legs:
+        return ImmersionSample(z=z, f=(0.0, 0.0, 0.0), quad_error=0.0)
+    f, err = _running_sum(legs, p, np.zeros(3), 0.0)
+    return ImmersionSample(z=z, f=tuple(f[-1]), quad_error=float(err[-1]))
+
+
+def _immersion_legs(z, p: SurfaceParams, basepoint=None) -> list[_Leg]:
+    """immersion's checks, then its route to z; no legs when z is the basepoint."""
     z = _route_end(z, "target")
     if z == 0:
         raise PathThroughSingularity("z = 0 is an end, not a surface point")
@@ -581,18 +712,15 @@ def immersion(z: complex, p: SurfaceParams, basepoint: complex | None = None) ->
     if basepoint == 0 or (basepoint.imag == 0 and basepoint.real in p.branch_points()):
         raise PathThroughSingularity(f"basepoint {basepoint} is 0 or a branch point, not regular")
     if z == basepoint:
-        return ImmersionSample(z=z, f=(0.0, 0.0, 0.0), quad_error=0.0)
+        return []
     c, dist = _nearest_branch_point(z, p)
     if dist == 0.0:
-        legs = _route_to_branch_point(c, p, basepoint)
-    else:
-        if z.imag == 0.0 and p.contains_real(z.real):
-            raise PathThroughSingularity(
-                f"z={z} lies inside a singular interval; use apex() for its image"
-            )
-        legs = _route_legs(z, p, basepoint)
-    f, err = _running_sum(legs, p, np.zeros(3), 0.0)
-    return ImmersionSample(z=z, f=tuple(f[-1]), quad_error=float(err[-1]))
+        return _route_to_branch_point(c, p, basepoint)
+    if z.imag == 0.0 and p.contains_real(z.real):
+        raise PathThroughSingularity(
+            f"z={z} lies inside a singular interval; use apex() for its image"
+        )
+    return _route_legs(z, p, basepoint)
 
 
 def integrate_path(path: PathSpec, p: SurfaceParams) -> tuple[tuple[float, float, float], float]:
@@ -744,22 +872,14 @@ def apex(
     integrated once per classification; the memo ends with that call, so
     the work of one call does not depend on earlier calls.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    if not any(a <= lo < hi <= b for a, b in p.intervals()):
-        raise ValueError(f"interval [{lo}, {hi}] is not lo < hi inside one singular interval of p")
-    eps0 = 1e-3 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    sign = 1.0 if side == "above" else -1.0
-    base = p.default_basepoint()
-    routes = [_route_legs(complex(mid, sign * eps0 / 2.0**i), p, base) for i in range(5)]
+    routes = _apex_routes(interval, side, p)
     re, err = _leg_sums([leg for route in routes for leg in route], p)
     ends = np.cumsum([0] + [len(route) for route in routes])
     values = [
         _accumulate(np.zeros(3), 0.0, re[a:b], err[a:b])[0][-1] for a, b in zip(ends, ends[1:])
     ]
     est, resid = _richardson_sqrt(values)
+    lo, hi = float(interval[0]), float(interval[1])
     if resid > tol:
         raise NonConvergent(
             f"apex extrapolation residual {resid:g} above tolerance {tol:g} "
@@ -769,10 +889,24 @@ def apex(
     # representative (x2 matching -Arg of the interval), so below-side
     # approaches to negative-axis intervals agree with the other sides
     # instead of landing one period away
-    expected_x2 = -cmath.phase(complex(mid))
+    expected_x2 = -cmath.phase(complex(0.5 * (lo + hi)))
     k = round((est[1] - expected_x2) / (2.0 * math.pi))
     est[1] -= 2.0 * math.pi * k
     return tuple(est), resid
+
+
+def _apex_routes(interval, side: str, p: SurfaceParams) -> list[list[_Leg]]:
+    """apex's checks, then its five routes, from the offset eps0 to eps0 / 16."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if side not in _SIDES:
+        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
+    if not any(a <= lo < hi <= b for a, b in p.intervals()):
+        raise ValueError(f"interval [{lo}, {hi}] is not lo < hi inside one singular interval of p")
+    eps0 = 1e-3 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    sign = 1.0 if side == "above" else -1.0
+    base = p.default_basepoint()
+    return [_route_legs(complex(mid, sign * eps0 / 2.0**i), p, base) for i in range(5)]
 
 
 def _richardson_sqrt(values: list[np.ndarray]) -> tuple[np.ndarray, float]:

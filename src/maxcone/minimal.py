@@ -12,10 +12,10 @@ tracking across the branch cuts (the singular intervals), and the resulting
 vectors are reported so the distance to a genuine horizontal period lattice
 can be inspected. A loop obeys the polyline rules of integrate.PathSpec,
 the ones a maximal-surface path obeys; only a crossing inside a cut
-differs: here it changes sheet. The loop's sheet-tagged pieces stream
-through the same batched first panels as the maximal-surface legs
-(integrate._leg_coeffs), each piece still integrated to the same
-tolerance by its own adaptive_leg call.
+differs: here it changes sheet. The loop's sheet-tagged pieces go through
+the chunk loop of the maximal-surface legs (integrate._integrate_legs):
+batched first panels, lockstep rounds, and each piece still integrated to
+the same tolerance by its own adaptive_leg call.
 """
 
 from __future__ import annotations
@@ -28,14 +28,8 @@ import numpy as np
 
 from . import core
 from .errors import NotClosedOnCurve, OrderingInfeasible, SignDomain
-from .integrate import (
-    DEFAULT_SEGMENT_TOL,
-    PathSpec,
-    _chunks,
-    _leg_coeffs,
-    _polyline_legs,
-    adaptive_leg,
-)
+from .integrate import PathSpec, _accumulate, _integrate_legs, _polyline_legs
+from .integrate import adaptive_leg  # noqa: F401  the benchmark's span tracer wraps this binding
 from .params import SurfaceParams
 
 ORIENTATIONS = ("vertical-ends", "horizontal-ends")
@@ -138,21 +132,9 @@ def measure_period(loop, d: MinimalData) -> tuple[tuple[float, float, float], fl
             "loop crosses an odd number of branch cuts; it ends on the other sheet"
         )
     form = functools.partial(omega_from_w, orientation=d.orientation)
-    total = np.zeros(3, dtype=complex)
-    err = 0.0
-    # the first panels of a chunk of pieces are evaluated in one batch, with
-    # each piece's sheet as the sign of w; the two halves of a split share
-    # one kernel call
-    for chunk in _chunks(zip(legs, sheets)):
-        chunk_legs, chunk_sheets = zip(*chunk)
-        fns = _leg_coeffs(chunk_legs, p, form, sheets=chunk_sheets)
-        # one errstate for the later panels of the whole chunk (see integrate._sums)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for leg, fn in zip(chunk_legs, fns):
-                v, e = adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL)
-                total += v
-                err += e
-    return tuple(total.real), err
+    # each piece's sheet is the sign of w; the pieces are added one at a time
+    f, err = _accumulate(np.zeros(3), 0.0, *_integrate_legs(legs, p, form, sheets))
+    return tuple(f[-1]), float(err[-1])
 
 
 # vertex angles of the 64-sided loop polygons

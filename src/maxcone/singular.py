@@ -16,6 +16,7 @@ the numeric result is the arbiter.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -26,11 +27,15 @@ from .errors import (
     AmbiguousDirection,
     DegenerateSingularity,
     NotOnHyperboloid,
+    PathThroughSingularity,
     VerificationFailure,
 )
 from .integrate import (
     PathSpec,
+    _apex_routes,
+    _immersion_legs,
     _leg_memo,
+    _plan,
     _polyline_legs,
     _running_sum,
     apex,
@@ -248,10 +253,13 @@ def classify_cone(
     from the origin, and most of their routes open with the same quarter
     arc. The body runs inside integrate._leg_memo, so one classification
     integrates each distinct leg once and returns the bytes it would
-    without the memo. The memo ends with the call: kept longer, a call's
+    without the memo. The legs of the four limits, which hold most of the
+    splits, are refined together in one lockstep first; the outside values
+    and the stadium chain are not planned, as each would be routed twice
+    for few splits. The memo ends with the call: kept longer, a call's
     work would depend on what ran before it, and leg and panel counts
-    could no longer be compared across calls. Widening it waits for work
-    counts kept by the library itself (ROADMAP item 1).
+    could no longer be compared across calls. Keeping it across calls
+    waits for work counts kept by the library itself (ROADMAP item 1).
     """
     with _leg_memo(p):
         iv = (component.lo, component.hi)
@@ -298,11 +306,31 @@ def classify_cone(
 
 
 def _apex_with_spread(iv, p, apex_tol):
-    """(apex from above, four-limit spread, (f(lo), f(hi)))."""
+    """(apex from above, four-limit spread, (f(lo), f(hi))).
+
+    The legs of all four limits are refined in one lockstep first
+    (integrate._plan); apex and immersion then replay them from the memo.
+    """
+    _plan(_limit_legs(iv, p), p)
     vals = [np.asarray(apex(iv, s, p, tol=apex_tol)[0]) for s in ("above", "below")]
     vals += [np.asarray(immersion(complex(x), p).f) for x in iv]
     spread = float(max(np.max(np.abs(a - b)) for a in vals for b in vals))
     return vals[0], spread, vals[2:]
+
+
+def _limit_legs(iv, p: SurfaceParams) -> list:
+    """The legs of the routes of the four limits, as apex and immersion route them.
+
+    A route that raises is left out, so that its consumer raises in its turn.
+    """
+    routes = []
+    for side in ("above", "below"):
+        with contextlib.suppress(ValueError):
+            routes += _apex_routes(iv, side, p)
+    for x in iv:
+        with contextlib.suppress(PathThroughSingularity):
+            routes.append(_immersion_legs(complex(x), p))
+    return [leg for route in routes for leg in route]
 
 
 def _outside_values(component: SingularComponent, p: SurfaceParams, f_ends, eps: float):

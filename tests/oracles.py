@@ -416,21 +416,25 @@ def obj_text_ref(mesh):
     return "\n".join(lines) + "\n"
 
 
-def integrate_leg_ref(leg, p):
+def integrate_leg_ref(leg, p, form=None, sheet=None):
     """(complex 3-vector, error estimate) of one leg integrated on its own.
 
-    The package's adaptive rule over the maximal-surface form triple, with
-    every panel, the first and both halves of each split among them,
-    evaluated in its own 15-node kernel call instead of taken from a batch
-    or a pair.
+    The package's adaptive rule over the form triple form(z, w), the
+    maximal-surface one unless given, with w times sheet (+1 or -1) when
+    given, and with every panel, the first and both halves of each split among
+    them, evaluated in its own 15-node kernel call instead of taken from a
+    batch or a round.
     """
     from maxcone import core
     from maxcone import integrate as I
 
+    form = core.phi_from_w if form is None else form
+
     def coeff(t):
         z, dz = leg.points(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return I._panel_sums(core.phi_from_w(z, core.w_values(z, p)) * dz)
+            w = core.w_values(z, p)
+            return I._panel_sums(form(z, w if sheet is None else sheet * w) * dz)
 
     return I.adaptive_leg(leg, coeff, I.DEFAULT_SEGMENT_TOL)
 

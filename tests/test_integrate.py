@@ -354,33 +354,41 @@ def _counted_leg(leg, fn, kernel):
     return v, e, panels, kernel[before:]
 
 
-def _assert_split_pairs(panels, sizes):
-    """The first panel took the batch's sums; each split's two halves, rows
-    of one (2, 15) array passed left then right, made one 30-node call."""
+def _assert_served(panels, sizes):
+    """adaptive_leg took every panel's sums from _leg_coeffs: the first panel
+    is _T_FIRST itself, the halves of each split follow left then right, and
+    adaptive_leg made no kernel call of its own."""
     assert panels[0] is I._T_FIRST and len(panels) % 2 == 1
     for left, right in zip(panels[1::2], panels[2::2]):
-        assert left.base is right.base and left.base.shape == (2, 15)
-        assert np.array_equal(left.base, [left, right])
-    assert sizes == [30] * (len(panels) // 2)
+        assert left.shape == right.shape == (15,) and left[-1] < right[0]
+    assert sizes == []
 
 
 @pytest.mark.parametrize("fixture", ["p10", "p21", "p22"])
 def test_batched_first_panels_match_per_leg_quadrature(fixture, request, monkeypatch):
-    # every leg's first panel comes from the batch, and each leg's integral
-    # and error estimate are the bytes of a leg integrated on its own
+    # every leg's first panel comes from the batch and every later panel
+    # from a round, and each leg's integral and error estimate are the bytes
+    # of a leg integrated on its own
     p = request.getfixturevalue(fixture)
     kernel = _counted_kernel(monkeypatch)
     for legs in _mixed_chains(p):
+        before = len(kernel)
         coeffs = I._leg_coeffs(legs, p)
+        rounds, splits = kernel[before:], []
         for leg, fn in zip(legs, coeffs):
             # the batched first-panel sums are the bytes of the leg's own panel
             k, d = fn.first
             k_ref, d_ref = I._LegCoeffs(leg, p)(I._T_FIRST.copy())
             assert k.tobytes() == k_ref.tobytes() and np.float64(d).tobytes() == d_ref.tobytes()
             v, e, panels, sizes = _counted_leg(leg, fn, kernel)
-            _assert_split_pairs(panels, sizes)
+            _assert_served(panels, sizes)
+            splits.append(len(panels) // 2)
             v_ref, e_ref = oracles.integrate_leg_ref(leg, p)
             assert v.tobytes() == v_ref.tobytes() and e == e_ref
+        # one call for the first panels, then one per round: each round
+        # splits every open leg once, so there are as many as the most splits
+        assert rounds[0] == 15 * len(legs) and len(rounds) == 1 + max(splits)
+        assert sum(rounds[1:]) == 30 * sum(splits)
 
 
 def _first_points_checked(legs, monkeypatch):
@@ -438,10 +446,12 @@ def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10, monkeypatch):
     leg = I.ArcLeg(r=1.001, theta_a=0.0, theta_b=0.1)
     kernel = _counted_kernel(monkeypatch)
     fn = I._leg_coeffs([leg], p10)[0]
+    rounds = kernel[:]
     v, e, calls, sizes = _counted_leg(leg, fn, kernel)
-    # the first panel was the batch's; the two halves of every split made one
-    # 30-node call
-    _assert_split_pairs(calls, sizes)
+    # the first panel was the batch's and every other a round's: the two
+    # halves of each split made one 30-node call, and adaptive_leg none
+    _assert_served(calls, sizes)
+    assert rounds == [15] + [30] * (len(calls) // 2)
     # each call is the 15 nodes of one panel of the bisection tree of [0, 1],
     # no panel is evaluated twice, and a split panel has both halves evaluated
     pending, panels = {(0.0, 1.0)}, []
@@ -509,15 +519,17 @@ def _hard_legs():
 
 
 def _paired_and_alone(leg, p, kernel, form=I.phi_from_w, sheet=None):
-    """adaptive_leg through _LegCoeffs twice: with the halves of each split
-    paired, and with every panel alone (a copy of a row has no .base).
-    Returns both results and the number of splits, after checking that the
-    pairs made one 30-node kernel call per split and the lone panels one
-    15-node call each."""
-    paired, alone = I._LegCoeffs(leg, p, form, sheet), I._LegCoeffs(leg, p, form, sheet)
+    """adaptive_leg twice: on the sums _leg_coeffs refined in rounds, where
+    the two halves of each split share one kernel call, and with every panel
+    alone (a copy of the nodes is served nothing). Returns both results and
+    the number of splits, after checking that the rounds made one 30-node
+    kernel call per split and the lone panels one 15-node call each."""
+    before = len(kernel)
+    paired = I._leg_coeffs([leg], p, form, None if sheet is None else [sheet])[0]
+    alone = I._LegCoeffs(leg, p, form, sheet)
     v, e, panels, sizes = _counted_leg(leg, paired, kernel)
     splits = len(panels) // 2
-    assert sizes == [15] + [30] * splits
+    assert sizes == [] and kernel[before:] == [15] + [30] * splits
     before = len(kernel)
     ref = I.adaptive_leg(leg, lambda t: alone(t.copy()), I.DEFAULT_SEGMENT_TOL)
     assert kernel[before:] == [15] * len(panels)
@@ -557,6 +569,116 @@ def test_paired_halves_on_the_other_sheet_give_the_bytes_of_lone_panels(fixture,
             _assert_same(got, ref)
             hard += sheet == -1 and splits >= 5
         assert hard >= 1
+
+
+def _chunk_of_every_depth():
+    """Legs of p22 of every type, from a first panel that meets the budget
+    to more than five splits, interleaved."""
+    easy = [
+        I.ArcLeg(r=6.0, theta_a=0.0, theta_b=0.3),
+        I.RadialLeg(theta=1.0, r_a=5.0, r_b=6.0),
+        I.SegmentLeg(z_a=5.0 + 1.0j, z_b=6.0 + 2.0j),
+        I.SqrtApproachLeg(c=4 + 0j, z_outer=4.04 + 0j),
+        I._ReversedLeg(I.SqrtApproachLeg(c=1 + 0j, z_outer=0.99 + 0j)),
+        I.ArcLeg(r=2.5, theta_a=0.5, theta_b=1.5),
+    ]
+    return [leg for pair in zip(easy, _hard_legs() + [I.ArcLeg(r=1.05, theta_a=0.0, theta_b=0.5)]) for leg in pair]
+
+
+def _panels_per_leg(monkeypatch):
+    """[leg, panels] of every adaptive_leg call from now on."""
+    adaptive_leg, log = I.adaptive_leg, []
+
+    def counted_leg(leg, coeff_fn, tol):
+        log.append([leg, 0])
+
+        def counted_panel(t):
+            log[-1][1] += 1
+            return coeff_fn(t)
+
+        return adaptive_leg(leg, counted_panel, tol)
+
+    monkeypatch.setattr(I, "adaptive_leg", counted_leg)
+    return log
+
+
+@pytest.mark.parametrize("orientation", [None, "vertical-ends", "horizontal-ends"])
+def test_a_mixed_chunk_gives_each_leg_its_lone_bytes(p22, orientation, monkeypatch):
+    # legs of every type and depth refine side by side in one chunk, on the
+    # maximal surface and, through minimal's omega-triple, on both sheets;
+    # each leg gets the bytes of the leg integrated alone
+    from maxcone import minimal as M
+
+    legs = _chunk_of_every_depth()
+    form, sheets = I.phi_from_w, None
+    if orientation is not None:
+        form = functools.partial(M.omega_from_w, orientation=orientation)
+        sheets = [(-1) ** i for i in range(len(legs))]
+    refs = [oracles.integrate_leg_ref(leg, p22, None if sheets is None else form, None if sheets is None else s)
+            for leg, s in zip(legs, sheets or [None] * len(legs))]
+    kernel = _counted_kernel(monkeypatch)
+    log = _panels_per_leg(monkeypatch)
+    re, err = I._integrate_legs(legs, p22, form, sheets)
+    assert [leg for leg, _ in log] == legs
+    for row, e, (v_ref, e_ref) in zip(re, err, refs):
+        assert row.tobytes() == v_ref.real.tobytes()
+        assert e.tobytes() == np.float64(e_ref).tobytes()
+    splits = [n // 2 for _, n in log]
+    assert min(splits) == 0 and max(splits) > 5
+    assert {type(leg) for leg, n in log if n > 11} == {type(leg) for leg in legs}
+    # one call for the first panels and one per round, 30 nodes per split
+    assert len(kernel) == 1 + max(splits)
+    assert kernel[0] == 15 * len(legs) and sum(kernel[1:]) == 30 * sum(splits)
+
+
+def _chunk_with_a_failing_leg(kind, p10, p22, monkeypatch):
+    """(surface, legs, index of the leg that fails) for each way a leg fails:
+    past the panel budget, at the width cap, or on a non-finite panel."""
+    if kind == "panels":
+        # the hard legs need 11 panels or more, the easy ones 1
+        monkeypatch.setattr(I, "MAX_PANELS", 9)
+        legs = _chunk_of_every_depth()
+        return p22, legs, 1
+    if kind == "depth":
+        # along the cut [1, 2]: a panel at the branch point 1 reaches the cap
+        legs = [I.ArcLeg(r=3.0, theta_a=0.0, theta_b=1.0), I.ArcLeg(r=1.001, theta_a=0.0, theta_b=0.1),
+                I.SegmentLeg(0.5 + 0j, 3.4 + 0j), I.ArcLeg(r=1.002, theta_a=0.1, theta_b=0.2),
+                I.RadialLeg(theta=1e-3, r_a=1.5, r_b=3.0)]
+        return p10, legs, 2
+    # the square-root leg into 2.0 refines until c + d s^2 rounds to c
+    bad = SurfaceParams(m=2, n=0, a=(1, 2, 2.001, 3), alpha=(1, -1))
+    legs = [I.ArcLeg(r=5.0, theta_a=0.0, theta_b=1.0), I.ArcLeg(r=1.001, theta_a=0.0, theta_b=0.1),
+            I.RadialLeg(theta=0.2, r_a=4.0, r_b=5.0), I.SqrtApproachLeg(c=2 + 0j, z_outer=2.00001 + 0j),
+            I.ArcLeg(r=3.001, theta_a=0.0, theta_b=0.1)]
+    return bad, legs, 3
+
+
+@pytest.mark.parametrize("kind", ["panels", "depth", "non-finite"])
+def test_a_failing_leg_in_a_chunk_raises_its_lone_message(kind, p10, p22, monkeypatch):
+    # the failing leg leaves the rounds and raises when adaptive_leg replays
+    # it, with the message it raises alone; the legs before it were
+    # integrated, with their lone bytes, and the legs after it were not
+    p, legs, bad = _chunk_with_a_failing_leg(kind, p10, p22, monkeypatch)
+    refs = [oracles.integrate_leg_ref(leg, p) for leg in legs[:bad]]
+    with pytest.raises(QuadratureFailure) as lone:
+        oracles.integrate_leg_ref(legs[bad], p)
+    adaptive_leg, log = I.adaptive_leg, []
+
+    def logged_leg(leg, coeff_fn, tol):
+        log.append(leg)
+        return adaptive_leg(leg, coeff_fn, tol)
+
+    monkeypatch.setattr(I, "adaptive_leg", logged_leg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure) as chunk:
+            I._integrate_legs(legs, p)
+    assert str(chunk.value) == str(lone.value)
+    assert log == legs[: bad + 1]
+    monkeypatch.setattr(I, "adaptive_leg", adaptive_leg)
+    for leg, fn, (v_ref, e_ref) in zip(legs, I._leg_coeffs(legs, p), refs):
+        v, e = I.adaptive_leg(leg, fn, I.DEFAULT_SEGMENT_TOL)
+        assert v.tobytes() == v_ref.tobytes() and e == e_ref
 
 
 def test_leg_points_of_a_pair_are_the_bytes_of_each_row():
@@ -623,8 +745,8 @@ def test_max_depth_failure_names_the_leg(p10):
 
 
 def test_kernel_calls_enter_one_errstate_each(p21, monkeypatch):
-    # w_values' own errstate is the only one a kernel call enters; the later
-    # panels of a chunk share one more, and the first-panel batch its own
+    # w_values' own errstate is the only one a kernel call enters; the
+    # first-panel batch and the rounds of a chunk share one more
     kernel = _counted_kernel(monkeypatch)
     entered = []
 
@@ -640,4 +762,4 @@ def test_kernel_calls_enter_one_errstate_each(p21, monkeypatch):
     I._leg_sums(legs, p21)
     # two chunks, and legs that split, so later panels made kernel calls too
     assert len(legs) > I._CHUNK and len(kernel) > 2
-    assert len(entered) == len(kernel) + 2 * 2
+    assert len(entered) == len(kernel) + 2

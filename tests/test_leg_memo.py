@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -169,7 +170,8 @@ def test_classify_cone_integrates_no_leg_twice(p21, leg_log, kernel_log):
     # at the origin's radius were integrated 13 times between them, 108 legs
     # and 336, 310 and 310 panels. Kernel calls and points beside them: with
     # each split panel in its own call there were 172, 146 and 146 calls on
-    # the same points; the two halves of a split now share one
+    # the same points, with the two halves of a split in one call 91, 78 and
+    # 78; now every split of a round shares one
     work = []
     for c in S.components(p21):
         leg_log.clear()
@@ -178,7 +180,26 @@ def test_classify_cone_integrates_no_leg_twice(p21, leg_log, kernel_log):
         legs = [leg for leg, _ in leg_log]
         assert len(set(legs)) == len(legs)
         work.append((len(legs), sum(n for _, n in leg_log), len(kernel_log), sum(kernel_log)))
-    assert work == [(97, 259, 91, 3885), (97, 233, 78, 3495), (97, 233, 78, 3495)]
+    assert work == [(97, 259, 19, 3885), (97, 233, 20, 3495), (97, 233, 19, 3495)]
+
+
+def test_classify_cone_kernel_calls_are_batches_and_rounds(p21, kernel_log, monkeypatch):
+    # every kernel call of a p21 classification is a chunk's first-panel
+    # batch or a round of _lockstep; adaptive_leg is served every panel, and
+    # no panel is evaluated alone
+    sums, calls = I._sums, []
+
+    def counted_sums(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return sums(*args)
+
+    monkeypatch.setattr(I, "_sums", counted_sums)
+    for c in S.components(p21):
+        calls.clear()
+        kernel_log.clear()
+        S.classify_cone(c, p21)
+        assert len(kernel_log) == len(calls)
+        assert set(calls) == {"_leg_coeffs", "_lockstep"}, calls
 
 
 def test_the_memo_does_not_leak_after_a_failure(p21, leg_log):

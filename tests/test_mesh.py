@@ -99,7 +99,8 @@ def test_sample_fundamental_work_counts(p21, monkeypatch):
     # legs and panels counted as the benchmark counts them: adaptive_leg calls
     # and the coeff_fn calls inside them; then the quadrature's kernel calls
     # and points, 310 calls on the same points when each split panel made its
-    # own call, before the two halves of a split shared one
+    # own call, 160 when the two halves of a split shared one, before the
+    # splits of a chunk were refined in rounds
     from maxcone import integrate
 
     adaptive_leg, w_values = integrate.adaptive_leg, integrate.w_values
@@ -122,7 +123,7 @@ def test_sample_fundamental_work_counts(p21, monkeypatch):
     monkeypatch.setattr(integrate, "adaptive_leg", counted_leg)
     monkeypatch.setattr(integrate, "w_values", counted_kernel)
     MM.sample_fundamental(p21, COARSE)
-    assert counts == [2548, 2848, 160, 42720]
+    assert counts == [2548, 2848, 33, 42720]
 
 
 @pytest.mark.parametrize("fixture", ["p10", "p21", "p22"])

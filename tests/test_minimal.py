@@ -116,7 +116,7 @@ def test_even_cut_crossings_accepted(p22, monkeypatch):
     v, err = M.measure_period(loop, d)
     assert err < 1e-8
     # stable under a tighter quadrature rerun
-    monkeypatch.setattr(M, "DEFAULT_SEGMENT_TOL", 1e-12)
+    monkeypatch.setattr(I, "DEFAULT_SEGMENT_TOL", 1e-12)
     v2, _ = M.measure_period(loop, d)
     assert np.asarray(v) == pytest.approx(np.asarray(v2), abs=1e-9)
 
@@ -149,7 +149,7 @@ def test_measure_period_matches_per_piece_oracle(fixture, request):
 def test_omega_pieces_one_leg_each_and_batched_first_panels(p10, monkeypatch):
     d = _vertical(p10)
     legs = []
-    adaptive_leg = M.adaptive_leg
+    adaptive_leg = I.adaptive_leg
 
     def counted_leg(leg, coeff_fn, tol):
         calls = []
@@ -169,13 +169,16 @@ def test_omega_pieces_one_leg_each_and_batched_first_panels(p10, monkeypatch):
         sizes.append(np.size(z))
         return w_values(z, p)
 
-    monkeypatch.setattr(M, "adaptive_leg", counted_leg)
+    monkeypatch.setattr(I, "adaptive_leg", counted_leg)
     monkeypatch.setattr(I, "w_values", counted_w)
     M.measure_period(M.end_loop_waypoints(p10), d)
-    # one adaptive_leg call per piece, and one kernel call for all first panels
+    # one adaptive_leg call per piece, one kernel call for all first panels,
+    # then one per round, in which the two halves of every split of the
+    # pieces still open share the call
     assert len(legs) == 64
-    assert sizes[0] == 64 * 15 and all(n == 15 for n in sizes[1:])
-    assert len(sizes) == 1 + sum(len(calls) - 1 for _, _, calls in legs)
+    splits = [(len(calls) - 1) // 2 for _, _, calls in legs]
+    assert sizes[0] == 64 * 15 and len(sizes) == 1 + max(splits)
+    assert sum(sizes[1:]) == 30 * sum(splits)
     for leg, fn, calls in legs:
         assert calls[0] is I._T_FIRST
         k, e = fn.first
