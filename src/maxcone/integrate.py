@@ -26,7 +26,9 @@ The legs whose first panel is rejected then refine in lockstep: each
 round splits the worst panel of every open leg under adaptive_leg's rule
 (_Refinement) and evaluates all the halves in one kernel call. After
 that adaptive_leg runs once per leg, in order, on the sums the rounds
-left, and decides its result or raises its error. The kernels give each
+left, and decides its result or raises its error; it takes each later
+panel's nodes from a small cache of read-only arrays (_panel_nodes),
+since refined legs split the same panels of [0, 1]. The kernels give each
 point the same bits whatever the call size, so a leg's result depends
 neither on the chunk it falls in nor on the other legs of a round. Every
 leg streams through that batch: the mesh grid's ring arcs, the routes of
@@ -43,7 +45,8 @@ check or one mesh weld check, _leg_sums integrates each distinct leg once
 and serves repeats from the memo, with the same bytes; the memo ends with
 that call. There _plan refines legs in advance, in one lockstep, for the
 calls that follow: a cone classification plans the routes of its four
-limits.
+limits. Legs that no other route shares, such as the stadium chain's,
+go straight to _integrate_legs and skip the memo's hashing.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import contextvars
+import functools
 import heapq
 import itertools
 import math
@@ -329,6 +333,18 @@ def _nodes(t0, t1):
     return 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _XK
 
 
+@functools.lru_cache(maxsize=512)
+def _panel_nodes(t0: float, t1: float) -> np.ndarray:
+    """_nodes(t0, t1) of one panel, read-only and shared between calls.
+
+    Refined legs split the same dyadic panels of [0, 1] over and over, so
+    adaptive_leg takes their nodes from here instead of building them again.
+    """
+    t = _nodes(t0, t1)
+    t.flags.writeable = False
+    return t
+
+
 def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     """Adaptive G7/K15 over one leg; returns (complex 3-vector, error estimate).
 
@@ -338,9 +354,11 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     coeff_fn call, so counting the calls counts the panels (the benchmark's
     panel anchor does that). The first call, on the panel [0, 1], receives
     the module array _T_FIRST itself, so a coeff_fn can recognize it by
-    identity; every later panel's nodes are _nodes(t0, t1), so a coeff_fn
-    can recognize them by their bytes. Either way it may return sums
-    computed in advance (_LegCoeffs does).
+    identity; every later panel's nodes have the bytes of _nodes(t0, t1), so
+    a coeff_fn can recognize them by their bytes. Either way it may return
+    sums computed in advance (_LegCoeffs does). Those later node arrays are
+    read-only and shared with other legs' calls (_panel_nodes), so a
+    coeff_fn must not write to them.
     Interval halving against a global absolute budget: the worst panel is
     split until the summed estimate drops below tol (_Refinement holds the
     rule). Panel width is capped at 2^-MAX_DEPTH and the panel count at
@@ -358,7 +376,7 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     state = _Refinement(leg, tol, first)
     while state.open:
         for t0, t1 in state.split():
-            state.add(t0, t1, coeff_fn(_nodes(t0, t1)))
+            state.add(t0, t1, coeff_fn(_panel_nodes(t0, t1)))
     return state.result()
 
 
@@ -610,6 +628,19 @@ def _accumulate(f0, e0: float, re: np.ndarray, err: np.ndarray):
     return f[1:], e[1:]
 
 
+def _path_values(paths, p: SurfaceParams) -> list[np.ndarray]:
+    """The integral over each path (a list of legs) from 0, one _leg_sums batch for all.
+
+    Each path sums its own legs in order, as immersion and integrate_path
+    do, so each value is their bytes.
+    """
+    re, err = _leg_sums([leg for legs in paths for leg in legs], p)
+    ends = np.cumsum([0] + [len(legs) for legs in paths])
+    return [
+        _accumulate(np.zeros(3), 0.0, re[a:b], err[a:b])[0][-1] for a, b in zip(ends, ends[1:])
+    ]
+
+
 def _running_sum(legs, p: SurfaceParams, f0, e0: float):
     """Re-integral and error estimate after each of consecutive legs.
 
@@ -858,8 +889,8 @@ def apex(
     Evaluates f above or below the interval midpoint at offsets
     1e-3 * length / 2^i, i < 5, and Richardson-extrapolates in sqrt(eps).
     The five samples take immersion's routes, and the legs of all five run
-    through one _leg_sums batch; each sample sums its own legs in order, as
-    immersion does, so the values are immersion's bytes.
+    through one _leg_sums batch (_path_values), so the values are
+    immersion's bytes.
     The interval must be a finite lo < hi inside one closed singular
     interval of p, else ValueError. Returns (apex, extrapolation residual);
     raises NonConvergent when the residual exceeds tol. The along-axis
@@ -872,13 +903,7 @@ def apex(
     integrated once per classification; the memo ends with that call, so
     the work of one call does not depend on earlier calls.
     """
-    routes = _apex_routes(interval, side, p)
-    re, err = _leg_sums([leg for route in routes for leg in route], p)
-    ends = np.cumsum([0] + [len(route) for route in routes])
-    values = [
-        _accumulate(np.zeros(3), 0.0, re[a:b], err[a:b])[0][-1] for a, b in zip(ends, ends[1:])
-    ]
-    est, resid = _richardson_sqrt(values)
+    est, resid = _richardson_sqrt(_path_values(_apex_routes(interval, side, p), p))
     lo, hi = float(interval[0]), float(interval[1])
     if resid > tol:
         raise NonConvergent(

@@ -34,13 +34,13 @@ from .integrate import (
     PathSpec,
     _apex_routes,
     _immersion_legs,
+    _integrate_legs,
     _leg_memo,
+    _path_values,
     _plan,
     _polyline_legs,
-    _running_sum,
     apex,
     immersion,
-    integrate_path,
 )
 from .params import SurfaceParams
 
@@ -249,27 +249,27 @@ def classify_cone(
     report also records both printed sign conventions and whether the
     numeric result matches each.
 
-    The four limits, the outside values and the stadium chain all start
-    from the origin, and most of their routes open with the same quarter
-    arc. The body runs inside integrate._leg_memo, so one classification
-    integrates each distinct leg once and returns the bytes it would
-    without the memo. The legs of the four limits, which hold most of the
-    splits, are refined together in one lockstep first; the outside values
-    and the stadium chain are not planned, as each would be routed twice
-    for few splits. The memo ends with the call: kept longer, a call's
-    work would depend on what ran before it, and leg and panel counts
-    could no longer be compared across calls. Keeping it across calls
-    waits for work counts kept by the library itself (ROADMAP item 1).
+    The four limits start from the origin, and most of their routes open
+    with the same quarter arc. The body runs inside integrate._leg_memo, so
+    one classification integrates each distinct leg once and returns the
+    bytes it would without the memo. The legs of the four limits, which
+    hold most of the splits, are refined together in one lockstep first.
+    The four outside values then take one batch of legs, all carried from
+    f(lo) and f(hi), and the stadium chain of the embedded-neighbourhood
+    proxy starts at its own first point, so nothing else is routed from
+    the origin. The memo ends with the call: kept longer, a call's work
+    would depend on what ran before it, and leg and panel counts could no
+    longer be compared across calls. Keeping it across calls waits for
+    work counts kept by the library itself (ROADMAP item 1).
     """
     with _leg_memo(p):
         iv = (component.lo, component.hi)
         apex_f, spread, f_ends = _apex_with_spread(iv, p, apex_tol)
         eps_outer = _clamp_outer(1e-2 * component.length, component, p)
         votes = []
-        for eps in (eps_outer, eps_outer / 10.0):
-            f_out = _outside_values(component, p, f_ends, eps)
-            d_lo = apex_f[2] - f_out[0][2]
-            d_hi = apex_f[2] - f_out[1][2]
+        for eps, f_lo, f_hi in _outside_values(component, p, f_ends, eps_outer):
+            d_lo = apex_f[2] - f_lo[2]
+            d_hi = apex_f[2] - f_hi[2]
             margin = 1e-12 * max(1.0, abs(apex_f[2]))
             if d_lo > margin and d_hi > margin:
                 votes.append("up")
@@ -333,19 +333,29 @@ def _limit_legs(iv, p: SurfaceParams) -> list:
     return [leg for route in routes for leg in route]
 
 
-def _outside_values(component: SingularComponent, p: SurfaceParams, f_ends, eps: float):
-    """f at lo - eps and hi + eps, carried from the endpoint values f_ends.
+def _outside_values(component: SingularComponent, p: SurfaceParams, f_ends, eps_outer: float):
+    """[(eps, f at lo - eps, f at hi + eps)] for eps = eps_outer, eps_outer / 10.
 
-    Each is the endpoint value plus the integral along the real axis into
-    the adjacent gap: a square-root leg out of the branch point and at most
-    one short segment. The routed immersion reaches the same points through
-    the closed upper half-plane too, so the two agree to quadrature accuracy.
+    Each value is its endpoint's value in f_ends = (f(lo), f(hi)) plus the
+    integral along the real axis into the adjacent gap: a square-root leg
+    out of the branch point and at most one short segment. The legs of all
+    four paths go through one batch (integrate._path_values), so the
+    integrals are integrate_path's bytes. The routed immersion reaches the
+    same points through the closed upper half-plane too, so the two agree
+    to quadrature accuracy.
     """
-    out = []
-    for x, step, f_x in ((component.lo, -eps, f_ends[0]), (component.hi, eps, f_ends[1])):
-        df, _ = integrate_path(PathSpec((x, x + step)), p)
-        out.append(f_x + np.asarray(df))
-    return out
+    epsilons = (eps_outer, eps_outer / 10.0)
+    starts = [
+        start
+        for eps in epsilons
+        for start in ((component.lo, -eps, f_ends[0]), (component.hi, eps, f_ends[1]))
+    ]
+    paths = [
+        _polyline_legs(PathSpec((x, x + step)).waypoints, p, cuts="reject")[0]
+        for x, step, _ in starts
+    ]
+    values = [f_x + df for (_, _, f_x), df in zip(starts, _path_values(paths, p))]
+    return [(eps, values[2 * i], values[2 * i + 1]) for i, eps in enumerate(epsilons)]
 
 
 def _clamp_outer(eps: float, component: SingularComponent, p: SurfaceParams) -> float:
@@ -361,8 +371,9 @@ def embedded_neighborhood_proxy(component: SingularComponent, p: SurfaceParams) 
     """Finite proxy for the embedded punctured neighborhood condition.
 
     Projects the image of a stadium-shaped loop around the component,
-    integrated as one chain, to the x1x2-plane and checks the polyline is
-    simple. A pass is evidence, not a proof; reports label it as a proxy.
+    integrated as one chain relative to its first point, to the x1x2-plane
+    and checks the polyline is simple; a translation does not change that.
+    A pass is evidence, not a proof; reports label it as a proxy.
     """
     pts = _stadium_image(component, p)[1][:, :2]
     ring = np.arange(len(pts))
@@ -370,17 +381,19 @@ def embedded_neighborhood_proxy(component: SingularComponent, p: SurfaceParams) 
 
 
 def _stadium_image(component: SingularComponent, p: SurfaceParams):
-    """The 62-point stadium loop and its image, integrated as one chain.
+    """The 62-point stadium loop and its image relative to the first point.
 
-    One routed immersion reaches the first point; straight legs join the
-    rest, so the image is continuous (a route per point would pass above or
-    below 0 by the sign of Arg and split a period jump into the loop).
+    Straight legs join the points into one chain from 0 at loop[0], so the
+    image is continuous (a route per point would pass above or below 0 by
+    the sign of Arg and split a period jump into the loop). It is f minus
+    f(loop[0]): a translation, under which the x1x2 polygon stays simple or
+    not, so no route from the origin is needed. The chain's legs are shared
+    with no other route, so they are integrated outside the leg memo.
     """
     loop = _stadium_points(component, _clamp_outer(0.2 * component.length, component, p))
-    start = immersion(complex(loop[0]), p)
     legs, _, _ = _polyline_legs(PathSpec(loop).waypoints, p, cuts="reject")
-    f, _ = _running_sum(legs, p, start.f, start.quad_error)
-    return loop, np.vstack([start.f, f])
+    re, _ = _integrate_legs(legs, p)
+    return loop, np.cumsum(np.vstack([np.zeros(3), re]), axis=0)
 
 
 def _stadium_points(component: SingularComponent, d: float) -> np.ndarray:

@@ -19,10 +19,12 @@ The sign rules the package derived from alpha and beta one by one, before
 SurfaceParams.signed_intervals() owned them, are kept verbatim as well, and
 so is the disk-and-boundary test of the mesh check as it was before it
 built its edge keys in place (full-size key arrays and gathered copies).
+One-cone surfaces have an exact reference: their immersion in closed form.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 
@@ -122,6 +124,39 @@ def hyperboloid_point(G: complex) -> np.ndarray:
     if a2 == 1.0:
         raise ValueError(f"|G| = 1 has no hyperboloid preimage (G={G})")
     return np.array([-2.0 * G.real, -2.0 * G.imag, a2 + 1.0]) / (a2 - 1.0)
+
+
+def one_cone_immersion_ref(z, p) -> np.ndarray:
+    """Closed-form f(z) of a one-cone surface (m = 1, n = 0), from the origin a_2 + 1.
+
+    w^2 = (z - A)/(z - B) is a Mobius map, with A the zero and B the pole
+    (A = a_2 when alpha = +1, else a_1), so z and both forms are rational in
+    w. With k = sqrt(A/B) > 0, up to the constants that make f(a_2 + 1) = 0:
+    x1 = -log|(1 + w)/(1 - w)| + (A + B)/(2 B k) log|(k + w)/(k - w)|,
+    x2 = -Arg z, x3 = (A - B)/(2 B k) log|(k + w)/(k - w)|. The logs are
+    real parts of complex logs, so they are single-valued, and they are
+    formed without cancellation from 1 - w^2 = (A - B)/(z - B) and
+    k^2 - w^2 = z (A - B)/(B (z - B)). On the closed interval w is
+    imaginary and both logs vanish, so any interior point gives the apex.
+    z may not be 0 or B.
+    """
+    if (p.m, p.n) != (1, 0):
+        raise ValueError("the closed form holds for one-cone surfaces only")
+    lo, hi = p.a
+    A, B = (hi, lo) if p.alpha[0] == 1 else (lo, hi)
+    k = math.sqrt(A / B)
+
+    def logs(z):
+        w = cmath.sqrt((z - A) / (z - B))  # principal root: Re w >= 0
+        l1 = 2.0 * math.log(abs(1.0 + w)) + math.log(abs(z - B)) - math.log(abs(A - B))
+        lk = 2.0 * math.log(abs(k + w)) + math.log(abs(B * (z - B))) - math.log(abs(z * (A - B)))
+        return l1, lk
+
+    z = complex(z)
+    (l1, lk), (l1_0, lk_0) = logs(z), logs(complex(hi + 1.0))
+    d1, dk = l1 - l1_0, lk - lk_0
+    c1, c3 = (A + B) / (2.0 * B * k), (A - B) / (2.0 * B * k)
+    return np.array([-d1 + c1 * dk, -cmath.phase(z), c3 * dk])
 
 
 def gauss_derivative_fd(z, p, h=1e-5):

@@ -472,6 +472,24 @@ def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10, monkeypatch):
     assert v.tobytes() == ref_v.tobytes() and e == ref_e
 
 
+@pytest.mark.parametrize(
+    "t0, t1",
+    [(0.0, 0.5), (0.5, 1.0), (0.375, 0.40625), (2.0**-40, 2.0**-39), (0.1, 0.7), (1 / 3, 2 / 3)],
+)
+def test_panel_nodes_are_the_read_only_bytes_of_nodes(t0, t1):
+    # adaptive_leg takes a later panel's nodes from a cache shared by every
+    # leg: the bytes _nodes gives, alone and as _lockstep's columns, on
+    # dyadic panels and others, in an array that no coeff_fn can write to
+    t = I._panel_nodes(t0, t1)
+    assert t.dtype == np.float64 and t.shape == (15,)
+    assert t.tobytes() == I._nodes(t0, t1).tobytes()
+    assert t.tobytes() == I._nodes(np.array([[t0]]), np.array([[t1]]))[0].tobytes()
+    assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0] = 0.5
+    assert I._panel_nodes(t0, t1) is t
+
+
 def test_batched_first_panels_keep_the_failing_leg(p10):
     # a node on the branch point 2 fails that leg alone, with no warning
     good = I.ArcLeg(r=3.0, theta_a=0.0, theta_b=1.0)

@@ -171,7 +171,10 @@ def test_classify_cone_integrates_no_leg_twice(p21, leg_log, kernel_log):
     # and 336, 310 and 310 panels. Kernel calls and points beside them: with
     # each split panel in its own call there were 172, 146 and 146 calls on
     # the same points, with the two halves of a split in one call 91, 78 and
-    # 78; now every split of a round shares one
+    # 78, with every split of a round in one call 19, 20 and 19 (97 legs on
+    # 259, 233 and 233 panels). Now the stadium chain starts at its first
+    # point, not at a routed immersion of it, and the four vote paths share
+    # one batch: 2 legs fewer, and 7, 8 and 8 kernel calls
     work = []
     for c in S.components(p21):
         leg_log.clear()
@@ -180,7 +183,7 @@ def test_classify_cone_integrates_no_leg_twice(p21, leg_log, kernel_log):
         legs = [leg for leg, _ in leg_log]
         assert len(set(legs)) == len(legs)
         work.append((len(legs), sum(n for _, n in leg_log), len(kernel_log), sum(kernel_log)))
-    assert work == [(97, 259, 19, 3885), (97, 233, 20, 3495), (97, 233, 19, 3495)]
+    assert work == [(95, 247, 12, 3705), (95, 223, 12, 3345), (95, 223, 11, 3345)]
 
 
 def test_classify_cone_kernel_calls_are_batches_and_rounds(p21, kernel_log, monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 from maxcone import core
+from maxcone import integrate as I
 from maxcone import singular as S
-from maxcone.errors import DegenerateSingularity, NotOnHyperboloid
+from maxcone.errors import DegenerateSingularity, NotOnHyperboloid, QuadratureFailure
 from maxcone.integrate import PathSpec, immersion, integrate_path
 from maxcone.params import SurfaceParams
 
@@ -189,15 +190,67 @@ def test_classify_cone_wide_scale_ratio():
 )
 def test_direction_votes_match_routed_immersion(p):
     # classify_cone carries f(lo) and f(hi) along the real axis to its vote
-    # points; routing each vote point from the basepoint gives the same f
+    # points, the legs of all four paths in one batch: each value is the
+    # bytes of its endpoint value plus its path's integrate_path sum, inside
+    # a leg memo too, and routing the vote point from the basepoint gives
+    # the same f
     for c in S.components(p):
         ends = [np.asarray(immersion(complex(x), p).f) for x in (c.lo, c.hi)]
         eps0 = S._clamp_outer(1e-2 * c.length, c, p)
-        for eps in (eps0, eps0 / 10.0):
-            chained = S._outside_values(c, p, ends, eps)
-            for x, f in zip((c.lo - eps, c.hi + eps), chained):
-                routed = np.asarray(immersion(complex(x), p).f)
-                assert np.max(np.abs(f - routed)) <= 1e-9, (c.axis, c.index, x)
+        votes = S._outside_values(c, p, ends, eps0)
+        with I._leg_memo(p):
+            in_memo = S._outside_values(c, p, ends, eps0)
+        assert [eps for eps, _, _ in votes] == [eps0, eps0 / 10.0]
+        for (eps, *chained), (_, *memoed) in zip(votes, in_memo):
+            for x, step, f_x, f, g in zip((c.lo, c.hi), (-eps, eps), ends, chained, memoed):
+                df, _ = integrate_path(PathSpec((x, x + step)), p)
+                assert (f_x + np.asarray(df)).tobytes() == f.tobytes() == g.tobytes()
+                routed = np.asarray(immersion(complex(x + step), p).f)
+                assert np.max(np.abs(f - routed)) <= 1e-9, (c.axis, c.index, x + step)
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        (
+            SurfaceParams(
+                m=2, n=1, a=(1e-6, 1.8, 2.5, 3.6), b=(-1.2, -2.4), alpha=(1, -1), beta=(1,)
+            ),
+            [
+                "segment tolerance 1e-10 not reached within 2000 panels (err 1.04132e-08) on "
+                "RadialLeg(theta=1.5707963267948966, r_a=4.6, r_b=9.9e-07) over t in [0, 1] "
+                "(z from 2.8166876380389121e-16+4.5999999999999996j to "
+                "6.0620016570074298e-23+9.9000000020055268e-07j)",
+                None,
+                None,
+            ],
+        ),
+        (
+            SurfaceParams(m=1, n=0, a=(1e-3, 1e3), alpha=(1,)),
+            [
+                "segment tolerance 1e-10 not reached within 2000 panels (err 1.89538e-09) on "
+                "RadialLeg(theta=1.5707963267948966, r_a=1001.0, r_b=0.00099) over t in [0, 1] "
+                "(z from 6.129357229732503e-14+1001j to "
+                "6.0620016557892002e-20+0.00099000000000160071j)",
+            ],
+        ),
+    ],
+    ids=["readme-a1-1e-6", "one-cone-1e6"],
+)
+def test_classification_failure_messages_are_frozen(p, expected):
+    # the radial leg into the smallest branch point stops at the panel
+    # budget (ROADMAP items 6 and 15); frozen from the version that
+    # integrated the four vote paths one integrate_path call at a time, as
+    # the 2.001 surface's are in test_integrate.py. None: the cone classifies
+    comps = S.components(p)
+    assert len(comps) == len(expected)
+    for c, message in zip(comps, expected):
+        if message is None:
+            assert S.classify_cone(c, p).matches_theorem
+            continue
+        with pytest.raises(QuadratureFailure) as failure:
+            S.classify_cone(c, p)
+        assert str(failure.value) == message
 
 
 def test_touching_pairs_closed_segments():
