@@ -50,7 +50,7 @@ class PathThroughSingularity(MaxconeError):
 
 
 class NonConvergent(NumericFailure):
-    """Richardson extrapolation residual stayed above tolerance."""
+    """An apex limit's error estimate or extrapolation residual stayed above tolerance."""
 
 
 class VerificationFailure(NumericFailure):

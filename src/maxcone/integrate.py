@@ -12,10 +12,13 @@ from the fixed origin a_{2m} + 1, where f2 = -Arg z.
 
 Loop periods around the two ends, polyline path integrals, running sums
 along chains of consecutive legs, and the transverse apex limits of singular
-intervals (Richardson extrapolation in sqrt(offset)) all live here. f
-extends continuously to each closed singular interval and is constant on
-it, so its along-axis limits are the endpoint values immersion(lo) and
-immersion(hi), which the square-root leg integrates exactly.
+intervals all live here. f extends continuously to each closed singular
+interval and is constant on it, so its along-axis limits are the endpoint
+values immersion(lo) and immersion(hi), which the square-root leg
+integrates exactly, and its transverse limits are f at the midpoint,
+reached by a route whose last arc ends on the axis. The mesh's apex
+vertices alone still come from a Richardson extrapolation in sqrt(offset)
+over five routes (_apex_ladder).
 
 A panel's integrand values are reduced to its K15 sum and |K15 - G7|
 estimate (_panel_sums) where they are computed, so adaptive_leg handles
@@ -32,7 +35,7 @@ since refined legs split the same panels of [0, 1]. The kernels give each
 point the same bits whatever the call size, so a leg's result depends
 neither on the chunk it falls in nor on the other legs of a round. Every
 leg streams through that batch: the mesh grid's ring arcs, the routes of
-immersion, the five routes of an apex side together, the stadium chain,
+immersion and apex, the mesh's apex ladder, the stadium chain,
 the loop of loop_period, and the sheet-tagged loop pieces of minimal,
 whose omega-triple is passed in as the form with each piece's sheet as
 the sign of w.
@@ -215,7 +218,9 @@ class RadialLeg(_Leg):
     r_b: float
 
     def points(self, t):
-        rho = self.r_a + (self.r_b - self.r_a) * t
+        # exact at both ends: r_a + (r_b - r_a) * t can miss r_b by a rounding
+        # of the difference, a gap before the next arc that no estimate sees
+        rho = self.r_a * (1.0 - t) + self.r_b * t
         e = cmath.exp(1j * self.theta)
         return rho * e, np.full_like(t, (self.r_b - self.r_a)) * e
 
@@ -668,16 +673,19 @@ def _patch_radius(c: float, p: SurfaceParams) -> float:
     return 1e-2 * gap
 
 
-def _route_legs(z: complex, p: SurfaceParams, basepoint: complex) -> list[_Leg]:
+def _route_legs(z: complex, p: SurfaceParams, basepoint: complex, hemi=None) -> list[_Leg]:
     """Arc/radial route from the basepoint to z.
 
-    Standard route: arc at |z0| from Arg(z0) to +-pi/2, radial to |z|, arc to
-    Arg(z). It crosses the real axis only at its endpoints, so it never meets
-    a singular interval; the accumulated angle equals Arg(z) - Arg(z0).
+    Standard route: arc at |z0| from Arg(z0) to hemi, radial to |z|, arc to
+    Arg(z). hemi is +-pi/2, by default the sign of Arg(z); apex passes it to
+    pick the half-plane of a point on the real axis. The route crosses the
+    real axis only at its endpoints, so it never meets a singular interval;
+    the accumulated angle equals Arg(z) - Arg(z0).
     """
     r0, th0 = abs(basepoint), cmath.phase(basepoint)
     r1, th1 = abs(z), cmath.phase(z)
-    hemi = math.pi / 2 if th1 >= 0 else -math.pi / 2
+    if hemi is None:
+        hemi = math.pi / 2 if th1 >= 0 else -math.pi / 2
     legs: list[_Leg] = []
     if th0 != hemi:
         legs.append(ArcLeg(r=r0, theta_a=th0, theta_b=hemi))
@@ -779,12 +787,18 @@ def _polyline_legs(waypoints, p: SurfaceParams, *, cuts: str):
     square-root leg into c.
     """
     flip = cuts == "flip"
-    bps = p.branch_points()
+    # once per call: a set of the branch points (a complex equal to one
+    # hashes as it does) and the sorted intervals of p.contains_real
+    bps, ivs = frozenset(p.branch_points()), p.intervals()
+
+    def on_interval(x: float) -> bool:
+        return any(lo <= x <= hi for lo, hi in ivs)
+
     for i, z in enumerate(waypoints):
         if z == 0:
             raise PathThroughSingularity("path touches the puncture z = 0")
         end = not flip and i in (0, len(waypoints) - 1) and z in bps
-        if z.imag == 0 and p.contains_real(z.real) and not end:
+        if z.imag == 0 and on_interval(z.real) and not end:
             raise PathThroughSingularity(f"waypoint {z} lies on a singular interval")
     out, sheet = [], 1
     for u, v in zip(waypoints, waypoints[1:]):
@@ -793,7 +807,7 @@ def _polyline_legs(waypoints, p: SurfaceParams, *, cuts: str):
             lo, hi = sorted((u.real, v.real))
             if lo < 0 < hi:
                 raise PathThroughSingularity(f"segment from {u} to {v} passes through z = 0")
-            for a, b in p.intervals():
+            for a, b in ivs:
                 if max(lo, a) < min(hi, b):
                     raise PathThroughSingularity(
                         f"segment from {u} to {v} overlaps singular interval [{a}, {b}]"
@@ -801,11 +815,12 @@ def _polyline_legs(waypoints, p: SurfaceParams, *, cuts: str):
         elif u.imag < 0 < v.imag or v.imag < 0 < u.imag:
             t = u.imag / (u.imag - v.imag)
             x = u + t * (v - u)
-            if x.real == 0 or x.real in bps or (p.contains_real(x.real) and not flip):
+            inside = on_interval(x.real)
+            if x.real == 0 or x.real in bps or (inside and not flip):
                 raise PathThroughSingularity(
                     f"segment from {u} to {v} crosses the real axis at the singular point x={x.real}"
                 )
-            if p.contains_real(x.real):
+            if inside:
                 pieces = [(u, x, sheet), (x, v, -sheet)]
                 sheet = -sheet
         if u in bps and v in bps:
@@ -885,53 +900,76 @@ def apex(
 ) -> tuple[tuple[float, float, float], float]:
     """Limit of f approaching a singular interval transversally.
 
-    f is immersion(z, p), integrated from the fixed origin a_{2m} + 1.
-    Evaluates f above or below the interval midpoint at offsets
-    1e-3 * length / 2^i, i < 5, and Richardson-extrapolates in sqrt(eps).
-    The five samples take immersion's routes, and the legs of all five run
-    through one _leg_sums batch (_path_values), so the values are
-    immersion's bytes.
-    The interval must be a finite lo < hi inside one closed singular
-    interval of p, else ValueError. Returns (apex, extrapolation residual);
-    raises NonConvergent when the residual exceeds tol. The along-axis
-    limits need no extrapolation: f is constant on the closed interval, so
-    they are the endpoint values immersion(lo) and immersion(hi),
-    integrated exactly through the square-root leg.
-    The five routes open with the same quarter arc at the origin's radius.
-    Called by singular.classify_cone, inside its _leg_memo, that arc and
-    every other leg shared with the classification's other routes is
-    integrated once per classification; the memo ends with that call, so
-    the work of one call does not depend on earlier calls.
+    f is immersion(z, p), integrated from the fixed origin a_{2m} + 1; it
+    extends continuously to the closed interval and is constant there. The
+    limit is f at the interval midpoint, reached by one arc/radial/arc
+    route whose radial leg lies in the side's half-plane and whose last arc
+    ends on the axis. The interval must be a finite lo < hi inside one
+    closed singular interval of p, else ValueError. Returns (apex, the
+    route's summed quadrature error estimate); raises NonConvergent when
+    the estimate exceeds tol. Inside singular.classify_cone's _leg_memo the
+    route's opening quarter arc, shared with the other limits' routes, is
+    integrated once per classification.
     """
-    est, resid = _richardson_sqrt(_path_values(_apex_routes(interval, side, p), p))
+    f, err = _running_sum(_apex_legs(interval, side, p), p, np.zeros(3), 0.0)
     lo, hi = float(interval[0]), float(interval[1])
-    if resid > tol:
+    if err[-1] > tol:
         raise NonConvergent(
-            f"apex extrapolation residual {resid:g} above tolerance {tol:g} "
+            f"apex quadrature error estimate {err[-1]:g} above tolerance {tol:g} "
             f"for interval [{lo}, {hi}] side {side}"
         )
-    # f is defined modulo the period (0, 2pi, 0); report the fundamental
-    # representative (x2 matching -Arg of the interval), so below-side
-    # approaches to negative-axis intervals agree with the other sides
-    # instead of landing one period away
-    expected_x2 = -cmath.phase(complex(0.5 * (lo + hi)))
-    k = round((est[1] - expected_x2) / (2.0 * math.pi))
-    est[1] -= 2.0 * math.pi * k
-    return tuple(est), resid
+    return _fundamental(f[-1], 0.5 * (lo + hi)), float(err[-1])
 
 
-def _apex_routes(interval, side: str, p: SurfaceParams) -> list[list[_Leg]]:
-    """apex's checks, then its five routes, from the offset eps0 to eps0 / 16."""
+def _apex_legs(interval, side: str, p: SurfaceParams) -> list[_Leg]:
+    """apex's checks, then its route onto the midpoint through the side's half-plane."""
     lo, hi = float(interval[0]), float(interval[1])
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
     if not any(a <= lo < hi <= b for a, b in p.intervals()):
         raise ValueError(f"interval [{lo}, {hi}] is not lo < hi inside one singular interval of p")
+    sign = 1.0 if side == "above" else -1.0
+    # the signed zero gives a negative midpoint the angle +-pi of its side,
+    # so the last arc stays in that half-plane
+    mid = complex(0.5 * (lo + hi), math.copysign(0.0, sign))
+    return _route_legs(mid, p, p.default_basepoint(), hemi=sign * math.pi / 2)
+
+
+def _fundamental(est: np.ndarray, mid: float) -> tuple[float, float, float]:
+    """est with x2 moved by a multiple of 2 pi to -Arg(mid).
+
+    f is defined modulo the period (0, 2pi, 0); this is the fundamental
+    representative, so below-side approaches to negative-axis intervals
+    agree with the other sides instead of landing one period away.
+    """
+    expected_x2 = -cmath.phase(complex(mid))
+    est = np.array(est, dtype=float)
+    est[1] -= 2.0 * math.pi * round((est[1] - expected_x2) / (2.0 * math.pi))
+    return tuple(est)
+
+
+def _apex_ladder(interval, p: SurfaceParams) -> tuple[tuple[float, float, float], float]:
+    """The mesh's apex vertex: the limit from above by a Richardson ladder.
+
+    f is sampled above the midpoint at offsets 1e-3 * length / 2^i, i < 5,
+    on immersion's routes in one _leg_sums batch, and extrapolated in
+    sqrt(offset). Returns (value, residual); raises NonConvergent above
+    1e-6. Only mesh.sample_fundamental calls it, as the benchmark's README
+    grid anchor counts these legs; it is less accurate than apex (ROADMAP
+    item 16 replaces it).
+    """
+    lo, hi = float(interval[0]), float(interval[1])
     eps0 = 1e-3 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    sign = 1.0 if side == "above" else -1.0
     base = p.default_basepoint()
-    return [_route_legs(complex(mid, sign * eps0 / 2.0**i), p, base) for i in range(5)]
+    routes = [_route_legs(complex(mid, eps0 / 2.0**i), p, base) for i in range(5)]
+    est, resid = _richardson_sqrt(_path_values(routes, p))
+    if resid > 1e-6:
+        raise NonConvergent(
+            f"apex extrapolation residual {resid:g} above tolerance 1e-06 "
+            f"for interval [{lo}, {hi}] side above"
+        )
+    return _fundamental(est, mid), resid
 
 
 def _richardson_sqrt(values: list[np.ndarray]) -> tuple[np.ndarray, float]:

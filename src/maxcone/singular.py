@@ -32,7 +32,7 @@ from .errors import (
 )
 from .integrate import (
     PathSpec,
-    _apex_routes,
+    _apex_legs,
     _immersion_legs,
     _integrate_legs,
     _leg_memo,
@@ -241,10 +241,11 @@ def classify_cone(
     f is integrated from the fixed origin a_{2m} + 1. The apex is the
     limit from above; apex_spread is the largest gap between it, the limit
     from below and the endpoint values f(lo) and f(hi), which are the
-    along-axis limits. The apex x3 is compared with
-    f3 at real-axis points just outside both endpoints, at eps and eps/10
-    (the two must agree); each of those values is f(lo) or f(hi) plus one
-    short real-axis leg from the endpoint into the adjacent gap. Up means
+    along-axis limits, each one route from the origin. The apex x3 is
+    compared with f3 at real-axis points just outside both endpoints, at
+    eps and eps/10 (the two must agree); each of those values is f(lo) or
+    f(hi) plus one short real-axis leg from the endpoint into the adjacent
+    gap. Up means
     the apex is strictly the local maximum of the timelike coordinate. The
     report also records both printed sign conventions and whether the
     numeric result matches each.
@@ -252,8 +253,9 @@ def classify_cone(
     The four limits start from the origin, and most of their routes open
     with the same quarter arc. The body runs inside integrate._leg_memo, so
     one classification integrates each distinct leg once and returns the
-    bytes it would without the memo. The legs of the four limits, which
-    hold most of the splits, are refined together in one lockstep first.
+    bytes it would without the memo. The legs of the four limits' routes,
+    which hold most of the splits, are refined together in one lockstep
+    first.
     The four outside values then take one batch of legs, all carried from
     f(lo) and f(hi), and the stadium chain of the embedded-neighbourhood
     proxy starts at its own first point, so nothing else is routed from
@@ -308,8 +310,10 @@ def classify_cone(
 def _apex_with_spread(iv, p, apex_tol):
     """(apex from above, four-limit spread, (f(lo), f(hi))).
 
-    The legs of all four limits are refined in one lockstep first
-    (integrate._plan); apex and immersion then replay them from the memo.
+    Each limit is one route from the origin: apex's onto the midpoint from
+    either side, immersion's onto either endpoint. The legs of the four
+    routes are refined in one lockstep first (integrate._plan); apex and
+    immersion then replay them from the memo.
     """
     _plan(_limit_legs(iv, p), p)
     vals = [np.asarray(apex(iv, s, p, tol=apex_tol)[0]) for s in ("above", "below")]
@@ -319,14 +323,14 @@ def _apex_with_spread(iv, p, apex_tol):
 
 
 def _limit_legs(iv, p: SurfaceParams) -> list:
-    """The legs of the routes of the four limits, as apex and immersion route them.
+    """The legs of the four limits' routes, one each, as apex and immersion route them.
 
     A route that raises is left out, so that its consumer raises in its turn.
     """
     routes = []
     for side in ("above", "below"):
         with contextlib.suppress(ValueError):
-            routes += _apex_routes(iv, side, p)
+            routes.append(_apex_legs(iv, side, p))
     for x in iv:
         with contextlib.suppress(PathThroughSingularity):
             routes.append(_immersion_legs(complex(x), p))

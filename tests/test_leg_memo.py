@@ -172,9 +172,12 @@ def test_classify_cone_integrates_no_leg_twice(p21, leg_log, kernel_log):
     # each split panel in its own call there were 172, 146 and 146 calls on
     # the same points, with the two halves of a split in one call 91, 78 and
     # 78, with every split of a round in one call 19, 20 and 19 (97 legs on
-    # 259, 233 and 233 panels). Now the stadium chain starts at its first
+    # 259, 233 and 233 panels). Then the stadium chain starts at its first
     # point, not at a routed immersion of it, and the four vote paths share
-    # one batch: 2 legs fewer, and 7, 8 and 8 kernel calls
+    # one batch: 2 legs fewer (95 legs on 247, 223 and 223 panels, 12, 12 and
+    # 11 calls on 3,705, 3,345 and 3,345 points). Now each transverse limit
+    # takes one route instead of five: 16 legs fewer, with the kernel calls
+    # unchanged
     work = []
     for c in S.components(p21):
         leg_log.clear()
@@ -183,7 +186,7 @@ def test_classify_cone_integrates_no_leg_twice(p21, leg_log, kernel_log):
         legs = [leg for leg, _ in leg_log]
         assert len(set(legs)) == len(legs)
         work.append((len(legs), sum(n for _, n in leg_log), len(kernel_log), sum(kernel_log)))
-    assert work == [(95, 247, 12, 3705), (95, 223, 12, 3345), (95, 223, 11, 3345)]
+    assert work == [(79, 151, 12, 2265), (79, 143, 12, 2145), (79, 143, 11, 2145)]
 
 
 def test_classify_cone_kernel_calls_are_batches_and_rounds(p21, kernel_log, monkeypatch):

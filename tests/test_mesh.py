@@ -10,6 +10,7 @@ import oracles
 from maxcone import mesh as MM
 from maxcone.errors import WeldFailure
 from maxcone.params import SurfaceParams
+from maxcone.singular import classify_cone
 
 COARSE = MM.GridSpec(radial_samples=28, angular_samples=16, seam_refinement=2)
 
@@ -248,6 +249,23 @@ def test_assemble_matches_loop_oracle(fixture, copies, request):
     # the quadrature estimate is the grid's; the apex residual is reported apart
     assert mesh.quad_error_max == float(fund.quad_error.max())
     assert mesh.apex_residual_max == max(s.quad_error for s in fund.apex_samples)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        SurfaceParams(m=2, n=1, a=(1.0, 1.8, 2.5, 3.6), b=(-1.2, -2.4), alpha=(1, -1), beta=(1,)),
+        SurfaceParams(m=2, n=0, a=(1e-3, 1, 10, 1e3), alpha=(1, -1)),
+    ],
+    ids=["readme", "wide-ratio"],
+)
+def test_apex_vertices_agree_with_the_classified_apex(p):
+    # the mesh's apex vertices still come from the Richardson ladder; they
+    # agree with classify_cone's transverse limit within 1e-9
+    fund = MM.sample_fundamental(p, COARSE)
+    for c, s in zip(fund.comps, fund.apex_samples):
+        gap = np.max(np.abs(np.asarray(s.f) - np.asarray(classify_cone(c, p).apex)))
+        assert gap <= 1e-9, (c, gap)
 
 
 def test_quad_error_max_leaves_out_the_apex_residual(fund10):

@@ -19,6 +19,9 @@ ONE_CONE = [
     SurfaceParams(m=1, n=0, a=a, alpha=(s,)) for a in ((1, 2), (0.5, 4)) for s in (1, -1)
 ]
 IDS = ["a=(1,2)+", "a=(1,2)-", "a=(0.5,4)+", "a=(0.5,4)-"]
+# scale ratio 1e4: the true error of a route reaches its estimate's order here
+WIDE = [SurfaceParams(m=1, n=0, a=(1e-2, 1e2), alpha=(s,)) for s in (1, -1)]
+WIDE_IDS = ["a=(1e-2,1e2)+", "a=(1e-2,1e2)-"]
 
 
 def _ref(z, p):
@@ -27,6 +30,15 @@ def _ref(z, p):
 
 def _gap(f, ref):
     return float(np.max(np.abs(np.asarray(f) - ref)))
+
+
+def _seeded_points(p, count, seed):
+    """r log-uniform in [0.05 a_1, 20 a_2], both half-planes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = math.exp(rng.uniform(math.log(0.05 * p.a[0]), math.log(20.0 * p.a[1])))
+        theta = rng.uniform(-math.pi, math.pi)
+        yield r * complex(math.cos(theta), math.sin(theta))
 
 
 @pytest.mark.parametrize("p", ONE_CONE, ids=IDS)
@@ -40,29 +52,34 @@ def test_the_closed_form_is_zero_at_the_origin_and_flat_on_the_interval(p):
 
 @pytest.mark.parametrize("p", ONE_CONE, ids=IDS)
 def test_immersion_and_its_estimate_against_the_closed_form(p):
-    # seeded points, r log-uniform in [0.05 a_1, 20 a_2], both half-planes:
-    # within 1e-12 of the exact value, and the reported quad_error at least
-    # the true error
-    rng = np.random.default_rng(15)
-    for _ in range(60):
-        r = math.exp(rng.uniform(math.log(0.05 * p.a[0]), math.log(20.0 * p.a[1])))
-        theta = rng.uniform(-math.pi, math.pi)
-        z = r * complex(math.cos(theta), math.sin(theta))
+    # seeded points: within 1e-12 of the exact value, and the reported
+    # quad_error at least the true error
+    for z in _seeded_points(p, 60, 15):
         sample = immersion(z, p)
         true = _gap(sample.f, _ref(z, p))
         assert true <= 1e-12, z
         assert true <= sample.quad_error, z
 
 
-@pytest.mark.parametrize("p", ONE_CONE, ids=IDS)
+@pytest.mark.parametrize("p", WIDE, ids=WIDE_IDS)
+def test_immersion_estimate_bounds_the_true_error_at_scale_ratio_1e4(p):
+    # the reported quad_error is at least the true error at 300 seeded
+    # points; a radial leg that ended a rounding short of its radius left a
+    # gap before the next arc, which no estimate saw
+    for z in _seeded_points(p, 300, 16):
+        sample = immersion(z, p)
+        assert _gap(sample.f, _ref(z, p)) <= sample.quad_error, z
+
+
+@pytest.mark.parametrize("p", ONE_CONE + WIDE, ids=IDS + WIDE_IDS)
 def test_classified_apex_against_the_closed_form(p):
-    # the apex, and f(lo) and f(hi), are within 1e-9 of the exact apex, and
-    # the reported apex_spread is at least the apex's true error
+    # the apex is within 1e-12 of the exact apex, f(lo) and f(hi) within
+    # 1e-9, and the reported apex_spread is at least the apex's true error
     (c,) = S.components(p)
     rep = S.classify_cone(c, p)
     apex = _ref(c.midpoint, p)
     assert rep.matches_theorem
-    assert _gap(rep.apex, apex) <= min(1e-9, rep.apex_spread)
+    assert _gap(rep.apex, apex) <= min(1e-12, rep.apex_spread)
     for x in (c.lo, c.hi):
         assert _gap(immersion(complex(x), p).f, apex) <= 1e-9
 

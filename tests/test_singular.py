@@ -7,6 +7,7 @@ import oracles
 from maxcone import core
 from maxcone import integrate as I
 from maxcone import singular as S
+from maxcone.catalog import classes_for_type, enumerate_types, instantiate
 from maxcone.errors import DegenerateSingularity, NotOnHyperboloid, QuadratureFailure
 from maxcone.integrate import PathSpec, immersion, integrate_path
 from maxcone.params import SurfaceParams
@@ -209,6 +210,21 @@ def test_direction_votes_match_routed_immersion(p):
                 assert np.max(np.abs(f - routed)) <= 1e-9, (c.axis, c.index, x + step)
 
 
+def test_apex_spread_of_every_cone_within_1e10(p21):
+    # the four limits of each cone agree within 1e-10 on the README surface,
+    # the wide-ratio surface and the 28 classes; the five-route Richardson
+    # limits of each side left 6.2e-10 on the wide-ratio surface
+    wide = SurfaceParams(m=2, n=0, a=(1e-3, 1, 10, 1e3), alpha=(1, -1))
+    classes = [
+        instantiate(cfg) for total in range(1, 5) for m, n in enumerate_types(total)
+        for cfg, _ in classes_for_type(m, n)
+    ]
+    assert len(classes) == 28
+    for p in [p21, wide] + classes:
+        for c in S.components(p):
+            assert S.classify_cone(c, p).apex_spread <= 1e-10, (p, c)
+
+
 @pytest.mark.parametrize(
     "p, expected",
     [
@@ -217,10 +233,10 @@ def test_direction_votes_match_routed_immersion(p):
                 m=2, n=1, a=(1e-6, 1.8, 2.5, 3.6), b=(-1.2, -2.4), alpha=(1, -1), beta=(1,)
             ),
             [
-                "segment tolerance 1e-10 not reached within 2000 panels (err 1.04132e-08) on "
-                "RadialLeg(theta=1.5707963267948966, r_a=4.6, r_b=9.9e-07) over t in [0, 1] "
-                "(z from 2.8166876380389121e-16+4.5999999999999996j to "
-                "6.0620016570074298e-23+9.9000000020055268e-07j)",
+                "segment tolerance 1e-10 not reached within 2000 panels (err 2.38349e-10) on "
+                "SegmentLeg(z_a=(0.12000093333333334-4e-07j), z_b=(1e-06-4e-07j)) over t in "
+                "[0, 1] (z from 0.12000093333333334-3.9999999999999998e-07j to "
+                "1.0000000000010001e-06-3.9999999999999998e-07j)",
                 None,
                 None,
             ],
@@ -228,20 +244,18 @@ def test_direction_votes_match_routed_immersion(p):
         (
             SurfaceParams(m=1, n=0, a=(1e-3, 1e3), alpha=(1,)),
             [
-                "segment tolerance 1e-10 not reached within 2000 panels (err 1.89538e-09) on "
-                "RadialLeg(theta=1.5707963267948966, r_a=1001.0, r_b=0.00099) over t in [0, 1] "
-                "(z from 6.129357229732503e-14+1001j to "
-                "6.0620016557892002e-20+0.00099000000000160071j)",
+                "non-finite integrand on SqrtApproachLeg(c=(0.001+0j), z_outer=(0.00099+0j)) "
+                "over t in [0.999985, 1] (z from 0.00099999999999767181+0j to 0.001+0j)",
             ],
         ),
     ],
     ids=["readme-a1-1e-6", "one-cone-1e6"],
 )
 def test_classification_failure_messages_are_frozen(p, expected):
-    # the radial leg into the smallest branch point stops at the panel
-    # budget (ROADMAP items 6 and 15); frozen from the version that
-    # integrated the four vote paths one integrate_path call at a time, as
-    # the 2.001 surface's are in test_integrate.py. None: the cone classifies
+    # with the radial leg exact at its end, the a_1 = 1e-6 surface stops at
+    # the panel budget on the stadium chain's segment into a_1 (ROADMAP items
+    # 6 and 17), and the 1e6-ratio surface on a non-finite square-root leg
+    # into 0.001 (item 3). None: the cone classifies
     comps = S.components(p)
     assert len(comps) == len(expected)
     for c, message in zip(comps, expected):
