@@ -28,10 +28,11 @@ number of legs, a generator of them included, runs in bounded memory.
 The legs whose first panel is rejected then refine in lockstep: each
 round splits the worst panel of every open leg under adaptive_leg's rule
 (_Refinement) and evaluates all the halves in one kernel call. After
-that adaptive_leg runs once per leg, in order, on the sums the rounds
-left, and decides its result or raises its error; it takes each later
-panel's nodes from a small cache of read-only arrays (_panel_nodes),
-since refined legs split the same panels of [0, 1]. The kernels give each
+that adaptive_leg runs once per leg, in order, on the sums queued for it
+in the order it asks for them (_LegCoeffs), and decides its result or
+raises its error; it takes each later panel's nodes from a small cache
+of read-only arrays (_panel_nodes), since refined legs split the same
+panels of [0, 1]. The kernels give each
 point the same bits whatever the call size, so a leg's result depends
 neither on the chunk it falls in nor on the other legs of a round. Every
 leg streams through that batch: the mesh grid's ring arcs, the routes of
@@ -46,10 +47,10 @@ through one function, _polyline_legs, under the rules PathSpec states.
 Inside _leg_memo(p), opened by one cone classification, one symmetry
 check or one mesh weld check, _leg_sums integrates each distinct leg once
 and serves repeats from the memo, with the same bytes; the memo ends with
-that call. There _plan refines legs in advance, in one lockstep, for the
-calls that follow: a cone classification plans the routes of its four
-limits. Legs that no other route shares, such as the stadium chain's,
-go straight to _integrate_legs and skip the memo's hashing.
+that call. A cone classification integrates the routes of its four limits
+there in one _leg_sums call, so they share one lockstep. Legs that no
+other route shares, such as the stadium chain's, go straight to
+_integrate_legs and skip the memo's hashing.
 """
 
 from __future__ import annotations
@@ -357,13 +358,11 @@ def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     _panel_sums of the integrand phi(z(t)) z'(t) there: the unscaled K15
     sum (3,) and the summed |K15 - G7| difference. Each panel is exactly one
     coeff_fn call, so counting the calls counts the panels (the benchmark's
-    panel anchor does that). The first call, on the panel [0, 1], receives
-    the module array _T_FIRST itself, so a coeff_fn can recognize it by
-    identity; every later panel's nodes have the bytes of _nodes(t0, t1), so
-    a coeff_fn can recognize them by their bytes. Either way it may return
-    sums computed in advance (_LegCoeffs does). Those later node arrays are
-    read-only and shared with other legs' calls (_panel_nodes), so a
-    coeff_fn must not write to them.
+    panel anchor does that). The calls come in a fixed order: the panel
+    [0, 1] first, then both halves of each split, left first. So a coeff_fn
+    may serve sums computed in advance, in call order (_LegCoeffs does).
+    The node arrays are shared with other legs' calls (_T_FIRST and the
+    read-only arrays of _panel_nodes), so a coeff_fn must not write to them.
     Interval halving against a global absolute budget: the worst panel is
     split until the summed estimate drops below tol (_Refinement holds the
     rule). Panel width is capped at 2^-MAX_DEPTH and the panel count at
@@ -390,27 +389,23 @@ class _LegCoeffs:
 
     form is phi_from_w (the maximal surface) unless given; minimal passes its
     omega-triple. sheet, when given, multiplies w_values elementwise (+1 or
-    -1: the branch of w the leg lies on). first, when given, holds the first
-    panel's sums: a call with _T_FIRST itself returns it. served, once the
-    leg refines in lockstep, maps the bytes of a later panel's nodes to its
-    sums: a call with those nodes takes them (and drops them). _leg_coeffs
-    fills both in advance. Any other call evaluates the form on its nodes
-    alone. Either way one call per panel, with the same bytes.
+    -1: the branch of w the leg lies on). queue holds panel sums computed in
+    advance, in the order adaptive_leg will ask for them: first, the first
+    panel's sums from _leg_coeffs' batch, when given, then both halves of
+    each _lockstep split, left first. A call takes the head of the queue, or
+    evaluates the form on its nodes when the queue is empty. Either way one
+    call per panel, with the same bytes.
     """
 
-    __slots__ = ("leg", "p", "form", "sheet", "first", "served")
+    __slots__ = ("leg", "p", "form", "sheet", "queue")
 
     def __init__(self, leg: _Leg, p: SurfaceParams, form=phi_from_w, sheet=None, first=None):
-        self.leg, self.p, self.form, self.sheet, self.first = leg, p, form, sheet, first
-        self.served = None
+        self.leg, self.p, self.form, self.sheet = leg, p, form, sheet
+        self.queue = [] if first is None else [first]
 
     def __call__(self, t: np.ndarray):
-        if t is _T_FIRST and self.first is not None:
-            return self.first
-        if self.served:
-            sums = self.served.pop(t.tobytes(), None)
-            if sums is not None:
-                return sums
+        if self.queue:
+            return self.queue.pop(0)
         return _sums(*self.leg.points(t), self.p, self.form, self.sheet)
 
 
@@ -449,10 +444,8 @@ def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(z), np.stack(dz)
 
 
-def _leg_coeffs(
-    legs, p: SurfaceParams, form=phi_from_w, sheets=None, planned=None
-) -> list[_LegCoeffs]:
-    """One coeff_fn per leg, holding the sums of every panel adaptive_leg
+def _leg_coeffs(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> list[_LegCoeffs]:
+    """One coeff_fn per leg, queued with the sums of every panel adaptive_leg
     will ask of it at DEFAULT_SEGMENT_TOL.
 
     Most legs of a chain need only their first panel, so one (3, K, 15)
@@ -462,16 +455,8 @@ def _leg_coeffs(
     lockstep (_lockstep). The kernels are elementwise and give the same bits
     at any call size, and the sums run over a contiguous (K, 3, 15) array,
     so each panel's sums are the ones a 15-node call gives, bit for bit,
-    whatever the other legs. A leg found in planned (see _plan) takes the
-    coeff_fn made there, which is removed.
+    whatever the other legs.
     """
-    if planned:
-        fns = [planned.pop(leg, None) for leg in legs]
-        new = [i for i, fn in enumerate(fns) if fn is None]
-        sheets = None if sheets is None else [sheets[i] for i in new]
-        for i, fn in zip(new, _leg_coeffs([legs[i] for i in new], p, form, sheets)):
-            fns[i] = fn
-        return fns
     if not legs:
         return []
     column = None if sheets is None else np.array(sheets)[:, None]
@@ -487,17 +472,14 @@ def _leg_coeffs(
         # and a non-finite one fails at once
         states = []
         for i in np.flatnonzero(~(0.5 * d <= DEFAULT_SEGMENT_TOL)).tolist():
-            try:
-                states.append((fns[i], _Refinement(legs[i], DEFAULT_SEGMENT_TOL, fns[i].first)))
-            except QuadratureFailure:
-                continue
-            fns[i].served = {}
+            with contextlib.suppress(QuadratureFailure):
+                states.append((fns[i], _Refinement(legs[i], DEFAULT_SEGMENT_TOL, fns[i].queue[0])))
         _lockstep(states, p, form)
     return fns
 
 
 def _lockstep(active, p: SurfaceParams, form) -> None:
-    """Refine legs side by side, filling each coeff_fn's served sums.
+    """Refine legs side by side, queueing both halves of each split.
 
     active holds a (coeff_fn, _Refinement) pair per open leg. Each round
     splits the worst panel of every open leg, as adaptive_leg does, and
@@ -522,12 +504,9 @@ def _lockstep(active, p: SurfaceParams, form) -> None:
             sheet = np.repeat([fn.sheet for fn, _, _ in split], 2)[:, None]
         k, d = _sums(z, dz, p, form, sheet)
         sums = list(zip(k, d.tolist()))
-        nodes, n = t.tobytes(), t[0, 0].nbytes
         active = []
-        for i, (fn, s, ((t0, mid), (_, t1))) in enumerate(split):
-            left, right = sums[2 * i], sums[2 * i + 1]
-            fn.served[nodes[2 * i * n : (2 * i + 1) * n]] = left
-            fn.served[nodes[(2 * i + 1) * n : (2 * i + 2) * n]] = right
+        for (fn, s, ((t0, mid), (_, t1))), left, right in zip(split, sums[::2], sums[1::2]):
+            fn.queue += (left, right)
             try:
                 s.add(t0, mid, left)
                 s.add(mid, t1, right)
@@ -544,8 +523,7 @@ def _chunks(items):
         yield chunk
 
 
-# (surface, {leg: (re row, err)}, {leg: coeff_fn made by _plan}) of the
-# innermost open _leg_memo, or None
+# (surface, {leg: (re row, err)}) of the innermost open _leg_memo, or None
 _LEG_MEMO: contextvars.ContextVar = contextvars.ContextVar("maxcone_leg_memo", default=None)
 
 
@@ -554,35 +532,17 @@ def _leg_memo(p: SurfaceParams):
     """Integrate each distinct leg of p once until the with-block ends.
 
     Inside the block _leg_sums keeps {leg: (re row, err)} for p and
-    integrates only the legs it has not seen, and _plan may refine legs for
-    it in advance. A leg gives the same bytes alone or in any batch (see
-    _leg_coeffs), so every value inside the block is the one it would be
-    outside. The memo lives in a ContextVar and is dropped on exit, normal
-    or not: no state outlives the call that opened it, so each call does the
-    same work whenever it runs.
+    integrates only the legs it has not seen. A leg gives the same bytes
+    alone or in any batch (see _leg_coeffs), so every value inside the block
+    is the one it would be outside. The memo lives in a ContextVar and is
+    dropped on exit, normal or not: no state outlives the call that opened
+    it, so each call does the same work whenever it runs.
     """
-    token = _LEG_MEMO.set((p, {}, {}))
+    token = _LEG_MEMO.set((p, {}))
     try:
         yield
     finally:
         _LEG_MEMO.reset(token)
-
-
-def _plan(legs, p: SurfaceParams) -> None:
-    """Refine legs of p in lockstep now, for the open _leg_memo(p).
-
-    Only the legs neither integrated nor planned there yet are, in chunks.
-    _leg_sums replays each through adaptive_leg when a caller asks for it,
-    so errors and work counts fall where they would without the plan.
-    Outside a memo of p it does nothing.
-    """
-    scope = _LEG_MEMO.get()
-    if scope is None or scope[0] is not p:
-        return
-    _, memo, planned = scope
-    new = [leg for leg in dict.fromkeys(legs) if leg not in memo and leg not in planned]
-    for chunk in _chunks(new):
-        planned.update(zip(chunk, _leg_coeffs(chunk, p)))
 
 
 def _leg_sums(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
@@ -597,20 +557,20 @@ def _leg_sums(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
     scope = _LEG_MEMO.get()
     if scope is None or scope[0] is not p:
         return _integrate_legs(legs, p)
-    _, memo, planned = scope
+    memo = scope[1]
     legs = list(legs)
     new = [leg for leg in dict.fromkeys(legs) if leg not in memo]
-    memo.update(zip(new, zip(*_integrate_legs(new, p, planned=planned))))
+    memo.update(zip(new, zip(*_integrate_legs(new, p))))
     rows = [memo[leg] for leg in legs]
     return np.array([r for r, _ in rows]).reshape(-1, 3), np.array([e for _, e in rows])
 
 
 def _integrate_legs(
-    legs, p: SurfaceParams, form=phi_from_w, sheets=None, planned=None
+    legs, p: SurfaceParams, form=phi_from_w, sheets=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """_leg_sums without a memo: every leg integrated, chunk by chunk.
 
-    form, the per-leg sheets and planned are as in _leg_coeffs. adaptive_leg
+    form and the per-leg sheets are as in _leg_coeffs. adaptive_leg
     integrates the legs of a chunk in order, so the first failing leg
     raises, after the legs before it.
     """
@@ -619,7 +579,7 @@ def _integrate_legs(
         chunk_sheets = None
         if sheets is not None:
             chunk, chunk_sheets = zip(*chunk)
-        fns = _leg_coeffs(chunk, p, form, chunk_sheets, planned)
+        fns = _leg_coeffs(chunk, p, form, chunk_sheets)
         parts = [adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL) for leg, fn in zip(chunk, fns)]
         re.append(np.array([v for v, _ in parts]).real)
         err.append(np.array([e for _, e in parts]))

@@ -69,8 +69,8 @@ class GridSpec:
     seam_refinement: int = 3
 
     def resolve(self, p: SurfaceParams) -> tuple[float, float]:
-        """Concrete truncation radii; defaults 0.05 a_1 and 20 max|branch|."""
-        r_min = self.r_min if self.r_min is not None else 0.05 * p.a[0]
+        """Concrete truncation radii; defaults 0.05 min|branch| and 20 max|branch|."""
+        r_min = self.r_min if self.r_min is not None else 0.05 * p.inner_radius()
         r_max = self.r_max if self.r_max is not None else 20.0 * p.scale()
         if not 0.0 < r_min < p.inner_radius():
             raise ValueError(f"r_min {r_min} must lie inside the innermost branch point")

@@ -36,8 +36,8 @@ from .integrate import (
     _immersion_legs,
     _integrate_legs,
     _leg_memo,
+    _leg_sums,
     _path_values,
-    _plan,
     _polyline_legs,
     apex,
     immersion,
@@ -254,8 +254,9 @@ def classify_cone(
     with the same quarter arc. The body runs inside integrate._leg_memo, so
     one classification integrates each distinct leg once and returns the
     bytes it would without the memo. The legs of the four limits' routes,
-    which hold most of the splits, are refined together in one lockstep
-    first.
+    which hold most of the splits, are integrated together first, in one
+    lockstep, so a failing leg of any limit raises before apex's tolerance
+    check.
     The four outside values then take one batch of legs, all carried from
     f(lo) and f(hi), and the stadium chain of the embedded-neighbourhood
     proxy starts at its own first point, so nothing else is routed from
@@ -312,10 +313,10 @@ def _apex_with_spread(iv, p, apex_tol):
 
     Each limit is one route from the origin: apex's onto the midpoint from
     either side, immersion's onto either endpoint. The legs of the four
-    routes are refined in one lockstep first (integrate._plan); apex and
-    immersion then replay them from the memo.
+    routes are integrated into the open memo first, in one _leg_sums call
+    and so in one lockstep; apex and immersion then read them from the memo.
     """
-    _plan(_limit_legs(iv, p), p)
+    _leg_sums(_limit_legs(iv, p), p)
     vals = [np.asarray(apex(iv, s, p, tol=apex_tol)[0]) for s in ("above", "below")]
     vals += [np.asarray(immersion(complex(x), p).f) for x in iv]
     spread = float(max(np.max(np.abs(a - b)) for a in vals for b in vals))

@@ -64,6 +64,22 @@ def test_verify_bad_ordering_exit_2(tmp_path, capsys):
     assert "ascending" in capsys.readouterr().err
 
 
+def test_default_grid_takes_r_min_inside_the_innermost_branch_point(tmp_path):
+    # b_1 = -0.01 lies far inside a_1 = 1: with no grid options the radius
+    # 0.05 a_1 would lie outside it and exit 2 on a valid surface
+    from maxcone.mesh import GridSpec
+    from maxcone.params import SurfaceParams
+
+    surface = {"m": 1, "n": 1, "a": [1, 2], "b": [-0.01, -0.02], "alpha": [1], "beta": [1]}
+    p = SurfaceParams(**surface)
+    r_min, _ = GridSpec().resolve(p)
+    assert 0.0 < r_min < p.inner_radius() == 0.01
+    cfg = write_config(tmp_path, surface)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert json.loads((tmp_path / "report.json").read_text())["overall_pass"] is True
+    assert main(["mesh", "--config", cfg, "--out", str(tmp_path / "s.ply")]) == EXIT_OK
+
+
 def test_numeric_failure_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, {"m": 2, "n": 0, "a": [1, 2, 2.001, 3], "alpha": [1, -1]})
     rc = main(["mesh", "--config", cfg, "--grid", "40x20", "--out", str(tmp_path / "s.obj")])

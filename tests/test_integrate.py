@@ -376,12 +376,15 @@ def test_batched_first_panels_match_per_leg_quadrature(fixture, request, monkeyp
         coeffs = I._leg_coeffs(legs, p)
         rounds, splits = kernel[before:], []
         for leg, fn in zip(legs, coeffs):
-            # the batched first-panel sums are the bytes of the leg's own panel
-            k, d = fn.first
+            # the head of the queue, the batched first-panel sums, is the
+            # bytes of the leg's own panel
+            k, d = fn.queue[0]
             k_ref, d_ref = I._LegCoeffs(leg, p)(I._T_FIRST.copy())
             assert k.tobytes() == k_ref.tobytes() and np.float64(d).tobytes() == d_ref.tobytes()
             v, e, panels, sizes = _counted_leg(leg, fn, kernel)
             _assert_served(panels, sizes)
+            # the replay took every queued panel: none was refined in vain
+            assert not fn.queue
             splits.append(len(panels) // 2)
             v_ref, e_ref = oracles.integrate_leg_ref(leg, p)
             assert v.tobytes() == v_ref.tobytes() and e == e_ref
@@ -539,7 +542,7 @@ def _hard_legs():
 def _paired_and_alone(leg, p, kernel, form=I.phi_from_w, sheet=None):
     """adaptive_leg twice: on the sums _leg_coeffs refined in rounds, where
     the two halves of each split share one kernel call, and with every panel
-    alone (a copy of the nodes is served nothing). Returns both results and
+    alone (a coeff_fn with an empty queue evaluates every call). Returns both results and
     the number of splits, after checking that the rounds made one 30-node
     kernel call per split and the lone panels one 15-node call each."""
     before = len(kernel)
@@ -548,6 +551,8 @@ def _paired_and_alone(leg, p, kernel, form=I.phi_from_w, sheet=None):
     v, e, panels, sizes = _counted_leg(leg, paired, kernel)
     splits = len(panels) // 2
     assert sizes == [] and kernel[before:] == [15] + [30] * splits
+    # the replay took every panel the rounds queued, and no more
+    assert not paired.queue
     before = len(kernel)
     ref = I.adaptive_leg(leg, lambda t: alone(t.copy()), I.DEFAULT_SEGMENT_TOL)
     assert kernel[before:] == [15] * len(panels)
@@ -733,6 +738,26 @@ def test_the_failing_surface_keeps_its_messages_with_warnings_as_errors():
             with pytest.raises(QuadratureFailure) as failure:
                 S.classify_cone(c, bad)
             assert str(failure.value) == message
+
+
+def test_a_failing_limit_leg_raises_before_the_apex_tolerance_check(p21):
+    # a classification integrates its four limits' routes before apex checks
+    # its tolerance: on the 2.001 surface even an apex tolerance that no
+    # estimate meets gives the square-root leg's failure, the message the
+    # default tolerance gives; where every leg converges, the tolerance
+    # check still raises
+    from maxcone import singular as S
+
+    bad = SurfaceParams(m=2, n=0, a=(1, 2, 2.001, 3), alpha=(1, -1))
+    for c in S.components(bad):
+        with pytest.raises(QuadratureFailure) as default:
+            S.classify_cone(c, bad)
+        with pytest.raises(QuadratureFailure) as strict:
+            S.classify_cone(c, bad, apex_tol=1e-30)
+        assert str(strict.value) == str(default.value)
+        assert str(strict.value).startswith("non-finite integrand on SqrtApproachLeg")
+    with pytest.raises(NonConvergent, match=r"apex quadrature error estimate .* above tolerance 1e-30"):
+        S.classify_cone(S.components(p21)[0], p21, apex_tol=1e-30)
 
 
 def test_adaptive_leg_raises_past_the_panel_budget():

@@ -158,8 +158,11 @@ def test_omega_pieces_one_leg_each_and_batched_first_panels(p10, monkeypatch):
             calls.append(t)
             return coeff_fn(t)
 
+        first = coeff_fn.queue[0]
         out = adaptive_leg(leg, spy, tol)
-        legs.append((leg, coeff_fn, calls))
+        # the replay took every queued panel: none was refined in vain
+        assert not coeff_fn.queue
+        legs.append((leg, coeff_fn, first, calls))
         return out
 
     sizes = []
@@ -176,12 +179,11 @@ def test_omega_pieces_one_leg_each_and_batched_first_panels(p10, monkeypatch):
     # then one per round, in which the two halves of every split of the
     # pieces still open share the call
     assert len(legs) == 64
-    splits = [(len(calls) - 1) // 2 for _, _, calls in legs]
+    splits = [(len(calls) - 1) // 2 for _, _, _, calls in legs]
     assert sizes[0] == 64 * 15 and len(sizes) == 1 + max(splits)
     assert sum(sizes[1:]) == 30 * sum(splits)
-    for leg, fn, calls in legs:
+    for leg, fn, (k, e), calls in legs:
         assert calls[0] is I._T_FIRST
-        k, e = fn.first
         k_ref, e_ref = I._LegCoeffs(leg, p10, fn.form, fn.sheet)(I._T_FIRST.copy())
         assert k.tobytes() == k_ref.tobytes() and np.float64(e).tobytes() == e_ref.tobytes()
 
