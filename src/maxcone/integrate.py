@@ -20,26 +20,27 @@ reached by a route whose last arc ends on the axis. The mesh's apex
 vertices alone still come from a Richardson extrapolation in sqrt(offset)
 over five routes (_apex_ladder).
 
-A panel's integrand values are reduced to its K15 sum and |K15 - G7|
-estimate (_panel_sums) where they are computed, so adaptive_leg handles
-only those sums. Legs are integrated in chunks of at most _CHUNK: the
-first panels of a chunk are evaluated and reduced in one batch, and any
-number of legs, a generator of them included, runs in bounded memory.
+A panel's integrand values are reduced to its K15 integral and
+|K15 - G7| error estimate where they are computed (_sums: _panel_sums
+scaled by the panel's half-width, a power of two, so exactly), and
+adaptive_leg handles only those two; it asks for them by panel (t0, t1),
+so it builds no nodes. Legs are integrated in chunks of at most _CHUNK:
+the first panels of a chunk are evaluated and reduced in one batch, and
+any number of legs, a generator of them included, runs in bounded memory.
 The legs whose first panel is rejected then refine in lockstep: each
 round splits the worst panel of every open leg under adaptive_leg's rule
 (_Refinement) and evaluates all the halves in one kernel call. After
-that adaptive_leg runs once per leg, in order, on the sums queued for it
-in the order it asks for them (_LegCoeffs), and decides its result or
-raises its error; it takes each later panel's nodes from a small cache
-of read-only arrays (_panel_nodes), since refined legs split the same
-panels of [0, 1]. The kernels give each
-point the same bits whatever the call size, so a leg's result depends
-neither on the chunk it falls in nor on the other legs of a round. Every
-leg streams through that batch: the mesh grid's ring arcs, the routes of
-immersion and apex, the mesh's apex ladder, the stadium chain,
-the loop of loop_period, and the sheet-tagged loop pieces of minimal,
-whose omega-triple is passed in as the form with each piece's sheet as
-the sign of w.
+that adaptive_leg runs once per leg, in order, and one sum server per
+chunk (_SumServer) hands it every sum in the order it asks for them: each
+leg's first panel, then the halves of that leg's splits. A leg that needs
+one panel costs no object of its own. The kernels give each point the
+same bits whatever the call size, so a leg's result depends neither on
+the chunk it falls in nor on the other legs of a round. Every leg streams
+through that batch: the mesh grid's ring arcs, the routes of immersion
+and apex, the mesh's apex ladder, the stadium chain, the loop of
+loop_period, and the sheet-tagged loop pieces of minimal, whose
+omega-triple is passed in as the form with each piece's sheet as the sign
+of w.
 
 User paths, the stadium chain and the loops of minimal become legs
 through one function, _polyline_legs, under the rules PathSpec states.
@@ -47,10 +48,11 @@ through one function, _polyline_legs, under the rules PathSpec states.
 Inside _leg_memo(p), opened by one cone classification, one symmetry
 check or one mesh weld check, _leg_sums integrates each distinct leg once
 and serves repeats from the memo, with the same bytes; the memo ends with
-that call. A cone classification integrates the routes of its four limits
-there in one _leg_sums call, so they share one lockstep. Legs that no
-other route shares, such as the stadium chain's, go straight to
-_integrate_legs and skip the memo's hashing.
+that call. Each of the three integrates all its routes there first, in
+one _leg_sums call, so they share one lockstep, and its apex and
+immersion calls then read the memo. Legs that no other route shares,
+such as the stadium chain's, go straight to _integrate_legs and skip the
+memo's hashing.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ from __future__ import annotations
 import cmath
 import contextlib
 import contextvars
-import functools
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +127,7 @@ _WG = np.array(
     dtype=complex,
 )
 _GAUSS_IDX = np.arange(1, 15, 2)  # Gauss-7 nodes inside the Kronrod set
-# nodes of a leg's first panel, computed as adaptive_leg computes every other panel's
+# nodes of a leg's first panel, the bytes _nodes(0.0, 1.0) gives
 _T_FIRST = 0.5 + 0.5 * _XK
 
 # absolute error budget of every leg, read only by the quadrature calls here
@@ -262,8 +264,9 @@ def _panel_sums(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled K15 sums and |K15 - G7| summed over the 3 components.
 
     vals holds the integrand on the 15 nodes of a panel, (..., 3, 15); the
-    results have shapes (..., 3) and (...). adaptive_leg scales both by the
-    panel half-width, a power of two, so the scaling is exact.
+    results have shapes (..., 3) and (...). Times the panel half-width, a
+    power of two and so an exact scaling, they are the panel's K15 integral
+    and error estimate (_sums).
     """
     k = vals @ _WK
     return k, np.abs(k - vals[..., _GAUSS_IDX] @ _WG).sum(axis=-1)
@@ -274,15 +277,19 @@ def _leg_text(leg: _Leg, t0: float = 0.0, t1: float = 1.0) -> str:
     return f"{leg} over t in [{t0:g}, {t1:g}] (z from {z_ends[0]:.17g} to {z_ends[1]:.17g})"
 
 
+# a leg's first panel: all of t in [0, 1]
+_WHOLE = (0.0, 1.0)
+
+
 class _Refinement:
     """One leg's panels under adaptive_leg's rule, refined one split at a time.
 
     It holds the heap of panels (largest estimate first, ties to the panel
     made first), the summed estimate and the two limits. adaptive_leg
     drives it through coeff_fn once a leg's first panel is rejected;
-    _lockstep drives the rejected legs of a chunk side by side. add raises QuadratureFailure on a panel with a
-    non-finite value or estimate, and split on a panel at the width cap or
-    past the panel budget.
+    _lockstep drives the rejected legs of a chunk side by side. add raises
+    QuadratureFailure on a panel with a non-finite estimate, and split on a
+    panel at the width cap or past the panel budget.
     """
 
     __slots__ = ("leg", "tol", "heap", "err_sum", "made")
@@ -290,28 +297,26 @@ class _Refinement:
     def __init__(self, leg: _Leg, tol: float, first):
         self.leg, self.tol = leg, tol
         self.heap, self.err_sum, self.made = [], 0.0, 0
-        self.add(0.0, 1.0, first)
+        self.add(_WHOLE, first)
 
     @property
     def open(self) -> bool:
         return self.err_sum > self.tol
 
-    def add(self, t0: float, t1: float, sums) -> None:
-        """Push the panel [t0, t1] with its _panel_sums (K15 sum, |K15 - G7|)."""
-        k, d = sums
-        half = 0.5 * (t1 - t0)
-        e = half * float(d)
+    def add(self, panel: tuple[float, float], sums) -> None:
+        """Push panel (t0, t1) with its coeff_fn sums (K15 integral, error estimate)."""
+        k, e = sums
         # a non-finite K15 or G7 sum makes e non-finite; NaN would otherwise
         # slip through the budget test, as nan > tol is False
         if not math.isfinite(e):
-            raise QuadratureFailure(f"non-finite integrand on {_leg_text(self.leg, t0, t1)}")
-        heapq.heappush(self.heap, (-e, self.made, t0, t1, half, k))
+            raise QuadratureFailure(f"non-finite integrand on {_leg_text(self.leg, *panel)}")
+        heapq.heappush(self.heap, (-e, self.made, panel, k))
         self.made += 1
         self.err_sum += e
 
     def split(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Pop the worst panel and return its halves, left first."""
-        neg_e, _, t0, t1, _, _ = heapq.heappop(self.heap)
+        neg_e, _, (t0, t1), _ = heapq.heappop(self.heap)
         if t1 - t0 <= 2.0**-MAX_DEPTH:
             raise QuadratureFailure(
                 f"segment tolerance {self.tol:g} not reached at max depth (err {self.err_sum:g}) "
@@ -327,10 +332,10 @@ class _Refinement:
         return (t0, mid), (mid, t1)
 
     def result(self) -> tuple[np.ndarray, float]:
-        """The sum of the panels' scaled K15 sums, in heap order, and the summed estimate."""
+        """The sum of the panels' K15 integrals, in heap order, and the summed estimate."""
         total = np.zeros(3, dtype=complex)
-        for _, _, _, _, half, k in self.heap:
-            total += half * k
+        for *_, k in self.heap:
+            total += k
         return total, self.err_sum
 
 
@@ -339,86 +344,98 @@ def _nodes(t0, t1):
     return 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _XK
 
 
-@functools.lru_cache(maxsize=512)
-def _panel_nodes(t0: float, t1: float) -> np.ndarray:
-    """_nodes(t0, t1) of one panel, read-only and shared between calls.
-
-    Refined legs split the same dyadic panels of [0, 1] over and over, so
-    adaptive_leg takes their nodes from here instead of building them again.
-    """
-    t = _nodes(t0, t1)
-    t.flags.writeable = False
-    return t
-
-
 def adaptive_leg(leg: _Leg, coeff_fn, tol: float) -> tuple[np.ndarray, float]:
     """Adaptive G7/K15 over one leg; returns (complex 3-vector, error estimate).
 
-    coeff_fn(t) takes the 15 nodes t in [0, 1] of one panel and returns
-    _panel_sums of the integrand phi(z(t)) z'(t) there: the unscaled K15
-    sum (3,) and the summed |K15 - G7| difference. Each panel is exactly one
-    coeff_fn call, so counting the calls counts the panels (the benchmark's
-    panel anchor does that). The calls come in a fixed order: the panel
-    [0, 1] first, then both halves of each split, left first. So a coeff_fn
-    may serve sums computed in advance, in call order (_LegCoeffs does).
-    The node arrays are shared with other legs' calls (_T_FIRST and the
-    read-only arrays of _panel_nodes), so a coeff_fn must not write to them.
-    Interval halving against a global absolute budget: the worst panel is
-    split until the summed estimate drops below tol (_Refinement holds the
-    rule). Panel width is capped at 2^-MAX_DEPTH and the panel count at
-    MAX_PANELS; hitting either with the budget still blown signals a
-    mis-routed path or an integrand the rule cannot resolve, and raises
-    QuadratureFailure. So does a panel with a non-finite value or estimate,
-    at once.
+    coeff_fn(panel) takes one panel (t0, t1) of [0, 1] and returns the K15
+    integral (3,) of phi(z(t)) z'(t) over it and its error estimate, the
+    summed |K15 - G7| difference: _panel_sums of the 15 nodes (_nodes),
+    scaled by the half-width (t1 - t0) / 2, a power of two. Each panel is
+    exactly one coeff_fn call, so counting the calls counts the panels (the
+    benchmark's panel anchor does that). The calls come in a fixed order:
+    (0, 1) first, then both halves of each split, left first. So a coeff_fn
+    may serve sums computed in advance, in call order, as _SumServer.sums
+    does for a chunk of legs. A first panel that meets tol is the result as
+    coeff_fn gave it. Otherwise interval halving against a global absolute
+    budget: the worst panel is split until the summed estimate drops below
+    tol (_Refinement holds the rule). Panel width is capped at 2^-MAX_DEPTH
+    and the panel count at MAX_PANELS; hitting either with the budget still
+    blown signals a mis-routed path or an integrand the rule cannot resolve,
+    and raises QuadratureFailure. So does a panel with a non-finite
+    estimate, at once.
     """
-    k, d = first = coeff_fn(_T_FIRST)
-    e = 0.5 * float(d)
+    k, e = first = coeff_fn(_WHOLE)
     if e <= tol:
-        # the first panel, [0, 1], meets the budget (a NaN estimate does not):
-        # most legs end here, so they build no _Refinement
-        return 0.5 * k, e
+        # most legs end here, so they build no _Refinement (a NaN estimate
+        # does not pass)
+        return k, e
     state = _Refinement(leg, tol, first)
     while state.open:
-        for t0, t1 in state.split():
-            state.add(t0, t1, coeff_fn(_panel_nodes(t0, t1)))
+        for panel in state.split():
+            state.add(panel, coeff_fn(panel))
     return state.result()
 
 
-class _LegCoeffs:
-    """coeff_fn of one leg for a form triple form(z, w) of the branch values w.
+class _SumServer:
+    """The coeff_fn of every leg of one chunk (its method sums): sums computed
+    in advance, served in call order.
 
-    form is phi_from_w (the maximal surface) unless given; minimal passes its
-    omega-triple. sheet, when given, multiplies w_values elementwise (+1 or
-    -1: the branch of w the leg lies on). queue holds panel sums computed in
-    advance, in the order adaptive_leg will ask for them: first, the first
-    panel's sums from _leg_coeffs' batch, when given, then both halves of
-    each _lockstep split, left first. A call takes the head of the queue, or
-    evaluates the form on its nodes when the queue is empty. Either way one
-    call per panel, with the same bytes.
+    firsts holds each leg's first-panel sums, and queues maps the index of
+    each leg that refines to the (panel, sums) of both halves of each of its
+    _lockstep splits, left first. adaptive_leg, run on the legs in order,
+    asks for exactly these: a leg's first panel (0, 1), then the leg's
+    queue. A call that is not the next one, a first panel asked while the
+    previous leg still holds halves, and close() with sums left raise
+    RuntimeError, a defect of the hand-off: no leg is ever given another
+    leg's sums.
     """
 
-    __slots__ = ("leg", "p", "form", "sheet", "queue")
+    __slots__ = ("firsts", "served", "queues", "queue")
 
-    def __init__(self, leg: _Leg, p: SurfaceParams, form=phi_from_w, sheet=None, first=None):
-        self.leg, self.p, self.form, self.sheet = leg, p, form, sheet
-        self.queue = [] if first is None else [first]
+    def __init__(self, k: np.ndarray, e: list):
+        self.firsts = list(zip(k, e))
+        self.served = 0
+        self.queues: dict[int, list] = {}
+        self.queue = None
 
-    def __call__(self, t: np.ndarray):
-        if self.queue:
-            return self.queue.pop(0)
-        return _sums(*self.leg.points(t), self.p, self.form, self.sheet)
+    def sums(self, panel):
+        """coeff_fn: the sums of panel, the next one adaptive_leg asks for."""
+        if panel == _WHOLE:
+            i = self.served
+            if self.queue or i == len(self.firsts):
+                raise RuntimeError(
+                    f"sum server of {len(self.firsts)} legs asked for a first panel after {i} "
+                    f"legs, with {len(self.queue or ())} halves of the last one left"
+                )
+            self.served = i + 1
+            if self.queues:
+                self.queue = self.queues.pop(i, None)
+            return self.firsts[i]
+        if not self.queue or self.queue[0][0] != panel:
+            raise RuntimeError(f"sum server holds no sums for panel {panel} of leg {self.served - 1}")
+        return self.queue.pop(0)[1]
+
+    def close(self) -> None:
+        """Raise RuntimeError unless every sum was served."""
+        if self.queue or self.queues or self.served != len(self.firsts):
+            raise RuntimeError(
+                f"sum server of {len(self.firsts)} legs closed after {self.served} legs, "
+                f"with the halves of {len(self.queues) + bool(self.queue)} refined legs left"
+            )
 
 
-def _sums(z: np.ndarray, dz: np.ndarray, p: SurfaceParams, form, sheet):
-    """_panel_sums of the panels with nodes at z, (..., 15), reduced as one
-    contiguous (..., 3, 15) array: each panel gets its 15-node call's bytes.
+def _sums(z: np.ndarray, dz: np.ndarray, half, p: SurfaceParams, form, sheet):
+    """coeff_fn sums of the panels with nodes at z, (..., 15), and half-widths half.
 
-    A node on a branch point divides by w = 0 (adaptive_leg raises on the
-    non-finite sums), so the caller ignores divide and invalid errors:
-    _leg_coeffs for its whole chunk.
+    The integrand is reduced as one contiguous (..., 3, 15) array, so each
+    panel gets its 15-node call's _panel_sums bytes, then scaled by half (a
+    float, or one per panel). A node on a branch point divides by w = 0
+    (adaptive_leg raises on the non-finite sums), so the caller ignores
+    divide and invalid errors: _chunk_server for its whole chunk.
     """
     vals = form(z, _branch(z, p, sheet)) * dz
-    return _panel_sums(np.ascontiguousarray(vals.swapaxes(0, -2)))
+    k, d = _panel_sums(np.ascontiguousarray(vals.swapaxes(0, -2)))
+    return k * np.expand_dims(half, -1), d * half
 
 
 def _branch(z: np.ndarray, p: SurfaceParams, sheet) -> np.ndarray:
@@ -444,76 +461,74 @@ def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(z), np.stack(dz)
 
 
-def _leg_coeffs(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> list[_LegCoeffs]:
-    """One coeff_fn per leg, queued with the sums of every panel adaptive_leg
-    will ask of it at DEFAULT_SEGMENT_TOL.
+def _chunk_server(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> _SumServer:
+    """The _SumServer of a chunk of legs, holding the sums of every panel
+    adaptive_leg will ask of them at DEFAULT_SEGMENT_TOL.
 
     Most legs of a chain need only their first panel, so one (3, K, 15)
-    evaluation and one batched _panel_sums replace K small ones. form and
-    the per-leg sheets are as in _LegCoeffs; the sheets enter the batch as a
-    (K, 1) column. Every leg whose first panel is rejected then refines in
-    lockstep (_lockstep). The kernels are elementwise and give the same bits
-    at any call size, and the sums run over a contiguous (K, 3, 15) array,
-    so each panel's sums are the ones a 15-node call gives, bit for bit,
-    whatever the other legs.
+    evaluation and one batched _panel_sums replace K small ones. form is
+    phi_from_w (the maximal surface) unless given; minimal passes its
+    omega-triple. sheets, when given, holds each leg's sign of w (+1 or -1:
+    the branch the leg lies on) and enters the batch as a (K, 1) column.
+    Every leg whose first panel is rejected then refines in lockstep
+    (_lockstep). The kernels are elementwise and give the same bits at any
+    call size, and the sums run over a contiguous (K, 3, 15) array, so each
+    panel's sums are the ones a 15-node call gives, bit for bit, whatever
+    the other legs.
     """
-    if not legs:
-        return []
     column = None if sheets is None else np.array(sheets)[:, None]
     # one errstate for the whole chunk (see _sums)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k, d = _sums(*_first_points(legs), p, form, column)
-        fns = [
-            _LegCoeffs(leg, p, form, sheet, first)
-            for leg, sheet, first in zip(legs, sheets or [None] * len(legs), zip(k, d.tolist()))
-        ]
-        # the first panel's estimate is 0.5 d: a leg that meets its budget
-        # with it has nothing to refine (adaptive_leg accepts it at once),
-        # and a non-finite one fails at once
-        states = []
-        for i in np.flatnonzero(~(0.5 * d <= DEFAULT_SEGMENT_TOL)).tolist():
+        k, e = _sums(*_first_points(legs), 0.5, p, form, column)
+        server = _SumServer(k, e.tolist())
+        # a leg whose first estimate meets the budget has nothing to refine
+        # (adaptive_leg accepts it at once), and a non-finite one fails at once
+        active = []
+        for i in np.flatnonzero(~(e <= DEFAULT_SEGMENT_TOL)).tolist():
             with contextlib.suppress(QuadratureFailure):
-                states.append((fns[i], _Refinement(legs[i], DEFAULT_SEGMENT_TOL, fns[i].queue[0])))
-        _lockstep(states, p, form)
-    return fns
+                active.append((i, _Refinement(legs[i], DEFAULT_SEGMENT_TOL, server.firsts[i])))
+        _lockstep(active, server.queues, p, form, sheets)
+    return server
 
 
-def _lockstep(active, p: SurfaceParams, form) -> None:
+def _lockstep(active, queues: dict, p: SurfaceParams, form, sheets) -> None:
     """Refine legs side by side, queueing both halves of each split.
 
-    active holds a (coeff_fn, _Refinement) pair per open leg. Each round
-    splits the worst panel of every open leg, as adaptive_leg does, and
-    evaluates all the halves in one kernel call. A leg leaves on meeting
-    its budget or on a failure, which raises nothing here: adaptive_leg
-    meets it again when it replays the leg, and raises it there.
+    active holds an (index in the chunk, _Refinement) pair per open leg;
+    each split's halves go to queues[index] as (panel, sums), left first.
+    Each round splits the worst panel of every open leg, as adaptive_leg
+    does, and evaluates all the halves in one kernel call. A leg leaves on
+    meeting its budget or on a failure, which raises nothing here:
+    adaptive_leg meets it again when it replays the leg, and raises it there.
     """
     while active:
         split = []
-        for fn, s in active:
+        for i, s in active:
             try:
-                split.append((fn, s, s.split()))
+                split.append((i, s, s.split()))
             except QuadratureFailure:
                 pass
         if not split:
             return
-        # (K, 2, 15): the nodes of both halves of each split
-        t = _nodes(*np.array([halves for _, _, halves in split]).transpose(2, 0, 1)[..., None])
-        z, dz = map(np.concatenate, zip(*(fn.leg.points(ts) for (fn, _, _), ts in zip(split, t))))
+        # (K, 2) ends of both halves of each split, and their (K, 2, 15) nodes
+        t0, t1 = np.array([halves for _, _, halves in split]).transpose(2, 0, 1)
+        t = _nodes(t0[..., None], t1[..., None])
+        z, dz = map(np.concatenate, zip(*(s.leg.points(ts) for (_, s, _), ts in zip(split, t))))
         sheet = None
-        if split[0][0].sheet is not None:
-            sheet = np.repeat([fn.sheet for fn, _, _ in split], 2)[:, None]
-        k, d = _sums(z, dz, p, form, sheet)
-        sums = list(zip(k, d.tolist()))
+        if sheets is not None:
+            sheet = np.repeat([sheets[i] for i, _, _ in split], 2)[:, None]
+        k, e = _sums(z, dz, 0.5 * (t1 - t0).ravel(), p, form, sheet)
+        sums = list(zip(k, e.tolist()))
         active = []
-        for (fn, s, ((t0, mid), (_, t1))), left, right in zip(split, sums[::2], sums[1::2]):
-            fn.queue += (left, right)
+        for (i, s, (left, right)), left_sums, right_sums in zip(split, sums[::2], sums[1::2]):
+            queues.setdefault(i, []).extend(((left, left_sums), (right, right_sums)))
             try:
-                s.add(t0, mid, left)
-                s.add(mid, t1, right)
+                s.add(left, left_sums)
+                s.add(right, right_sums)
             except QuadratureFailure:
                 continue
             if s.open:
-                active.append((fn, s))
+                active.append((i, s))
 
 
 def _chunks(items):
@@ -533,7 +548,7 @@ def _leg_memo(p: SurfaceParams):
 
     Inside the block _leg_sums keeps {leg: (re row, err)} for p and
     integrates only the legs it has not seen. A leg gives the same bytes
-    alone or in any batch (see _leg_coeffs), so every value inside the block
+    alone or in any batch (see _chunk_server), so every value inside the block
     is the one it would be outside. The memo lives in a ContextVar and is
     dropped on exit, normal or not: no state outlives the call that opened
     it, so each call does the same work whenever it runs.
@@ -570,19 +585,21 @@ def _integrate_legs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """_leg_sums without a memo: every leg integrated, chunk by chunk.
 
-    form and the per-leg sheets are as in _leg_coeffs. adaptive_leg
-    integrates the legs of a chunk in order, so the first failing leg
-    raises, after the legs before it.
+    form and the per-leg sheets are as in _chunk_server. adaptive_leg
+    integrates the legs of a chunk in order, all served by the chunk's one
+    _SumServer, so the first failing leg raises, after the legs before it.
     """
     re, err = [np.zeros((0, 3))], [np.zeros(0)]
     for chunk in _chunks(legs if sheets is None else zip(legs, sheets)):
         chunk_sheets = None
         if sheets is not None:
             chunk, chunk_sheets = zip(*chunk)
-        fns = _leg_coeffs(chunk, p, form, chunk_sheets)
-        parts = [adaptive_leg(leg, fn, DEFAULT_SEGMENT_TOL) for leg, fn in zip(chunk, fns)]
-        re.append(np.array([v for v, _ in parts]).real)
-        err.append(np.array([e for _, e in parts]))
+        server = _chunk_server(chunk, p, form, chunk_sheets)
+        sums = server.sums
+        vs, es = zip(*[adaptive_leg(leg, sums, DEFAULT_SEGMENT_TOL) for leg in chunk])
+        server.close()
+        re.append(np.array(vs).real)
+        err.append(np.array(es))
     return np.concatenate(re), np.concatenate(err)
 
 
@@ -722,6 +739,19 @@ def _immersion_legs(z, p: SurfaceParams, basepoint=None) -> list[_Leg]:
     return _route_legs(z, p, basepoint)
 
 
+def _immersion_routes(points, p: SurfaceParams) -> list[_Leg]:
+    """The legs of immersion's routes from the origin to points, in order.
+
+    A point whose route raises is left out, so that its immersion call
+    raises in its turn.
+    """
+    legs = []
+    for z in points:
+        with contextlib.suppress(PathThroughSingularity):
+            legs += _immersion_legs(z, p)
+    return legs
+
+
 def integrate_path(path: PathSpec, p: SurfaceParams) -> tuple[tuple[float, float, float], float]:
     """Re of the integral of the form triple along a user polyline.
 
@@ -823,14 +853,21 @@ class _ReversedLeg(_Leg):
 # loop periods
 
 
+_ENDS = (0, math.inf)
+
+
 def loop_period(center, p: SurfaceParams) -> PeriodVector:
     """Re of the closed loop integral around one end.
 
-    center = 0 integrates counterclockwise around the puncture at 0 on the
-    circle of half the innermost branch-point radius; center = inf
-    integrates counterclockwise as seen from infinity (clockwise in the
-    plane) on the circle of twice the outermost branch-point radius.
+    center is 0 or math.inf, the two ends; anything else (another number,
+    -inf, NaN, None, a string, a bool) raises ValueError. center = 0
+    integrates counterclockwise around the puncture at 0 on the circle of
+    half the innermost branch-point radius; center = inf integrates
+    counterclockwise as seen from infinity (clockwise in the plane) on the
+    circle of twice the outermost branch-point radius.
     """
+    if isinstance(center, bool) or not isinstance(center, numbers.Real) or center not in _ENDS:
+        raise ValueError(f"center must be one of {_ENDS}, got {center!r}")
     at_zero = center == 0
     if at_zero:
         leg = ArcLeg(r=0.5 * p.inner_radius(), theta_a=0.0, theta_b=2.0 * math.pi)

@@ -18,9 +18,9 @@ path from the origin (31,730 legs on the default grid of the README
 surface, nearly all of them one G7/K15 panel). The ring arcs of all rings
 (31,524 of those legs) are generated lazily and integrated in chunks of at
 most integrate._CHUNK legs, whose first panels share one kernel call (and
-the splits of each lockstep round another); only
-each leg's real part and error estimate are kept, and each ring's chains
-are summed from their anchor value afterwards.
+the splits of each lockstep round another); only each leg's real part and
+error estimate are kept. All the rings' chains are then summed from their
+anchor values at once, in one running-sum table.
 
 graph_check runs in bounded memory: no full-size temporary outlives its
 use, so its peak is about 58 bytes per period triangle.
@@ -39,8 +39,8 @@ from .integrate import (
     ArcLeg,
     ImmersionSample,
     RadialLeg,
-    _accumulate,
     _apex_ladder,
+    _immersion_routes,
     _leg_memo,
     _leg_sums,
     _running_sum,
@@ -259,26 +259,37 @@ def _incremental_grid(p, radii, thetas, skip):
     f[:i_near, j_anchor], err[:i_near, j_anchor] = chain_f[::-1], chain_e[::-1]
 
     # one angular chain each way around every ring, stopping at the first
-    # skipped position. The arcs of all rings stream through the quadrature
-    # in bounded chunks; each chain is then summed from its anchor value
-    chains = []
-    for i in range(R):
-        for step in (1, -1):
-            js = range(j_anchor + step, A if step > 0 else -1, step)
-            chains.append((i, js[: next((k for k, j in enumerate(js) if skip[i, j]), len(js))]))
+    # skipped position: chain c runs around ring rows[c], steps[c] at a time
+    # from the anchor, for lens[c] arcs. The arcs of all rings stream
+    # through the quadrature in bounded chunks
+    rows, steps = np.repeat(np.arange(R), 2), np.tile([1, -1], R)
+    lens = np.stack(
+        [_until_first(skip[:, j_anchor + 1 :]), _until_first(skip[:, :j_anchor][:, ::-1])], axis=1
+    ).ravel()
     rs, ths = radii.tolist(), thetas.tolist()
     arcs = (
-        ArcLeg(r=rs[i], theta_a=ths[j - js.step], theta_b=ths[j]) for i, js in chains for j in js
+        ArcLeg(rs[i], ths[j - step], ths[j])
+        for i, step, n in zip(rows.tolist(), steps.tolist(), lens.tolist())
+        for j in range(j_anchor + step, j_anchor + step * (n + 1), step)
     )
     ring_f, ring_e = _leg_sums(arcs, p)
-    start = 0
-    for i, js in chains:
-        stop = start + len(js)
-        f[i, js], err[i, js] = _accumulate(
-            f[i, j_anchor], err[i, j_anchor], ring_f[start:stop], ring_e[start:stop]
-        )
-        start = stop
+    # every chain summed from its anchor value in one running-sum table: row
+    # c holds the anchor's (f, err) and then its chain's legs, padded with
+    # zeros; a cumsum along the rows adds in the order _accumulate does
+    on_chain = np.arange(1, 1 + lens.max(initial=0)) <= lens[:, None]
+    table = np.zeros((len(lens), 1 + on_chain.shape[1], 4))
+    table[:, 0, :3], table[:, 0, 3] = f[rows, j_anchor], err[rows, j_anchor]
+    table[:, 1:][on_chain] = np.column_stack([ring_f, ring_e])
+    sums = np.cumsum(table, axis=1)[:, 1:][on_chain]
+    js = (j_anchor + steps[:, None] * np.arange(1, on_chain.shape[1] + 1))[on_chain]
+    ring_rows = np.broadcast_to(rows[:, None], on_chain.shape)[on_chain]
+    f[ring_rows, js], err[ring_rows, js] = sums[:, :3], sums[:, 3]
     return f, err
+
+
+def _until_first(block: np.ndarray) -> np.ndarray:
+    """Per row of a boolean block, the number of entries before its first True."""
+    return np.where(block.any(axis=1), block.argmax(axis=1), block.shape[1])
 
 
 def _grid_nu3(z_grid, apex_ref, p):
@@ -405,9 +416,12 @@ def _weld_check(fund: FundamentalSamples, p: SurfaceParams) -> list[float]:
 
     The endpoint routes share their opening legs, so they run inside one
     _leg_memo: each distinct leg is integrated once, with the same bytes.
+    All the routes are integrated there first, in one _leg_sums call and
+    so in one lockstep; the immersions then read the memo.
     """
     out = []
     with _leg_memo(p):
+        _leg_sums(_immersion_routes([x for c in fund.comps for x in (c.lo, c.hi)], p), p)
         for comp, s in zip(fund.comps, fund.apex_samples):
             worst = 0.0
             for endpoint in (comp.lo, comp.hi):

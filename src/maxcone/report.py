@@ -15,7 +15,7 @@ import numpy as np
 
 from . import core, singular
 from .errors import MaxconeError
-from .integrate import _leg_memo, immersion, loop_period
+from .integrate import _immersion_routes, _leg_memo, _leg_sums, immersion, loop_period
 from .mesh import GridSpec, build_mesh, graph_check
 from .params import SurfaceParams, is_real
 from .version import __version__
@@ -256,13 +256,16 @@ def _check_graph(p, grid, tol):
 
 def _check_symmetry(p, rng, tol):
     # the 16 routes open with one of two quarter arcs at the origin's radius;
-    # the memo integrates each distinct leg once, with unchanged values
-    pts = core.regular_sample_points(p, 8, rng, upper=True)
+    # the memo integrates each distinct leg once, with unchanged values, all
+    # of them first in one batch and so in one lockstep, and the immersions
+    # read them from it
+    pts = [complex(z) for z in core.regular_sample_points(p, 8, rng, upper=True)]
     worst = 0.0
     with _leg_memo(p):
+        _leg_sums(_immersion_routes([w for z in pts for w in (z, z.conjugate())], p), p)
         for z in pts:
-            fu = np.asarray(immersion(complex(z), p).f)
-            fl = np.asarray(immersion(complex(z).conjugate(), p).f)
+            fu = np.asarray(immersion(z, p).f)
+            fl = np.asarray(immersion(z.conjugate(), p).f)
             worst = max(worst, float(np.max(np.abs(fu - fl * np.array([1.0, -1.0, 1.0])))))
     return _entry("symmetry", worst <= tol.integrated, max_mirror_deviation=worst)
 

@@ -27,13 +27,12 @@ from .errors import (
     AmbiguousDirection,
     DegenerateSingularity,
     NotOnHyperboloid,
-    PathThroughSingularity,
     VerificationFailure,
 )
 from .integrate import (
     PathSpec,
     _apex_legs,
-    _immersion_legs,
+    _immersion_routes,
     _integrate_legs,
     _leg_memo,
     _leg_sums,
@@ -328,14 +327,11 @@ def _limit_legs(iv, p: SurfaceParams) -> list:
 
     A route that raises is left out, so that its consumer raises in its turn.
     """
-    routes = []
+    legs = []
     for side in ("above", "below"):
         with contextlib.suppress(ValueError):
-            routes.append(_apex_legs(iv, side, p))
-    for x in iv:
-        with contextlib.suppress(PathThroughSingularity):
-            routes.append(_immersion_legs(complex(x), p))
-    return [leg for route in routes for leg in route]
+            legs += _apex_legs(iv, side, p)
+    return legs + _immersion_routes([complex(x) for x in iv], p)
 
 
 def _outside_values(component: SingularComponent, p: SurfaceParams, f_ends, eps_outer: float):

@@ -451,27 +451,51 @@ def obj_text_ref(mesh):
     return "\n".join(lines) + "\n"
 
 
-def integrate_leg_ref(leg, p, form=None, sheet=None):
-    """(complex 3-vector, error estimate) of one leg integrated on its own.
+def panel_nodes_ref(panel):
+    """The 15 Kronrod nodes of the panel (t0, t1), from the package's abscissae."""
+    from maxcone import integrate as I
 
-    The package's adaptive rule over the form triple form(z, w), the
-    maximal-surface one unless given, with w times sheet (+1 or -1) when
-    given, and with every panel, the first and both halves of each split among
-    them, evaluated in its own 15-node kernel call instead of taken from a
-    batch or a round.
+    t0, t1 = panel
+    return 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * I._XK
+
+
+def lone_coeff_fn(leg, p, form=None, sheet=None, w_values=None):
+    """A coeff_fn of one leg that evaluates every panel alone.
+
+    panel (t0, t1) -> (K15 integral, error estimate): the form triple
+    form(z, w), the maximal-surface one unless given, with w times sheet
+    (+1 or -1) when given, on the panel's 15 nodes in their own kernel call
+    (w_values, core.w_values unless given), reduced by the package's
+    _panel_sums and scaled by the half-width (t1 - t0) / 2.
     """
     from maxcone import core
     from maxcone import integrate as I
 
     form = core.phi_from_w if form is None else form
+    w_values = core.w_values if w_values is None else w_values
 
-    def coeff(t):
-        z, dz = leg.points(t)
+    def coeff(panel):
+        z, dz = leg.points(panel_nodes_ref(panel))
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = core.w_values(z, p)
-            return I._panel_sums(form(z, w if sheet is None else sheet * w) * dz)
+            w = w_values(z, p)
+            k, d = I._panel_sums(form(z, w if sheet is None else sheet * w) * dz)
+        half = 0.5 * (panel[1] - panel[0])
+        return half * k, half * float(d)
 
-    return I.adaptive_leg(leg, coeff, I.DEFAULT_SEGMENT_TOL)
+    return coeff
+
+
+def integrate_leg_ref(leg, p, form=None, sheet=None):
+    """(complex 3-vector, error estimate) of one leg integrated on its own.
+
+    The package's adaptive rule over lone_coeff_fn(leg, p, form, sheet):
+    every panel, the first and both halves of each split among them, is
+    evaluated in its own 15-node kernel call instead of taken from a batch
+    or a round.
+    """
+    from maxcone import integrate as I
+
+    return I.adaptive_leg(leg, lone_coeff_fn(leg, p, form, sheet), I.DEFAULT_SEGMENT_TOL)
 
 
 def measure_period_ref(waypoints, d):
@@ -479,13 +503,16 @@ def measure_period_ref(waypoints, d):
 
     The integrator minimal.measure_period used before the first panels of a
     loop's pieces were batched: the loop is split into sheet-tagged pieces
-    at the cut crossings, and each non-empty piece is integrated alone, its
-    first panel in its own 15-node kernel call.
+    at the cut crossings, and each non-empty piece is integrated alone
+    (integrate_leg_ref, the omega-triple as the form), its first panel in
+    its own 15-node kernel call.
     """
-    from maxcone import core
+    import functools
+
     from maxcone import integrate as I
     from maxcone import minimal as M
 
+    form = functools.partial(M.omega_from_w, orientation=d.orientation)
     pts = [complex(z) for z in waypoints]
     if pts[0] != pts[-1]:
         pts.append(pts[0])
@@ -495,15 +522,7 @@ def measure_period_ref(waypoints, d):
     for z_a, z_b, sheet in pieces:
         if z_a == z_b:
             continue
-        leg = I.SegmentLeg(z_a=z_a, z_b=z_b)
-
-        def coeff(t, leg=leg, sheet=sheet):
-            z, dz = leg.points(t)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = sheet * core.w_values(z, d.params)
-                return I._panel_sums(M.omega_from_w(z, w, d.orientation) * dz)
-
-        v, e = I.adaptive_leg(leg, coeff, I.DEFAULT_SEGMENT_TOL)
+        v, e = integrate_leg_ref(I.SegmentLeg(z_a=z_a, z_b=z_b), d.params, form, sheet)
         total += v
         err += e
     return tuple(total.real), err
@@ -645,3 +664,56 @@ def b2n_value_ref(p) -> float:
     for k in range(p.n - 1):
         factor *= p.b[2 * k] / p.b[2 * k + 1]
     return factor * p.b[2 * p.n - 2]  # b_{2n-1} times the product
+
+
+def incremental_grid_by_chain_ref(p, radii, thetas, skip):
+    """mesh._incremental_grid as it summed its ring chains before the running-sum table.
+
+    The same radial chain up the anchor ray and the same ring arcs, one
+    angular chain each way around every ring up to the first skipped
+    position, but each chain summed from its anchor on its own, by
+    integrate._accumulate.
+    """
+    from maxcone import integrate as I
+
+    R, A = len(radii), len(thetas)
+    j_anchor = A // 2
+    th_anchor = float(thetas[j_anchor])
+    r0 = p.default_basepoint().real
+    f = np.zeros((R, A, 3))
+    err = np.zeros((R, A))
+    i_near = int(np.argmin(np.abs(radii - r0)))
+    legs = [
+        I.ArcLeg(r=r0, theta_a=0.0, theta_b=th_anchor),
+        I.RadialLeg(theta=th_anchor, r_a=r0, r_b=float(radii[i_near])),
+    ] + [
+        I.RadialLeg(theta=th_anchor, r_a=float(radii[i - 1]), r_b=float(radii[i]))
+        for i in range(i_near + 1, R)
+    ]
+    chain_f, chain_e = I._running_sum(legs, p, np.zeros(3), 0.0)
+    f[i_near:, j_anchor], err[i_near:, j_anchor] = chain_f[1:], chain_e[1:]
+    legs = [
+        I.RadialLeg(theta=th_anchor, r_a=float(radii[i + 1]), r_b=float(radii[i]))
+        for i in range(i_near - 1, -1, -1)
+    ]
+    chain_f, chain_e = I._running_sum(legs, p, f[i_near, j_anchor], err[i_near, j_anchor])
+    f[:i_near, j_anchor], err[:i_near, j_anchor] = chain_f[::-1], chain_e[::-1]
+    chains = []
+    for i in range(R):
+        for step in (1, -1):
+            js = range(j_anchor + step, A if step > 0 else -1, step)
+            chains.append((i, js[: next((k for k, j in enumerate(js) if skip[i, j]), len(js))]))
+    arcs = [
+        I.ArcLeg(r=float(radii[i]), theta_a=float(thetas[j - js.step]), theta_b=float(thetas[j]))
+        for i, js in chains
+        for j in js
+    ]
+    ring_f, ring_e = I._leg_sums(arcs, p)
+    start = 0
+    for i, js in chains:
+        stop = start + len(js)
+        f[i, js], err[i, js] = I._accumulate(
+            f[i, j_anchor], err[i, j_anchor], ring_f[start:stop], ring_e[start:stop]
+        )
+        start = stop
+    return f, err, [len(js) for _, js in chains]

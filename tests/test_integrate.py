@@ -155,6 +155,21 @@ def test_loop_period_around_infinity(p10, p22):
         assert np.asarray(pv.v) == pytest.approx([0.0, TWO_PI, 0.0], abs=1e-8)
 
 
+@pytest.mark.parametrize("center", [1.0, -1, -math.inf, math.nan, None, "0", "inf", True, False, 0j])
+def test_loop_period_rejects_a_center_that_is_not_an_end(center, p10):
+    # only 0 and +inf are ends; anything else used to give the loop at inf,
+    # labelled loop_center=inf
+    with pytest.raises(ValueError, match="center must be one of"):
+        I.loop_period(center, p10)
+
+
+def test_loop_period_accepts_the_ends_in_any_real_type(p10):
+    # the same bytes for every spelling of the two ends
+    for ends, center in (((0, 0.0, -0.0, np.float64(0), np.int64(0)), 0.0), ((math.inf, np.inf), math.inf)):
+        vals = [repr(I.loop_period(c, p10)) for c in ends]
+        assert vals == vals[:1] * len(ends) and f"loop_center={center}" in vals[0]
+
+
 def test_residue_closure(p21):
     v0 = np.asarray(I.loop_period(0, p21).v)
     vi = np.asarray(I.loop_period(math.inf, p21).v)
@@ -346,21 +361,21 @@ def _counted_leg(leg, fn, kernel):
     """adaptive_leg(leg, fn), its panels and the sizes of its kernel calls."""
     panels, before = [], len(kernel)
 
-    def counted(t):
-        panels.append(t)
-        return fn(t)
+    def counted(panel):
+        panels.append(panel)
+        return fn(panel)
 
     v, e = I.adaptive_leg(leg, counted, I.DEFAULT_SEGMENT_TOL)
     return v, e, panels, kernel[before:]
 
 
 def _assert_served(panels, sizes):
-    """adaptive_leg took every panel's sums from _leg_coeffs: the first panel
-    is _T_FIRST itself, the halves of each split follow left then right, and
-    adaptive_leg made no kernel call of its own."""
-    assert panels[0] is I._T_FIRST and len(panels) % 2 == 1
-    for left, right in zip(panels[1::2], panels[2::2]):
-        assert left.shape == right.shape == (15,) and left[-1] < right[0]
+    """adaptive_leg took every panel's sums from the chunk's server: the
+    first panel is (0, 1), the halves of each split follow left then right,
+    and adaptive_leg made no kernel call of its own."""
+    assert panels[0] == (0.0, 1.0) and len(panels) % 2 == 1
+    for (a, mid), (mid2, b) in zip(panels[1::2], panels[2::2]):
+        assert a < mid == mid2 < b
     assert sizes == []
 
 
@@ -373,21 +388,22 @@ def test_batched_first_panels_match_per_leg_quadrature(fixture, request, monkeyp
     kernel = _counted_kernel(monkeypatch)
     for legs in _mixed_chains(p):
         before = len(kernel)
-        coeffs = I._leg_coeffs(legs, p)
+        server = I._chunk_server(legs, p)
         rounds, splits = kernel[before:], []
-        for leg, fn in zip(legs, coeffs):
-            # the head of the queue, the batched first-panel sums, is the
-            # bytes of the leg's own panel
-            k, d = fn.queue[0]
-            k_ref, d_ref = I._LegCoeffs(leg, p)(I._T_FIRST.copy())
-            assert k.tobytes() == k_ref.tobytes() and np.float64(d).tobytes() == d_ref.tobytes()
-            v, e, panels, sizes = _counted_leg(leg, fn, kernel)
+        for i, leg in enumerate(legs):
+            # the server's batched first-panel sums for the leg are the
+            # bytes of the leg's own panel, evaluated alone
+            k, e = server.firsts[i]
+            k_ref, e_ref = oracles.lone_coeff_fn(leg, p)((0.0, 1.0))
+            assert k.tobytes() == k_ref.tobytes() and np.float64(e).tobytes() == np.float64(e_ref).tobytes()
+            v, e, panels, sizes = _counted_leg(leg, server.sums, kernel)
             _assert_served(panels, sizes)
-            # the replay took every queued panel: none was refined in vain
-            assert not fn.queue
+            # the replay took every sum queued for the leg: none was refined in vain
+            assert not server.queue
             splits.append(len(panels) // 2)
             v_ref, e_ref = oracles.integrate_leg_ref(leg, p)
             assert v.tobytes() == v_ref.tobytes() and e == e_ref
+        server.close()
         # one call for the first panels, then one per round: each round
         # splits every open leg once, so there are as many as the most splits
         assert rounds[0] == 15 * len(legs) and len(rounds) == 1 + max(splits)
@@ -395,9 +411,10 @@ def test_batched_first_panels_match_per_leg_quadrature(fixture, request, monkeyp
 
 
 def _first_points_checked(legs, monkeypatch):
-    """_first_points(legs), checked byte for byte against leg.points(_T_FIRST)
-    per leg; returns the SegmentLegs whose points method it called."""
-    z, dz = zip(*(leg.points(I._T_FIRST) for leg in legs))
+    """_first_points(legs), checked byte for byte against leg.points at the
+    first panel's nodes per leg; returns the SegmentLegs whose points method
+    it called."""
+    z, dz = zip(*(leg.points(oracles.panel_nodes_ref((0.0, 1.0))) for leg in legs))
     calls = []
     points = I.SegmentLeg.points
 
@@ -448,21 +465,21 @@ def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10, monkeypatch):
     # an arc that starts just outside the branch point 1 and so splits
     leg = I.ArcLeg(r=1.001, theta_a=0.0, theta_b=0.1)
     kernel = _counted_kernel(monkeypatch)
-    fn = I._leg_coeffs([leg], p10)[0]
+    server = I._chunk_server([leg], p10)
     rounds = kernel[:]
-    v, e, calls, sizes = _counted_leg(leg, fn, kernel)
+    v, e, calls, sizes = _counted_leg(leg, server.sums, kernel)
+    server.close()
     # the first panel was the batch's and every other a round's: the two
     # halves of each split made one 30-node call, and adaptive_leg none
     _assert_served(calls, sizes)
     assert rounds == [15] + [30] * (len(calls) // 2)
-    # each call is the 15 nodes of one panel of the bisection tree of [0, 1],
-    # no panel is evaluated twice, and a split panel has both halves evaluated
+    # each call is one panel of the bisection tree of [0, 1], given as a
+    # tuple of its ends; no panel is evaluated twice, and a split panel has
+    # both halves evaluated
     pending, panels = {(0.0, 1.0)}, []
-    for t in calls:
-        nodes = {(a, b): 0.5 * (a + b) + 0.5 * (b - a) * I._XK for a, b in pending}
-        match = [ab for ab, x in nodes.items() if np.array_equal(t, x)]
-        assert len(match) == 1
-        a, b = match[0]
+    for panel in calls:
+        assert type(panel) is tuple and panel in pending
+        a, b = panel
         pending.remove((a, b))
         panels.append((a, b))
         pending |= {(a, 0.5 * (a + b)), (0.5 * (a + b), b)}
@@ -480,28 +497,28 @@ def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10, monkeypatch):
     [(0.0, 0.5), (0.5, 1.0), (0.375, 0.40625), (2.0**-40, 2.0**-39), (0.1, 0.7), (1 / 3, 2 / 3)],
 )
 def test_panel_nodes_are_the_read_only_bytes_of_nodes(t0, t1):
-    # adaptive_leg takes a later panel's nodes from a cache shared by every
-    # leg: the bytes _nodes gives, alone and as _lockstep's columns, on
-    # dyadic panels and others, in an array that no coeff_fn can write to
-    t = I._panel_nodes(t0, t1)
+    # a coeff_fn is given the panel as a tuple of its ends, which it cannot
+    # write to, and builds the nodes itself: a lone evaluation's nodes are
+    # the bytes _nodes gives, alone and as _lockstep's columns, on dyadic
+    # panels and others
+    panel = (t0, t1)
+    t = oracles.panel_nodes_ref(panel)
     assert t.dtype == np.float64 and t.shape == (15,)
     assert t.tobytes() == I._nodes(t0, t1).tobytes()
     assert t.tobytes() == I._nodes(np.array([[t0]]), np.array([[t1]]))[0].tobytes()
-    assert not t.flags.writeable
-    with pytest.raises(ValueError):
-        t[0] = 0.5
-    assert I._panel_nodes(t0, t1) is t
+    with pytest.raises(TypeError):
+        panel[0] = 0.5
 
 
 def test_batched_first_panels_keep_the_failing_leg(p10):
     # a node on the branch point 2 fails that leg alone, with no warning
     good = I.ArcLeg(r=3.0, theta_a=0.0, theta_b=1.0)
     bad = I.SegmentLeg(z_a=2.0 - 1.0j, z_b=2.0 + 1.0j)
-    coeffs = I._leg_coeffs([good, bad], p10)
-    v, _ = I.adaptive_leg(good, coeffs[0], I.DEFAULT_SEGMENT_TOL)
+    server = I._chunk_server([good, bad], p10)
+    v, _ = I.adaptive_leg(good, server.sums, I.DEFAULT_SEGMENT_TOL)
     assert v.tobytes() == oracles.integrate_leg_ref(good, p10)[0].tobytes()
     with pytest.raises(QuadratureFailure):
-        I.adaptive_leg(bad, coeffs[1], I.DEFAULT_SEGMENT_TOL)
+        I.adaptive_leg(bad, server.sums, I.DEFAULT_SEGMENT_TOL)
     with pytest.raises(QuadratureFailure):
         I._running_sum([good, bad], p10, np.zeros(3), 0.0)
 
@@ -540,21 +557,22 @@ def _hard_legs():
 
 
 def _paired_and_alone(leg, p, kernel, form=I.phi_from_w, sheet=None):
-    """adaptive_leg twice: on the sums _leg_coeffs refined in rounds, where
-    the two halves of each split share one kernel call, and with every panel
-    alone (a coeff_fn with an empty queue evaluates every call). Returns both results and
-    the number of splits, after checking that the rounds made one 30-node
-    kernel call per split and the lone panels one 15-node call each."""
+    """adaptive_leg twice: on the sums a chunk's server refined in rounds,
+    where the two halves of each split share one kernel call, and with every
+    panel alone (oracles.lone_coeff_fn, on the counted kernel). Returns both
+    results and the number of splits, after checking that the rounds made
+    one 30-node kernel call per split and the lone panels one 15-node call
+    each."""
     before = len(kernel)
-    paired = I._leg_coeffs([leg], p, form, None if sheet is None else [sheet])[0]
-    alone = I._LegCoeffs(leg, p, form, sheet)
-    v, e, panels, sizes = _counted_leg(leg, paired, kernel)
+    paired = I._chunk_server([leg], p, form, None if sheet is None else [sheet])
+    alone = oracles.lone_coeff_fn(leg, p, form, sheet, w_values=I.w_values)
+    v, e, panels, sizes = _counted_leg(leg, paired.sums, kernel)
     splits = len(panels) // 2
     assert sizes == [] and kernel[before:] == [15] + [30] * splits
     # the replay took every panel the rounds queued, and no more
-    assert not paired.queue
+    paired.close()
     before = len(kernel)
-    ref = I.adaptive_leg(leg, lambda t: alone(t.copy()), I.DEFAULT_SEGMENT_TOL)
+    ref = I.adaptive_leg(leg, alone, I.DEFAULT_SEGMENT_TOL)
     assert kernel[before:] == [15] * len(panels)
     return (v, e), ref, splits
 
@@ -615,9 +633,9 @@ def _panels_per_leg(monkeypatch):
     def counted_leg(leg, coeff_fn, tol):
         log.append([leg, 0])
 
-        def counted_panel(t):
+        def counted_panel(panel):
             log[-1][1] += 1
-            return coeff_fn(t)
+            return coeff_fn(panel)
 
         return adaptive_leg(leg, counted_panel, tol)
 
@@ -699,8 +717,9 @@ def test_a_failing_leg_in_a_chunk_raises_its_lone_message(kind, p10, p22, monkey
     assert str(chunk.value) == str(lone.value)
     assert log == legs[: bad + 1]
     monkeypatch.setattr(I, "adaptive_leg", adaptive_leg)
-    for leg, fn, (v_ref, e_ref) in zip(legs, I._leg_coeffs(legs, p), refs):
-        v, e = I.adaptive_leg(leg, fn, I.DEFAULT_SEGMENT_TOL)
+    server = I._chunk_server(legs, p)
+    for leg, (v_ref, e_ref) in zip(legs, refs):
+        v, e = I.adaptive_leg(leg, server.sums, I.DEFAULT_SEGMENT_TOL)
         assert v.tobytes() == v_ref.tobytes() and e == e_ref
 
 
@@ -767,8 +786,8 @@ def test_adaptive_leg_raises_past_the_panel_budget():
     leg = I.SegmentLeg(z_a=1.0 + 1.0j, z_b=2.0 + 1.0j)
     calls = []
 
-    def same(t):
-        calls.append(t)
+    def same(panel):
+        calls.append(panel)
         assert len(calls) <= 10_000, "no panel budget"
         return np.ones(3, dtype=complex), 1.0
 
@@ -784,7 +803,7 @@ def test_max_depth_failure_names_the_leg(p10):
     # integrand at the branch point 1, so a panel reaches the width cap
     leg = I.SegmentLeg(0.5 + 0j, 3.4 + 0j)
     with pytest.raises(QuadratureFailure, match=r"max depth .* on SegmentLeg.*z from"):
-        I.adaptive_leg(leg, I._LegCoeffs(leg, p10), I.DEFAULT_SEGMENT_TOL)
+        I.adaptive_leg(leg, oracles.lone_coeff_fn(leg, p10), I.DEFAULT_SEGMENT_TOL)
 
 
 def test_kernel_calls_enter_one_errstate_each(p21, monkeypatch):
@@ -806,3 +825,141 @@ def test_kernel_calls_enter_one_errstate_each(p21, monkeypatch):
     # two chunks, and legs that split, so later panels made kernel calls too
     assert len(legs) > I._CHUNK and len(kernel) > 2
     assert len(entered) == len(kernel) + 2
+
+
+def test_the_sum_server_raises_on_a_broken_call_order(p22, monkeypatch):
+    # the sums of a chunk are served in call order; any other order raises
+    # RuntimeError (never StopIteration, and no sum for another leg): past
+    # the end, a half asked of a leg that holds none or out of order, a
+    # first panel while the last leg still holds halves, and a close with
+    # sums left
+    legs = _chunk_of_every_depth()
+    whole = (0.0, 1.0)
+
+    def served(upto):
+        """A fresh server with the legs before upto replayed in order."""
+        server = I._chunk_server(legs, p22)
+        for leg in legs[:upto]:
+            I.adaptive_leg(leg, server.sums, I.DEFAULT_SEGMENT_TOL)
+        return server
+
+    easy, hard = 0, 1  # ends at its first panel; refines
+    queues = I._chunk_server(legs, p22).queues
+    assert easy not in queues and hard in queues
+    server = served(len(legs))
+    server.close()
+    with pytest.raises(RuntimeError, match="asked for a first panel after 12 legs"):
+        server.sums(whole)
+    server = served(easy)
+    server.sums(whole)
+    with pytest.raises(RuntimeError, match=r"no sums for panel \(0.0, 0.5\) of leg 0"):
+        server.sums((0.0, 0.5))
+    server = served(hard)
+    server.sums(whole)
+    with pytest.raises(RuntimeError, match=r"no sums for panel \(0.5, 1.0\) of leg 1"):
+        server.sums((0.5, 1.0))
+    server = served(hard)
+    server.sums(whole)
+    with pytest.raises(RuntimeError, match="halves of the last one left"):
+        server.sums(whole)
+    with pytest.raises(RuntimeError, match="closed after 2 legs"):
+        served(hard + 1).close()
+    server = served(hard)
+    server.sums(whole)
+    with pytest.raises(RuntimeError, match=f"with the halves of {len(queues)} refined legs left"):
+        server.close()
+    # through the chunk loop: a leg replayed twice or skipped raises, and no
+    # value is returned
+    adaptive_leg = I.adaptive_leg
+
+    def twice(leg, coeff_fn, tol):
+        if leg is legs[hard]:
+            adaptive_leg(leg, coeff_fn, tol)
+        return adaptive_leg(leg, coeff_fn, tol)
+
+    def skipped(leg, coeff_fn, tol):
+        if leg is legs[easy]:
+            return np.zeros(3, dtype=complex), 0.0
+        return adaptive_leg(leg, coeff_fn, tol)
+
+    for broken in (twice, skipped):
+        monkeypatch.setattr(I, "adaptive_leg", broken)
+        with pytest.raises(RuntimeError, match="sum server"):
+            I._integrate_legs(legs, p22)
+
+
+def _omega_chunk(p10):
+    """Legs of p10 for the omega-triple chunk: (leg, sheet) pairs that end at
+    the first panel or refine, and the ones that fail, by kind. Half the
+    pieces lie on sheet -1, refining ones among them."""
+    good = [
+        (I.ArcLeg(6.0, 0.0, 0.3), 1), (I.ArcLeg(1.001, 0.0, 0.1), -1),
+        (I.SegmentLeg(5.0 + 1.0j, 6.0 + 2.0j), -1), (I.RadialLeg(1e-3, 1.5, 3.0), 1),
+        (I.SegmentLeg(2.5 + 1e-3j, 1.5 + 1e-3j), -1), (I.SqrtApproachLeg(2 + 0j, 3.0 + 2e-3j), 1),
+        (I.ArcLeg(1.05, 0.0, 0.5), -1),
+    ]
+    failing = {
+        # the middle node is the branch point 2
+        "non-finite": (I.SegmentLeg(2.0 - 1.0j, 2.0 + 1.0j), -1),
+        # along the cut from inside it: a panel at the branch point 2 reaches the cap
+        "depth": (I.SegmentLeg(1.5 + 0j, 2.6 + 0j), 1),
+        # 1e-6 above the cut [1, 2]: 167 panels alone, over a budget of 100
+        "panels": (I.SegmentLeg(0.5 + 1e-6j, 3.4 + 1e-6j), -1),
+    }
+    return good, failing
+
+
+@pytest.mark.parametrize("first", [None, "non-finite", "depth", "panels"])
+def test_an_omega_chunk_of_every_kind_gives_lone_bytes_and_the_first_lone_failure(first, p10, monkeypatch):
+    # minimal's omega-triple on both sheets: legs that end at their first
+    # panel, refine, have a non-finite first panel, reach the width cap or
+    # the panel budget share one chunk, first panels and rounds. Each leg
+    # replayed gets the bytes of the leg evaluated panel by panel alone, and
+    # the chunk raises the first failing leg's lone message
+    from maxcone import minimal as M
+
+    monkeypatch.setattr(I, "MAX_PANELS", 100)
+    form = functools.partial(M.omega_from_w, orientation="vertical-ends")
+    good, failing = _omega_chunk(p10)
+    lone = {}
+    for kind, (leg, sheet) in failing.items():
+        with pytest.raises(QuadratureFailure) as failure:
+            oracles.integrate_leg_ref(leg, p10, form, sheet)
+        lone[kind] = str(failure.value)
+    assert lone["non-finite"].startswith("non-finite integrand on")
+    assert "at max depth" in lone["depth"] and "within 100 panels" in lone["panels"]
+    refs = [oracles.integrate_leg_ref(leg, p10, form, sheet) for leg, sheet in good]
+    chunk = good + ([] if first is None else [failing[first]] + [v for k, v in failing.items() if k != first])
+    legs, sheets = [leg for leg, _ in chunk], [s for _, s in chunk]
+    log, adaptive_leg = [], I.adaptive_leg
+
+    def logged_leg(leg, coeff_fn, tol):
+        panels = []
+
+        def counted(panel):
+            panels.append(panel)
+            return coeff_fn(panel)
+
+        log.append((leg, panels))
+        out = adaptive_leg(leg, counted, tol)
+        log[-1] += (out,)
+        return out
+
+    monkeypatch.setattr(I, "adaptive_leg", logged_leg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if first is None:
+            re, err = I._integrate_legs(legs, p10, form, sheets)
+        else:
+            with pytest.raises(QuadratureFailure) as chunk_failure:
+                I._integrate_legs(legs, p10, form, sheets)
+            assert str(chunk_failure.value) == lone[first]
+    # the legs before the first failure, and it, were replayed in order
+    assert [entry[0] for entry in log] == legs[: len(good) + (first is not None)]
+    for (v_ref, e_ref), (_, _, (v, e)) in zip(refs, log):
+        assert v.tobytes() == v_ref.tobytes() and np.float64(e).tobytes() == np.float64(e_ref).tobytes()
+    if first is None:
+        assert re.tobytes() == np.array([v for _, _, (v, _) in log]).real.tobytes()
+        assert err.tobytes() == np.array([e for _, _, (_, e) in log]).tobytes()
+    refined = {sheet for (_, sheet), (_, panels, _) in zip(good, log) if len(panels) > 1}
+    assert refined == {1, -1} and min(len(panels) for _, panels, _ in log[: len(good)]) == 1

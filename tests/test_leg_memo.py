@@ -35,9 +35,9 @@ def leg_log(monkeypatch):
     def counted_leg(leg, coeff_fn, tol):
         log.append([leg, 0])
 
-        def counted_panel(t):
+        def counted_panel(panel):
             log[-1][1] += 1
-            return coeff_fn(t)
+            return coeff_fn(panel)
 
         return adaptive_leg(leg, counted_panel, tol)
 
@@ -205,7 +205,7 @@ def test_classify_cone_kernel_calls_are_batches_and_rounds(p21, kernel_log, monk
         kernel_log.clear()
         S.classify_cone(c, p21)
         assert len(kernel_log) == len(calls)
-        assert set(calls) == {"_leg_coeffs", "_lockstep"}, calls
+        assert set(calls) == {"_chunk_server", "_lockstep"}, calls
 
 
 def test_the_memo_does_not_leak_after_a_failure(p21, leg_log):
@@ -245,8 +245,10 @@ def test_the_mesh_is_sampled_outside_any_memo(p10, monkeypatch):
 
 
 def test_weld_check_integrates_no_leg_twice(p21, leg_log, monkeypatch):
-    # the six endpoint routes of p21's three cones: without the memo 24 legs,
-    # of which 19 distinct, and 172 panels
+    # the six endpoint routes of p21's three cones: 24 legs, of which 19
+    # distinct, and 172 panels. Without the memo the batch of all the routes
+    # and then each immersion integrate all 24, so twice over: 48 legs and
+    # 344 panels
     fund = MM.sample_fundamental(p21, MM.GridSpec(radial_samples=40, angular_samples=20))
     leg_log.clear()
     residuals = MM._weld_check(fund, p21)
@@ -258,4 +260,29 @@ def test_weld_check_integrates_no_leg_twice(p21, leg_log, monkeypatch):
     leg_log.clear()
     ref = MM._weld_check(fund, p21)
     assert [r.hex() for r in residuals] == [r.hex() for r in ref]
-    assert (len(leg_log), sum(n for _, n in leg_log)) == (24, 172)
+    assert (len(leg_log), sum(n for _, n in leg_log)) == (2 * 24, 2 * 172)
+
+
+@pytest.mark.parametrize("fixture", ["p21", "p22"])
+def test_planned_symmetry_and_weld_batches_give_the_unplanned_bytes(fixture, request, leg_log, kernel_log, monkeypatch):
+    # the symmetry check and the weld check integrate all their routes in
+    # one batch inside the memo before their immersions read it: the same
+    # residuals, to the last bit, as immersions that each integrate their own
+    # new legs, on the same legs and panels, in fewer kernel calls
+    p = request.getfixturevalue(fixture)
+    fund = MM.sample_fundamental(p, MM.GridSpec(radial_samples=40, angular_samples=20))
+
+    def run():
+        leg_log.clear()
+        kernel_log.clear()
+        sym = R._check_symmetry(p, np.random.default_rng(R.CHECK_SEED), R.ToleranceLadder())
+        weld = MM._weld_check(fund, p)
+        work = (len(leg_log), sum(n for _, n in leg_log), len(kernel_log), sum(kernel_log))
+        return [sym["details"]["max_mirror_deviation"], *weld], work
+
+    planned, work = run()
+    for module in (R, MM):
+        monkeypatch.setattr(module, "_immersion_routes", lambda points, p: [])
+    unplanned, ref_work = run()
+    assert [r.hex() for r in planned] == [r.hex() for r in unplanned]
+    assert work[:2] == ref_work[:2] and work[3] == ref_work[3] and work[2] < ref_work[2]

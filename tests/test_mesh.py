@@ -110,9 +110,9 @@ def test_sample_fundamental_work_counts(p21, monkeypatch):
     def counted_leg(leg, coeff_fn, tol):
         counts[0] += 1
 
-        def counted_panel(t):
+        def counted_panel(panel):
             counts[1] += 1
-            return coeff_fn(t)
+            return coeff_fn(panel)
 
         return adaptive_leg(leg, counted_panel, tol)
 
@@ -151,6 +151,26 @@ def test_chunk_size_does_not_change_samples(fixture, request, monkeypatch):
     alone = MM.sample_fundamental(p, grid)
     assert chunked.f.tobytes() == alone.f.tobytes()
     assert chunked.quad_error.tobytes() == alone.quad_error.tobytes()
+
+
+@pytest.mark.parametrize("fixture, grid", [("p21", MM.GridSpec()), ("p22", MM.GridSpec(60, 30))])
+def test_running_sum_table_matches_per_chain_sums(fixture, grid, request):
+    # every ring chain summed from its anchor in one padded table gives the
+    # bytes of each chain summed on its own (the README surface's default
+    # grid and p22's), where the chains stop at the apex positions and where
+    # they stop at skipped positions spread over the rings
+    p = request.getfixturevalue(fixture)
+    fund = MM.sample_fundamental(p, grid)
+    R, A = fund.apex_ref.shape
+    full = [A - 1 - A // 2, A // 2] * R
+    rng = np.random.default_rng(11)
+    for skip in (fund.apex_ref >= 0, (fund.apex_ref >= 0) | (rng.random((R, A)) < 0.02)):
+        f, err = MM._incremental_grid(p, fund.radii, fund.thetas, skip)
+        f_ref, err_ref, lens = oracles.incremental_grid_by_chain_ref(p, fund.radii, fund.thetas, skip)
+        assert f.tobytes() == f_ref.tobytes() and err.tobytes() == err_ref.tobytes()
+        # chains that stop short, at a skipped position, and chains of no arc
+        assert 0 < sum(n < m for n, m in zip(lens, full)) < len(lens)
+    assert min(lens) == 0
 
 
 def test_f2_identity_max_dev(fund10):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -154,15 +155,17 @@ def test_omega_pieces_one_leg_each_and_batched_first_panels(p10, monkeypatch):
     def counted_leg(leg, coeff_fn, tol):
         calls = []
 
-        def spy(t):
-            calls.append(t)
-            return coeff_fn(t)
+        def spy(panel):
+            calls.append(panel)
+            return coeff_fn(panel)
 
-        first = coeff_fn.queue[0]
+        # the first-panel sums the chunk's server holds for this piece
+        server = coeff_fn.__self__
+        first = server.firsts[server.served]
         out = adaptive_leg(leg, spy, tol)
-        # the replay took every queued panel: none was refined in vain
-        assert not coeff_fn.queue
-        legs.append((leg, coeff_fn, first, calls))
+        # the replay took every sum queued for the piece: none was refined in vain
+        assert not server.queue
+        legs.append((leg, first, calls))
         return out
 
     sizes = []
@@ -174,18 +177,22 @@ def test_omega_pieces_one_leg_each_and_batched_first_panels(p10, monkeypatch):
 
     monkeypatch.setattr(I, "adaptive_leg", counted_leg)
     monkeypatch.setattr(I, "w_values", counted_w)
-    M.measure_period(M.end_loop_waypoints(p10), d)
+    wps = M.end_loop_waypoints(p10)
+    M.measure_period(wps, d)
     # one adaptive_leg call per piece, one kernel call for all first panels,
     # then one per round, in which the two halves of every split of the
     # pieces still open share the call
     assert len(legs) == 64
-    splits = [(len(calls) - 1) // 2 for _, _, _, calls in legs]
+    splits = [(len(calls) - 1) // 2 for _, _, calls in legs]
     assert sizes[0] == 64 * 15 and len(sizes) == 1 + max(splits)
     assert sum(sizes[1:]) == 30 * sum(splits)
-    for leg, fn, (k, e), calls in legs:
-        assert calls[0] is I._T_FIRST
-        k_ref, e_ref = I._LegCoeffs(leg, p10, fn.form, fn.sheet)(I._T_FIRST.copy())
-        assert k.tobytes() == k_ref.tobytes() and np.float64(e).tobytes() == e_ref.tobytes()
+    pieces, sheets, _ = I._polyline_legs([complex(z) for z in wps + wps[:1]], p10, cuts="flip")
+    assert [leg for leg, _, _ in legs] == pieces
+    form = functools.partial(M.omega_from_w, orientation=d.orientation)
+    for (leg, (k, e), calls), sheet in zip(legs, sheets):
+        assert calls[0] == (0.0, 1.0)
+        k_ref, e_ref = oracles.lone_coeff_fn(leg, p10, form, sheet)((0.0, 1.0))
+        assert k.tobytes() == k_ref.tobytes() and np.float64(e).tobytes() == np.float64(e_ref).tobytes()
 
 
 def test_piece_with_a_node_on_a_branch_point_fails_alone(p10):
