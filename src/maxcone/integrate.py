@@ -36,11 +36,14 @@ leg's first panel, then the halves of that leg's splits. A leg that needs
 one panel costs no object of its own. The kernels give each point the
 same bits whatever the call size, so a leg's result depends neither on
 the chunk it falls in nor on the other legs of a round. Every leg streams
-through that batch: the mesh grid's ring arcs, the routes of immersion
-and apex, the mesh's apex ladder, the stadium chain, the loop of
-loop_period, and the sheet-tagged loop pieces of minimal, whose
-omega-triple is passed in as the form with each piece's sheet as the sign
-of w.
+through that batch: the routes of immersion and apex, the mesh's apex
+ladder, the stadium chain, the loop of loop_period, and the sheet-tagged
+loop pieces of minimal, whose omega-triple is passed in as the form with
+each piece's sheet as the sign of w. The mesh grid's ring arcs take the
+same chunks, batch, lockstep and replay without being legs
+(_ring_arc_sums): they come as rows of ring and angle indices, their
+first-panel points from one table of the grid's angular steps, and only
+an arc whose first panel is rejected becomes an ArcLeg.
 
 User paths, the stadium chain and the loops of minimal become legs
 through one function, _polyline_legs, under the rules PathSpec states.
@@ -446,13 +449,7 @@ def _branch(z: np.ndarray, p: SurfaceParams, sheet) -> np.ndarray:
 
 def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
     """(z, dz/dt) at the first-panel nodes of K legs, (K, 15) each, as leg.points gives them."""
-    kinds = {type(leg) for leg in legs}
-    if kinds == {ArcLeg}:
-        # the angular chains of a mesh grid: ArcLeg.points over all rows at once
-        r, ta, tb = np.array([(leg.r, leg.theta_a, leg.theta_b) for leg in legs]).T[..., None]
-        z = r * np.exp(1j * (ta + (tb - ta) * _T_FIRST))
-        return z, 1j * (tb - ta) * z
-    if kinds == {SegmentLeg}:
+    if {type(leg) for leg in legs} == {SegmentLeg}:
         # the stadium chain and the loop pieces of minimal: SegmentLeg.points over all legs
         za, zb = np.array([(leg.z_a, leg.z_b) for leg in legs], dtype=complex).T[..., None]
         dz = zb - za
@@ -471,7 +468,7 @@ def _chunk_server(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> _SumS
     omega-triple. sheets, when given, holds each leg's sign of w (+1 or -1:
     the branch the leg lies on) and enters the batch as a (K, 1) column.
     Every leg whose first panel is rejected then refines in lockstep
-    (_lockstep). The kernels are elementwise and give the same bits at any
+    (_refine). The kernels are elementwise and give the same bits at any
     call size, and the sums run over a contiguous (K, 3, 15) array, so each
     panel's sums are the ones a 15-node call gives, bit for bit, whatever
     the other legs.
@@ -480,14 +477,24 @@ def _chunk_server(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> _SumS
     # one errstate for the whole chunk (see _sums)
     with np.errstate(divide="ignore", invalid="ignore"):
         k, e = _sums(*_first_points(legs), 0.5, p, form, column)
-        server = _SumServer(k, e.tolist())
-        # a leg whose first estimate meets the budget has nothing to refine
-        # (adaptive_leg accepts it at once), and a non-finite one fails at once
-        active = []
-        for i in np.flatnonzero(~(e <= DEFAULT_SEGMENT_TOL)).tolist():
-            with contextlib.suppress(QuadratureFailure):
-                active.append((i, _Refinement(legs[i], DEFAULT_SEGMENT_TOL, server.firsts[i])))
-        _lockstep(active, server.queues, p, form, sheets)
+        return _refine(k, e, legs, p, form, sheets)
+
+
+def _refine(k: np.ndarray, e: np.ndarray, legs, p: SurfaceParams, form, sheets) -> _SumServer:
+    """The _SumServer of a chunk whose first panels have the sums k (K, 3) and e (K,).
+
+    Every leg whose first panel is rejected refines in lockstep (_lockstep);
+    legs[i], the leg of row i, is read only for those rows. Call it under
+    the chunk's errstate (see _sums).
+    """
+    server = _SumServer(k, e.tolist())
+    # a leg whose first estimate meets the budget has nothing to refine
+    # (adaptive_leg accepts it at once), and a non-finite one fails at once
+    active = []
+    for i in np.flatnonzero(~(e <= DEFAULT_SEGMENT_TOL)).tolist():
+        with contextlib.suppress(QuadratureFailure):
+            active.append((i, _Refinement(legs[i], DEFAULT_SEGMENT_TOL, server.firsts[i])))
+    _lockstep(active, server.queues, p, form, sheets)
     return server
 
 
@@ -603,6 +610,67 @@ def _integrate_legs(
     return np.concatenate(re), np.concatenate(err)
 
 
+def _arc_table(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(1j * theta) at the first-panel nodes of each step between
+    consecutive angles of thetas, (2A - 2, 15), and the step's
+    1j * (theta_b - theta_a), (2A - 2, 1).
+
+    Step 2j runs from thetas[j] to thetas[j + 1] and step 2j + 1 back. These
+    are the operations ArcLeg.points applies, so an arc of any radius along
+    a step gets its first-panel bytes from the table (_arc_points).
+    """
+    ta = np.stack([thetas[:-1], thetas[1:]], axis=1).reshape(-1, 1)
+    tb = np.stack([thetas[1:], thetas[:-1]], axis=1).reshape(-1, 1)
+    return np.exp(1j * (ta + (tb - ta) * _T_FIRST)), 1j * (tb - ta)
+
+
+def _arc_points(table, r: np.ndarray, j_from: np.ndarray, j_to: np.ndarray):
+    """(z, dz/dt) at the first-panel nodes of the arcs ArcLeg(r[k],
+    thetas[j_from[k]], thetas[j_to[k]]), (K, 15) each, as ArcLeg.points
+    gives them; table is _arc_table(thetas), and |j_to - j_from| = 1."""
+    nodes, turn = table
+    step = 2 * np.minimum(j_from, j_to) + (j_from > j_to)
+    z = r[:, None] * nodes[step]
+    return z, turn[step] * z
+
+
+def _ring_arc_sums(radii, thetas, ring, j_from, j_to, p: SurfaceParams):
+    """_leg_sums of the ring arcs ArcLeg(radii[ring[k]], thetas[j_from[k]],
+    thetas[j_to[k]]), k < N, between consecutive angles, with the same bytes.
+
+    The arcs are integrated as _integrate_legs integrates legs: in chunks
+    of at most _CHUNK, one first-panel batch, lockstep and _SumServer per
+    chunk, then adaptive_leg once per arc, in order. But they enter as rows
+    of index arrays: the first-panel points come from one angular table
+    for all rings (_arc_points), and only an arc whose first panel is
+    rejected becomes an ArcLeg, the leg its refinement and failure text
+    need. adaptive_leg is handed None for every other arc, which it
+    accepts at its first panel, and that arc keeps its batch row: the
+    values adaptive_leg returns for it.
+    """
+    table = _arc_table(thetas)
+    n = len(ring)
+    re, err = np.empty((n, 3)), np.empty(n)
+    for s in range(0, n, _CHUNK):
+        rows = slice(s, s + _CHUNK)
+        r, ja, jb = radii[ring[rows]], j_from[rows], j_to[rows]
+        # one errstate for the whole chunk (see _sums)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k, e = _sums(*_arc_points(table, r, ja, jb), 0.5, p, phi_from_w, None)
+            legs = [None] * len(r)
+            rejected = np.flatnonzero(~(e <= DEFAULT_SEGMENT_TOL)).tolist()
+            for i in rejected:
+                legs[i] = ArcLeg(float(r[i]), float(thetas[ja[i]]), float(thetas[jb[i]]))
+            server = _refine(k, e, legs, p, phi_from_w, None)
+        sums = server.sums
+        out = [adaptive_leg(leg, sums, DEFAULT_SEGMENT_TOL) for leg in legs]
+        server.close()
+        re[rows], err[rows] = k.real, e
+        for i in rejected:
+            re[s + i], err[s + i] = out[i][0].real, out[i][1]
+    return re, err
+
+
 def _accumulate(f0, e0: float, re: np.ndarray, err: np.ndarray):
     """Running sums from (f0, e0) over per-leg rows, one leg at a time in order."""
     f = np.cumsum(np.vstack([np.asarray(f0, dtype=float), re]), axis=0)
@@ -693,7 +761,14 @@ def _route_to_branch_point(c: float, p: SurfaceParams, basepoint: complex) -> li
 
 
 def _route_end(z, what: str) -> complex:
-    """z as a complex a route can reach: finite, and 2 pi |z| (so every arc's dz) finite."""
+    """z as a complex a route can reach: finite, and 2 pi |z| (so every arc's dz) finite.
+
+    z must be a real or complex number and not a bool (numpy scalars
+    included), else ValueError: complex() would read the string '3' as 3
+    and True as the branch point 1.
+    """
+    if isinstance(z, bool) or not isinstance(z, numbers.Complex):
+        raise ValueError(f"{what} must be a real or complex number, got {z!r}")
     z = complex(z)
     if not (cmath.isfinite(z) and math.isfinite(2.0 * math.pi * math.hypot(z.real, z.imag))):
         raise PathThroughSingularity(f"{what} {z} is not a point: not finite or 2 pi |z| overflows")
@@ -708,8 +783,10 @@ def immersion(z: complex, p: SurfaceParams, basepoint: complex | None = None) ->
     the same surface translated by -immersion(b, p).f. Branch-point targets
     are reached through the square-root substitution leg; interior points of
     singular intervals are rejected. A target or basepoint that is not a
-    point (see _route_end), and a basepoint at 0 or on a branch point, raise
-    PathThroughSingularity before any quadrature.
+    real or complex number (a bool, a string, None) raises ValueError; one
+    that is not finite or whose 2 pi |z| overflows (see _route_end), and a
+    basepoint at 0 or on a branch point, raise PathThroughSingularity. Both
+    are raised before any quadrature.
     """
     legs = _immersion_legs(z, p, basepoint)
     z = complex(z)
@@ -747,7 +824,7 @@ def _immersion_routes(points, p: SurfaceParams) -> list[_Leg]:
     """
     legs = []
     for z in points:
-        with contextlib.suppress(PathThroughSingularity):
+        with contextlib.suppress(PathThroughSingularity, ValueError):
             legs += _immersion_legs(z, p)
     return legs
 

@@ -16,11 +16,13 @@ anchor ray and one angular chain each way around every ring, so each grid
 vertex costs one short quadrature leg from its neighbor instead of a routed
 path from the origin (31,730 legs on the default grid of the README
 surface, nearly all of them one G7/K15 panel). The ring arcs of all rings
-(31,524 of those legs) are generated lazily and integrated in chunks of at
-most integrate._CHUNK legs, whose first panels share one kernel call (and
-the splits of each lockstep round another); only each leg's real part and
-error estimate are kept. All the rings' chains are then summed from their
-anchor values at once, in one running-sum table.
+(31,524 of those legs) go to the quadrature as index arrays, ring and
+angle indices in chain order, not as leg objects (integrate._ring_arc_sums).
+They are integrated in chunks of at most integrate._CHUNK arcs, whose first
+panels share one kernel call (and the splits of each lockstep round
+another); only each arc's real part and error estimate are kept. All the
+rings' chains are then summed from their anchor values at once, in one
+running-sum table.
 
 graph_check runs in bounded memory: no full-size temporary outlives its
 use, so its peak is about 58 bytes per period triangle.
@@ -43,6 +45,7 @@ from .integrate import (
     _immersion_routes,
     _leg_memo,
     _leg_sums,
+    _ring_arc_sums,
     _running_sum,
     apex,  # noqa: F401  the benchmark's span tracer wraps this binding
     immersion,
@@ -227,9 +230,10 @@ def _build_radii(p: SurfaceParams, g: GridSpec, r_min: float, r_max: float):
 def _incremental_grid(p, radii, thetas, skip):
     """f on the (R, A) grid via chained radial and angular legs.
 
-    skip marks boundary-row positions whose values are overridden later
-    (apex collapses and pushed seam points); their terminal chain steps
-    would otherwise end on a branch cut.
+    skip marks boundary-row positions whose values are overridden later,
+    the apex positions over the singular intervals: a ring's chain stops
+    before its first skipped position, as its step there would end on a
+    branch cut.
     """
     R, A = len(radii), len(thetas)
     j_anchor = A // 2
@@ -260,29 +264,25 @@ def _incremental_grid(p, radii, thetas, skip):
 
     # one angular chain each way around every ring, stopping at the first
     # skipped position: chain c runs around ring rows[c], steps[c] at a time
-    # from the anchor, for lens[c] arcs. The arcs of all rings stream
-    # through the quadrature in bounded chunks
+    # from the anchor, for lens[c] arcs. The arcs of all rings, chain by
+    # chain, go to the quadrature as index rows (ring, angle index before
+    # and after the step)
     rows, steps = np.repeat(np.arange(R), 2), np.tile([1, -1], R)
     lens = np.stack(
         [_until_first(skip[:, j_anchor + 1 :]), _until_first(skip[:, :j_anchor][:, ::-1])], axis=1
     ).ravel()
-    rs, ths = radii.tolist(), thetas.tolist()
-    arcs = (
-        ArcLeg(rs[i], ths[j - step], ths[j])
-        for i, step, n in zip(rows.tolist(), steps.tolist(), lens.tolist())
-        for j in range(j_anchor + step, j_anchor + step * (n + 1), step)
-    )
-    ring_f, ring_e = _leg_sums(arcs, p)
+    on_chain = np.arange(1, 1 + lens.max(initial=0)) <= lens[:, None]
+    js = (j_anchor + steps[:, None] * np.arange(1, 1 + on_chain.shape[1]))[on_chain]
+    ring_rows = np.repeat(rows, lens)
+    ring_f, ring_e = _ring_arc_sums(radii, thetas, ring_rows, js - np.repeat(steps, lens), js, p)
     # every chain summed from its anchor value in one running-sum table: row
     # c holds the anchor's (f, err) and then its chain's legs, padded with
-    # zeros; a cumsum along the rows adds in the order _accumulate does
-    on_chain = np.arange(1, 1 + lens.max(initial=0)) <= lens[:, None]
+    # zeros; a cumsum along the rows, in place, adds in the order
+    # _accumulate does
     table = np.zeros((len(lens), 1 + on_chain.shape[1], 4))
     table[:, 0, :3], table[:, 0, 3] = f[rows, j_anchor], err[rows, j_anchor]
     table[:, 1:][on_chain] = np.column_stack([ring_f, ring_e])
-    sums = np.cumsum(table, axis=1)[:, 1:][on_chain]
-    js = (j_anchor + steps[:, None] * np.arange(1, on_chain.shape[1] + 1))[on_chain]
-    ring_rows = np.broadcast_to(rows[:, None], on_chain.shape)[on_chain]
+    sums = np.cumsum(table, axis=1, out=table)[:, 1:][on_chain]
     f[ring_rows, js], err[ring_rows, js] = sums[:, :3], sums[:, 3]
     return f, err
 

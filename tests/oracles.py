@@ -459,6 +459,17 @@ def panel_nodes_ref(panel):
     return 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * I._XK
 
 
+def arc_first_points_ref(legs):
+    """(z, dz/dt) at the first-panel nodes of a list of ArcLegs, (K, 15) each,
+    as ArcLeg.points over all rows at once: the all-arc branch integrate's
+    _first_points had while the mesh grid's ring arcs were ArcLegs."""
+    from maxcone import integrate as I
+
+    r, ta, tb = np.array([(leg.r, leg.theta_a, leg.theta_b) for leg in legs]).T[..., None]
+    z = r * np.exp(1j * (ta + (tb - ta) * I._T_FIRST))
+    return z, 1j * (tb - ta) * z
+
+
 def lone_coeff_fn(leg, p, form=None, sheet=None, w_values=None):
     """A coeff_fn of one leg that evaluates every panel alone.
 

@@ -460,6 +460,83 @@ def test_first_points_of_mixed_lists_take_the_per_leg_path(p21, monkeypatch):
         assert _first_points_checked(legs, monkeypatch) == segments
 
 
+def test_first_points_of_arc_lists_are_the_bytes_of_one_array_expression(p10, p21):
+    # all-arc lists (the rings of _mixed_chains, loop_period's loops) take the
+    # per-leg path and give the bytes of the all-arc branch it replaced
+    lists = [legs for legs in _mixed_chains(p21) if {type(leg) for leg in legs} == {I.ArcLeg}]
+    lists += [[I.ArcLeg(r=0.5, theta_a=0.0, theta_b=2.0 * math.pi)],
+              [I.ArcLeg(r=4.0, theta_a=0.0, theta_b=-2.0 * math.pi), I.ArcLeg(r=2.5, theta_a=0.3, theta_b=-0.1)]]
+    assert len(lists) == 5
+    for legs in lists:
+        for got, ref in zip(I._first_points(legs), oracles.arc_first_points_ref(legs)):
+            assert got.shape == ref.shape == (len(legs), 15) and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("thetas, message", [((-0.1, 0.1), "non-finite"), ((-0.1, 0.5), "max depth")])
+@pytest.mark.parametrize("back", [False, True])
+def test_a_failing_ring_arc_raises_the_message_of_its_leg(p10, thetas, message, back, monkeypatch):
+    # ring arcs enter the quadrature as index rows; the one at r = 1 meets
+    # the branch point 1, on a first-panel node or between two, and raises
+    # what its ArcLeg raises alone. The arc before it was replayed with no
+    # leg of its own, and the arc after it was not
+    thetas = np.array(thetas)
+    ja, jb = (1, 0) if back else (0, 1)
+    legs = [I.ArcLeg(r=r, theta_a=float(thetas[ja]), theta_b=float(thetas[jb])) for r in (0.5, 1.0, 0.5)]
+    with pytest.raises(QuadratureFailure, match=message) as lone:
+        I._integrate_legs(legs[1:2], p10)
+    log = _panels_per_leg(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure) as rows:
+            I._ring_arc_sums(np.array([0.5, 1.0]), thetas, np.array([0, 1, 0]), np.full(3, ja), np.full(3, jb), p10)
+    assert str(rows.value) == str(lone.value)
+    assert [leg for leg, _ in log] == [None, legs[1]] and log[0][1] == 1
+
+
+def test_ring_arc_rows_give_the_bytes_of_their_legs(p21, monkeypatch):
+    # arcs of every depth just outside a branch point and far from it, both
+    # ways, across chunk boundaries: each row is the leg's _leg_sums row
+    thetas = np.linspace(0.0, math.pi, 40)
+    radii = np.array([0.37, 1.001 * abs(p21.branch_points()[0]), 1.5 * p21.scale()])
+    n = 3 * 2 * 39
+    ring = np.repeat([0, 1, 2, 1, 0, 2], 39)
+    j_to = np.concatenate([np.arange(1, 40), np.arange(38, -1, -1)] * 3)
+    j_from = j_to + np.where(np.arange(n) % 78 < 39, -1, 1)
+    legs = [I.ArcLeg(r=float(radii[i]), theta_a=float(thetas[a]), theta_b=float(thetas[b]))
+            for i, a, b in zip(ring, j_from, j_to)]
+    ref = I._integrate_legs(legs, p21)
+    monkeypatch.setattr(I, "_CHUNK", 50)
+    log = _panels_per_leg(monkeypatch)
+    got = I._ring_arc_sums(radii, thetas, ring, j_from, j_to, p21)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the refined arcs, and only they, were handed an ArcLeg
+    refined = [leg for leg, panels in log if panels > 1]
+    assert 0 < len(refined) < n and [leg for leg, _ in log if leg is not None] == refined
+
+
+@pytest.mark.parametrize("bad", ["3", "3+1j", True, False, np.True_, None, b"3", [3.0]])
+def test_immersion_takes_only_numbers_as_points(p10, bad):
+    # complex() used to read the string '3' as the point 3 and True as the
+    # branch point 1, and None raised an untyped TypeError
+    with pytest.raises(ValueError, match="target must be a real or complex number"):
+        I.immersion(bad, p10)
+    if bad is not None:  # a basepoint of None is the default one
+        with pytest.raises(ValueError, match="basepoint must be a real or complex number"):
+            I.immersion(3.0 + 1.0j, p10, bad)
+
+
+def test_immersion_takes_points_of_any_numeric_type(p10):
+    from fractions import Fraction
+
+    targets = (3, 3.0, 3 + 0j, np.float64(3), np.int64(3), np.float32(3), np.complex128(3), Fraction(3))
+    vals = [repr(I.immersion(z, p10)) for z in targets]
+    assert vals == vals[:1] * len(targets)
+    bases = (2.5, np.float64(2.5), Fraction(5, 2), 2.5 + 0j)
+    vals = [repr(I.immersion(3.0 + 1.0j, p10, b)) for b in bases]
+    assert vals == vals[:1] * len(bases)
+
+
 def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10, monkeypatch):
     # counted as the benchmark counts panels, by a wrapper around coeff_fn, on
     # an arc that starts just outside the branch point 1 and so splits

@@ -173,6 +173,52 @@ def test_running_sum_table_matches_per_chain_sums(fixture, grid, request):
     assert min(lens) == 0
 
 
+@pytest.mark.parametrize("fixture, grid", [("p21", MM.GridSpec()), ("p22", MM.GridSpec(60, 30))])
+def test_ring_arc_first_points_are_the_bytes_of_their_legs(fixture, grid, request, monkeypatch):
+    # the ring arcs' first-panel points, taken from one angular table for
+    # all rings, are ArcLeg.points's bytes on every ring arc of the grid
+    # (the README surface's default grid and p22's), in both directions and
+    # next to both boundary rows
+    from maxcone import integrate as I
+
+    p = request.getfixturevalue(fixture)
+    calls, ring_arc_sums = [], MM._ring_arc_sums
+
+    def spy(*args):
+        calls.append(args)
+        return ring_arc_sums(*args)
+
+    monkeypatch.setattr(MM, "_ring_arc_sums", spy)
+    MM.sample_fundamental(p, grid)
+    ((radii, thetas, ring, j_from, j_to, _),) = calls
+    got = I._arc_points(I._arc_table(thetas), radii[ring], j_from, j_to)
+    t = oracles.panel_nodes_ref((0.0, 1.0))
+    legs = [
+        I.ArcLeg(r=float(radii[i]), theta_a=float(thetas[a]), theta_b=float(thetas[b]))
+        for i, a, b in zip(ring.tolist(), j_from.tolist(), j_to.tolist())
+    ]
+    for a, b in zip(got, map(np.stack, zip(*(leg.points(t) for leg in legs)))):
+        assert a.shape == b.shape == (len(legs), 15) and a.tobytes() == b.tobytes()
+    A = len(thetas)
+    assert {(1, 0), (A - 2, A - 1)} <= set(zip(j_from.tolist(), j_to.tolist()))
+
+
+def test_a_readme_sample_builds_an_arc_leg_only_where_an_arc_refines(p21, monkeypatch):
+    # the 31,524 ring arcs enter the quadrature as rows; only the few whose
+    # first panel is rejected, and the routes' arcs, become ArcLegs
+    from maxcone import integrate as I
+
+    count, init = [0], I.ArcLeg.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(I.ArcLeg, "__init__", counted)
+    MM.sample_fundamental(p21)
+    assert 0 < count[0] <= 100
+
+
 def test_f2_identity_max_dev(fund10):
     _, fund = fund10
     assert fund.f2_max_dev <= 1e-10
