@@ -24,26 +24,24 @@ A panel's integrand values are reduced to its K15 integral and
 |K15 - G7| error estimate where they are computed (_sums: _panel_sums
 scaled by the panel's half-width, a power of two, so exactly), and
 adaptive_leg handles only those two; it asks for them by panel (t0, t1),
-so it builds no nodes. Legs are integrated in chunks of at most _CHUNK:
+so it builds no nodes. One chunk loop, _integrate_rows, integrates rows
+of legs in chunks of at most _CHUNK, so any number runs in bounded memory:
 the first panels of a chunk are evaluated and reduced in one batch, and
-any number of legs, a generator of them included, runs in bounded memory.
-The legs whose first panel is rejected then refine in lockstep: each
-round splits the worst panel of every open leg under adaptive_leg's rule
-(_Refinement) and evaluates all the halves in one kernel call. After
-that adaptive_leg runs once per leg, in order, and one sum server per
-chunk (_SumServer) hands it every sum in the order it asks for them: each
-leg's first panel, then the halves of that leg's splits. A leg that needs
-one panel costs no object of its own. The kernels give each point the
-same bits whatever the call size, so a leg's result depends neither on
-the chunk it falls in nor on the other legs of a round. Every leg streams
-through that batch: the routes of immersion and apex, the mesh's apex
-ladder, the stadium chain, the loop of loop_period, and the sheet-tagged
-loop pieces of minimal, whose omega-triple is passed in as the form with
-each piece's sheet as the sign of w. The mesh grid's ring arcs take the
-same chunks, batch, lockstep and replay without being legs
-(_ring_arc_sums): they come as rows of ring and angle indices, their
-first-panel points from one table of the grid's angular steps, and only
-an arc whose first panel is rejected becomes an ArcLeg.
+the rows whose first panel is rejected refine in lockstep: each round
+splits the worst panel of every open leg under adaptive_leg's rule
+(_Refinement) and evaluates all the halves in one kernel call. Then
+adaptive_leg runs once per row, in order, and the chunk's sum server
+(_SumServer) hands it every sum in the order it asks for them: each
+row's first panel, then the halves of that row's splits. Only a row that
+refines needs a leg object. The kernels give each point the same bits
+whatever the call size, so a leg's result depends neither on the chunk
+it falls in nor on the other legs of a round. Lists of legs enter the
+loop through _integrate_legs: the routes of immersion and apex, the
+mesh's apex ladder, the stadium chain, the loop of loop_period, and the
+sheet-tagged loop pieces of minimal, whose omega-triple is passed in as
+the form with each piece's sheet as the sign of w. The mesh grid's ring
+arcs enter it as rows of ring and angle indices (_ring_arc_sums), their
+first-panel points from one table of the grid's angular steps.
 
 User paths, the stadium chain and the loops of minimal become legs
 through one function, _polyline_legs, under the rules PathSpec states.
@@ -64,7 +62,6 @@ import cmath
 import contextlib
 import contextvars
 import heapq
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -73,7 +70,7 @@ import numpy as np
 
 from .core import phi_from_w, w_values
 from .errors import NonConvergent, PathThroughSingularity, QuadratureFailure
-from .params import SurfaceParams
+from .params import SurfaceParams, is_real
 
 # Gauss-7 / Kronrod-15 pair on [-1, 1] (QUADPACK abscissae and weights). The
 # weights are stored complex: the panel sums are complex matrix-vector
@@ -434,7 +431,7 @@ def _sums(z: np.ndarray, dz: np.ndarray, half, p: SurfaceParams, form, sheet):
     panel gets its 15-node call's _panel_sums bytes, then scaled by half (a
     float, or one per panel). A node on a branch point divides by w = 0
     (adaptive_leg raises on the non-finite sums), so the caller ignores
-    divide and invalid errors: _chunk_server for its whole chunk.
+    divide and invalid errors: _integrate_rows for its whole chunk.
     """
     vals = form(z, _branch(z, p, sheet)) * dz
     k, d = _panel_sums(np.ascontiguousarray(vals.swapaxes(0, -2)))
@@ -456,46 +453,6 @@ def _first_points(legs) -> tuple[np.ndarray, np.ndarray]:
         return za + dz * _T_FIRST, np.broadcast_to(dz, (len(legs), _T_FIRST.size))
     z, dz = zip(*(leg.points(_T_FIRST) for leg in legs))
     return np.stack(z), np.stack(dz)
-
-
-def _chunk_server(legs, p: SurfaceParams, form=phi_from_w, sheets=None) -> _SumServer:
-    """The _SumServer of a chunk of legs, holding the sums of every panel
-    adaptive_leg will ask of them at DEFAULT_SEGMENT_TOL.
-
-    Most legs of a chain need only their first panel, so one (3, K, 15)
-    evaluation and one batched _panel_sums replace K small ones. form is
-    phi_from_w (the maximal surface) unless given; minimal passes its
-    omega-triple. sheets, when given, holds each leg's sign of w (+1 or -1:
-    the branch the leg lies on) and enters the batch as a (K, 1) column.
-    Every leg whose first panel is rejected then refines in lockstep
-    (_refine). The kernels are elementwise and give the same bits at any
-    call size, and the sums run over a contiguous (K, 3, 15) array, so each
-    panel's sums are the ones a 15-node call gives, bit for bit, whatever
-    the other legs.
-    """
-    column = None if sheets is None else np.array(sheets)[:, None]
-    # one errstate for the whole chunk (see _sums)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k, e = _sums(*_first_points(legs), 0.5, p, form, column)
-        return _refine(k, e, legs, p, form, sheets)
-
-
-def _refine(k: np.ndarray, e: np.ndarray, legs, p: SurfaceParams, form, sheets) -> _SumServer:
-    """The _SumServer of a chunk whose first panels have the sums k (K, 3) and e (K,).
-
-    Every leg whose first panel is rejected refines in lockstep (_lockstep);
-    legs[i], the leg of row i, is read only for those rows. Call it under
-    the chunk's errstate (see _sums).
-    """
-    server = _SumServer(k, e.tolist())
-    # a leg whose first estimate meets the budget has nothing to refine
-    # (adaptive_leg accepts it at once), and a non-finite one fails at once
-    active = []
-    for i in np.flatnonzero(~(e <= DEFAULT_SEGMENT_TOL)).tolist():
-        with contextlib.suppress(QuadratureFailure):
-            active.append((i, _Refinement(legs[i], DEFAULT_SEGMENT_TOL, server.firsts[i])))
-    _lockstep(active, server.queues, p, form, sheets)
-    return server
 
 
 def _lockstep(active, queues: dict, p: SurfaceParams, form, sheets) -> None:
@@ -538,13 +495,6 @@ def _lockstep(active, queues: dict, p: SurfaceParams, form, sheets) -> None:
                 active.append((i, s))
 
 
-def _chunks(items):
-    """Lists of at most _CHUNK consecutive items of any iterable, a generator included."""
-    items = iter(items)
-    while chunk := list(itertools.islice(items, _CHUNK)):
-        yield chunk
-
-
 # (surface, {leg: (re row, err)}) of the innermost open _leg_memo, or None
 _LEG_MEMO: contextvars.ContextVar = contextvars.ContextVar("maxcone_leg_memo", default=None)
 
@@ -555,10 +505,10 @@ def _leg_memo(p: SurfaceParams):
 
     Inside the block _leg_sums keeps {leg: (re row, err)} for p and
     integrates only the legs it has not seen. A leg gives the same bytes
-    alone or in any batch (see _chunk_server), so every value inside the block
-    is the one it would be outside. The memo lives in a ContextVar and is
-    dropped on exit, normal or not: no state outlives the call that opened
-    it, so each call does the same work whenever it runs.
+    alone or in any batch (see _integrate_rows), so every value inside the
+    block is the one it would be outside. The memo lives in a ContextVar and
+    is dropped on exit, normal or not: no state outlives the call that
+    opened it, so each call does the same work whenever it runs.
     """
     token = _LEG_MEMO.set((p, {}))
     try:
@@ -567,47 +517,71 @@ def _leg_memo(p: SurfaceParams):
         _LEG_MEMO.reset(token)
 
 
-def _leg_sums(legs, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
-    """Re-integrals (N, 3) and error estimates (N,) of legs, each integrated alone.
-
-    legs may be any iterable, a generator included: it is consumed in chunks
-    of at most _CHUNK legs, whose first panels are evaluated together, and
-    only the per-leg results are kept. Inside _leg_memo(p) only the legs not
-    yet integrated there are, in order of first appearance, and every row
-    comes from the memo.
+def _leg_sums(legs: list, p: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
+    """Re-integrals (N, 3) and error estimates (N,) of a list of legs, each
+    integrated alone; inside _leg_memo(p) only the legs not yet integrated
+    there are, in order of first appearance, and every row comes from the memo.
     """
     scope = _LEG_MEMO.get()
     if scope is None or scope[0] is not p:
         return _integrate_legs(legs, p)
     memo = scope[1]
-    legs = list(legs)
     new = [leg for leg in dict.fromkeys(legs) if leg not in memo]
     memo.update(zip(new, zip(*_integrate_legs(new, p))))
     rows = [memo[leg] for leg in legs]
     return np.array([r for r, _ in rows]).reshape(-1, 3), np.array([e for _, e in rows])
 
 
-def _integrate_legs(
-    legs, p: SurfaceParams, form=phi_from_w, sheets=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """_leg_sums without a memo: every leg integrated, chunk by chunk.
+def _integrate_rows(n: int, first_points, chunk_legs, p: SurfaceParams, form=phi_from_w,
+                    sheets=None) -> tuple[np.ndarray, np.ndarray]:
+    """Re-integrals (n, 3) and error estimates (n,) of n rows, each a leg
+    integrated alone: the one chunk loop of the quadrature.
 
-    form and the per-leg sheets are as in _chunk_server. adaptive_leg
-    integrates the legs of a chunk in order, all served by the chunk's one
-    _SumServer, so the first failing leg raises, after the legs before it.
+    Per chunk of at most _CHUNK rows (rows, a slice), first_points(rows)
+    gives their first-panel (z, dz/dt), (K, 15) each, as leg.points gives
+    them, and one batch their sums, each panel's the bits of its own
+    15-node call (see _sums). form is phi_from_w unless minimal passes its
+    omega-triple, with sheets, each row's sign of w (+1 or -1: the leg's
+    branch), entering as a (K, 1) column. chunk_legs(rows, rejected) gives
+    the chunk's legs, of which only the rejected rows (first panel rejected
+    or non-finite) must be legs: they refine in lockstep (_lockstep).
+    adaptive_leg then runs once per row, in order, served by the chunk's
+    _SumServer, so the first failing leg raises after the rows before it; a
+    row it accepts at its first panel keeps its batch row, the values
+    adaptive_leg returns for it.
     """
-    re, err = [np.zeros((0, 3))], [np.zeros(0)]
-    for chunk in _chunks(legs if sheets is None else zip(legs, sheets)):
-        chunk_sheets = None
-        if sheets is not None:
-            chunk, chunk_sheets = zip(*chunk)
-        server = _chunk_server(chunk, p, form, chunk_sheets)
+    re, err = np.empty((n, 3)), np.empty(n)
+    for s in range(0, n, _CHUNK):
+        rows = slice(s, s + _CHUNK)
+        signs = None if sheets is None else sheets[rows]
+        column = None if signs is None else np.array(signs)[:, None]
+        # one errstate for the whole chunk (see _sums)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k, e = _sums(*first_points(rows), 0.5, p, form, column)
+            server = _SumServer(k, e.tolist())
+            # a row whose first estimate meets the budget has nothing to
+            # refine (adaptive_leg accepts it at once), and a non-finite one
+            # fails at once
+            rejected = np.flatnonzero(~(e <= DEFAULT_SEGMENT_TOL)).tolist()
+            legs = chunk_legs(rows, rejected)
+            active = []
+            for i in rejected:
+                with contextlib.suppress(QuadratureFailure):
+                    active.append((i, _Refinement(legs[i], DEFAULT_SEGMENT_TOL, server.firsts[i])))
+            _lockstep(active, server.queues, p, form, signs)
         sums = server.sums
-        vs, es = zip(*[adaptive_leg(leg, sums, DEFAULT_SEGMENT_TOL) for leg in chunk])
+        out = [adaptive_leg(leg, sums, DEFAULT_SEGMENT_TOL) for leg in legs]
         server.close()
-        re.append(np.array(vs).real)
-        err.append(np.array(es))
-    return np.concatenate(re), np.concatenate(err)
+        re[rows], err[rows] = k.real, e
+        for i in rejected:
+            re[s + i], err[s + i] = out[i][0].real, out[i][1]
+    return re, err
+
+
+def _integrate_legs(legs: list, p: SurfaceParams, form=phi_from_w, sheets=None):
+    """_leg_sums without a memo: _integrate_rows of the legs, form and sheets as there."""
+    return _integrate_rows(len(legs), lambda rows: _first_points(legs[rows]),
+                           lambda rows, _: legs[rows], p, form, sheets)
 
 
 def _arc_table(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -638,37 +612,25 @@ def _ring_arc_sums(radii, thetas, ring, j_from, j_to, p: SurfaceParams):
     """_leg_sums of the ring arcs ArcLeg(radii[ring[k]], thetas[j_from[k]],
     thetas[j_to[k]]), k < N, between consecutive angles, with the same bytes.
 
-    The arcs are integrated as _integrate_legs integrates legs: in chunks
-    of at most _CHUNK, one first-panel batch, lockstep and _SumServer per
-    chunk, then adaptive_leg once per arc, in order. But they enter as rows
-    of index arrays: the first-panel points come from one angular table
-    for all rings (_arc_points), and only an arc whose first panel is
-    rejected becomes an ArcLeg, the leg its refinement and failure text
-    need. adaptive_leg is handed None for every other arc, which it
-    accepts at its first panel, and that arc keeps its batch row: the
-    values adaptive_leg returns for it.
+    The arcs enter _integrate_rows as rows of index arrays: their
+    first-panel points come from one angular table for all rings
+    (_arc_points), and only an arc whose first panel is rejected becomes an
+    ArcLeg, the leg its refinement and failure text need. adaptive_leg is
+    handed None for every other arc, which it accepts at its first panel.
     """
-    table = _arc_table(thetas)
-    n = len(ring)
-    re, err = np.empty((n, 3)), np.empty(n)
-    for s in range(0, n, _CHUNK):
-        rows = slice(s, s + _CHUNK)
-        r, ja, jb = radii[ring[rows]], j_from[rows], j_to[rows]
-        # one errstate for the whole chunk (see _sums)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k, e = _sums(*_arc_points(table, r, ja, jb), 0.5, p, phi_from_w, None)
-            legs = [None] * len(r)
-            rejected = np.flatnonzero(~(e <= DEFAULT_SEGMENT_TOL)).tolist()
-            for i in rejected:
-                legs[i] = ArcLeg(float(r[i]), float(thetas[ja[i]]), float(thetas[jb[i]]))
-            server = _refine(k, e, legs, p, phi_from_w, None)
-        sums = server.sums
-        out = [adaptive_leg(leg, sums, DEFAULT_SEGMENT_TOL) for leg in legs]
-        server.close()
-        re[rows], err[rows] = k.real, e
+    table, r = _arc_table(thetas), radii[ring]
+
+    def first_points(rows):
+        return _arc_points(table, r[rows], j_from[rows], j_to[rows])
+
+    def arcs(rows, rejected):
+        legs = [None] * len(r[rows])
         for i in rejected:
-            re[s + i], err[s + i] = out[i][0].real, out[i][1]
-    return re, err
+            k = rows.start + i
+            legs[i] = ArcLeg(float(r[k]), float(thetas[j_from[k]]), float(thetas[j_to[k]]))
+        return legs
+
+    return _integrate_rows(len(r), first_points, arcs, p)
 
 
 def _accumulate(f0, e0: float, re: np.ndarray, err: np.ndarray):
@@ -979,12 +941,15 @@ def apex(
     limit is f at the interval midpoint, reached by one arc/radial/arc
     route whose radial leg lies in the side's half-plane and whose last arc
     ends on the axis. The interval must be a finite lo < hi inside one
-    closed singular interval of p, else ValueError. Returns (apex, the
-    route's summed quadrature error estimate); raises NonConvergent when
-    the estimate exceeds tol. Inside singular.classify_cone's _leg_memo the
-    route's opening quarter arc, shared with the other limits' routes, is
+    closed singular interval of p, and tol a finite real > 0, else
+    ValueError before any quadrature. Returns (apex, the route's summed
+    quadrature error estimate); raises NonConvergent when the estimate
+    exceeds tol. Inside singular.classify_cone's _leg_memo the route's
+    opening quarter arc, shared with the other limits' routes, is
     integrated once per classification.
     """
+    if not (is_real(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite real > 0, got {tol!r}")
     f, err = _running_sum(_apex_legs(interval, side, p), p, np.zeros(3), 0.0)
     lo, hi = float(interval[0]), float(interval[1])
     if err[-1] > tol:

@@ -16,13 +16,11 @@ anchor ray and one angular chain each way around every ring, so each grid
 vertex costs one short quadrature leg from its neighbor instead of a routed
 path from the origin (31,730 legs on the default grid of the README
 surface, nearly all of them one G7/K15 panel). The ring arcs of all rings
-(31,524 of those legs) go to the quadrature as index arrays, ring and
-angle indices in chain order, not as leg objects (integrate._ring_arc_sums).
-They are integrated in chunks of at most integrate._CHUNK arcs, whose first
-panels share one kernel call (and the splits of each lockstep round
-another); only each arc's real part and error estimate are kept. All the
-rings' chains are then summed from their anchor values at once, in one
-running-sum table.
+(31,524 of those legs) go to the quadrature's one chunk loop as rows of
+ring and angle indices in chain order, not as leg objects
+(integrate._ring_arc_sums); only each arc's real part and error estimate
+are kept. All the rings' chains are then summed from their anchor values
+at once, in one running-sum table.
 
 graph_check runs in bounded memory: no full-size temporary outlives its
 use, so its peak is about 58 bytes per period triangle.

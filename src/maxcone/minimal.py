@@ -13,11 +13,9 @@ vectors are reported so the distance to a genuine horizontal period lattice
 can be inspected. A loop obeys the polyline rules of integrate.PathSpec,
 the ones a maximal-surface path obeys; only a crossing inside a cut
 differs: here it changes sheet. The loop's sheet-tagged pieces go through
-the chunk loop of the maximal-surface legs (integrate._integrate_legs):
-batched first panels with each piece's sheet as the sign of w, lockstep
-rounds, and one sum server per chunk, from which each piece's own
-adaptive_leg call takes its panels' scaled K15 sums, so each piece is
-still integrated to the same tolerance, with the bytes it has alone.
+the quadrature's one chunk loop (integrate._integrate_legs), each piece's
+sheet the sign of w, so each is integrated to the same tolerance as a
+maximal-surface leg, with the bytes it has alone.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ CHECK_SEED = 20250808
 
 @dataclass(frozen=True)
 class ToleranceLadder:
-    """Default tolerances: round-off, quadrature, and mesh-level scales."""
+    """Default tolerances: round-off, quadrature, and mesh-level scales, each > 0."""
 
     algebraic: float = 1e-12
     integrated: float = 1e-8
@@ -33,8 +33,8 @@ class ToleranceLadder:
 
     def __post_init__(self):
         for name, v in self.to_dict().items():
-            if not is_real(v):
-                raise ValueError(f"{name} must be a finite real, got {v!r}")
+            if not (is_real(v) and v > 0):
+                raise ValueError(f"{name} must be a finite real > 0, got {v!r}")
             object.__setattr__(self, name, float(v))
 
     def scaled(self, factor: float) -> "ToleranceLadder":

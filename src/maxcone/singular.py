@@ -41,7 +41,7 @@ from .integrate import (
     apex,
     immersion,
 )
-from .params import SurfaceParams
+from .params import SurfaceParams, is_real
 
 # smallest |dG/(G dh)| that nondegeneracy accepts
 _NONDEGENERACY_FLOOR = 1e-6
@@ -247,7 +247,8 @@ def classify_cone(
     gap. Up means
     the apex is strictly the local maximum of the timelike coordinate. The
     report also records both printed sign conventions and whether the
-    numeric result matches each.
+    numeric result matches each. An apex_tol that is not a finite real > 0
+    raises ValueError before any quadrature.
 
     The four limits start from the origin, and most of their routes open
     with the same quarter arc. The body runs inside integrate._leg_memo, so
@@ -264,6 +265,8 @@ def classify_cone(
     longer be compared across calls. Keeping it across calls waits for
     work counts kept by the library itself (ROADMAP item 1).
     """
+    if not (is_real(apex_tol) and apex_tol > 0):
+        raise ValueError(f"apex_tol must be a finite real > 0, got {apex_tol!r}")
     with _leg_memo(p):
         iv = (component.lo, component.hi)
         apex_f, spread, f_ends = _apex_with_spread(iv, p, apex_tol)

@@ -287,6 +287,8 @@ def test_tol_level_flag(tmp_path):
         ({**BASE_10, "grid": {"r_min": "0.01"}}, "r_min"),
         ({**BASE_10, "tolerances": {"mesh": "1e-6"}}, "mesh"),
         ({**BASE_10, "tolerances": {"meshh": 1e-6}}, "meshh"),
+        ({**BASE_10, "tolerances": {"mesh": 0}}, "mesh"),
+        ({**BASE_10, "tolerances": {"mesh": -1}}, "mesh"),
         ({**BASE_10, "a": 5}, "'a'"),
         ({**BASE_10, "alpha": [1.5]}, "alpha"),
         ([BASE_10], "JSON object"),
@@ -299,8 +301,8 @@ def test_tol_level_flag(tmp_path):
         ({"params": [BASE_10]}, "params"),
     ],
     ids=["basepoint-pair", "radial-float", "seam-float", "r_min-string", "tol-string",
-         "tol-unknown", "a-number", "alpha-float", "top-level-list", "basepoint-number",
-         "section-misspelled", "params-and-top-level", "params-and-one-field",
+         "tol-unknown", "tol-zero", "tol-negative", "a-number", "alpha-float", "top-level-list",
+         "basepoint-number", "section-misspelled", "params-and-top-level", "params-and-one-field",
          "params-stray-key", "params-holds-grid", "params-not-object"],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, payload, key):

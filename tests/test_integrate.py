@@ -259,6 +259,21 @@ def test_apex_nonconvergent_raises(p10):
         I.apex((1.0, 2.0), "above", p10, tol=1e-18)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, -0.0, math.inf, "1e-6", None, True, 1j])
+def test_apex_rejects_a_tolerance_that_is_not_a_positive_real(p10, tol, monkeypatch):
+    # a NaN tolerance accepted any estimate (err > nan is False), and -1
+    # raised NonConvergent, a numeric failure for a usage error; apex and
+    # classify_cone now reject both before any quadrature
+    from maxcone import singular as S
+
+    kernel = _counted_kernel(monkeypatch)
+    with pytest.raises(ValueError, match="tol must be a finite real > 0"):
+        I.apex((1.0, 2.0), "above", p10, tol=tol)
+    with pytest.raises(ValueError, match="apex_tol must be a finite real > 0"):
+        S.classify_cone(S.components(p10)[0], p10, apex_tol=tol)
+    assert kernel == []
+
+
 def test_non_finite_panel_raises():
     # the sqrt approach into 2.0 refines until c + d s^2 rounds to c, where
     # 1/w is infinite; the NaN it produced used to pass as a value
@@ -369,6 +384,25 @@ def _counted_leg(leg, fn, kernel):
     return v, e, panels, kernel[before:]
 
 
+class _Served(Exception):
+    """Carries a chunk's sum server out of the chunk loop."""
+
+
+def _chunk_server(legs, p, monkeypatch, form=I.phi_from_w, sheets=None):
+    """The _SumServer of one chunk of legs as _integrate_legs builds it, its
+    first-panel batch and lockstep rounds done and no leg replayed yet: the
+    coeff_fn the chunk loop hands its first adaptive_leg call."""
+
+    def caught(leg, coeff_fn, tol):
+        raise _Served(coeff_fn.__self__)
+
+    with monkeypatch.context() as m:
+        m.setattr(I, "adaptive_leg", caught)
+        with pytest.raises(_Served) as served:
+            I._integrate_legs(legs, p, form, sheets)
+    return served.value.args[0]
+
+
 def _assert_served(panels, sizes):
     """adaptive_leg took every panel's sums from the chunk's server: the
     first panel is (0, 1), the halves of each split follow left then right,
@@ -388,7 +422,7 @@ def test_batched_first_panels_match_per_leg_quadrature(fixture, request, monkeyp
     kernel = _counted_kernel(monkeypatch)
     for legs in _mixed_chains(p):
         before = len(kernel)
-        server = I._chunk_server(legs, p)
+        server = _chunk_server(legs, p, monkeypatch)
         rounds, splits = kernel[before:], []
         for i, leg in enumerate(legs):
             # the server's batched first-panel sums for the leg are the
@@ -515,6 +549,46 @@ def test_ring_arc_rows_give_the_bytes_of_their_legs(p21, monkeypatch):
     assert 0 < len(refined) < n and [leg for leg, _ in log if leg is not None] == refined
 
 
+def test_ring_arc_rows_at_chunk_edges_give_the_bytes_of_lone_legs(p10, monkeypatch):
+    # a chunk's rows are slices of the whole: the arcs that refine sit at
+    # rows 0, _CHUNK - 1 and _CHUNK, the first and last of the first chunk
+    # and the first of the second, where an offset into the chunk would
+    # give an arc another row's leg or values
+    thetas = np.linspace(0.0, math.pi, 41)
+    radii = np.array([1.001, 5.0])  # just outside the branch point 1, and far out
+    n = I._CHUNK + 8
+    hard = [0, I._CHUNK - 1, I._CHUNK]
+    ring = np.ones(n, dtype=int)
+    j_from = np.arange(n) % 40
+    j_to = j_from + 1
+    # the hard arcs leave the axis at the branch point 1, one of them back to it
+    ring[hard], j_from[hard], j_to[hard] = 0, [0, 1, 0], [1, 0, 1]
+    legs = [I.ArcLeg(r=float(radii[i]), theta_a=float(thetas[a]), theta_b=float(thetas[b]))
+            for i, a, b in zip(ring, j_from, j_to)]
+    log = _panels_per_leg(monkeypatch)
+    got = I._ring_arc_sums(radii, thetas, ring, j_from, j_to, p10)
+    refined = [(i, leg) for i, (leg, panels) in enumerate(log) if leg is not None]
+    assert refined == [(i, legs[i]) for i in hard] and all(log[i][1] > 1 for i in hard)
+    log.clear()
+    ref = I._integrate_legs(legs, p10)
+    assert [leg for leg, _ in log] == legs
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for i in hard + [1, I._CHUNK - 2, I._CHUNK + 1, n - 1]:
+        v, e = oracles.integrate_leg_ref(legs[i], p10)
+        assert got[0][i].tobytes() == v.real.tobytes() and got[1][i] == e
+
+
+def test_an_empty_leg_list_gives_empty_rows(p10, monkeypatch):
+    kernel = _counted_kernel(monkeypatch)
+    empty = np.zeros(0, dtype=int)
+    arcs = I._ring_arc_sums(np.ones(1), np.arange(2.0), empty, empty, empty, p10)
+    for re, err in (I._integrate_legs([], p10), arcs):
+        assert re.shape == (0, 3) and err.shape == (0,)
+        assert re.dtype == err.dtype == np.float64
+    assert kernel == []
+
+
 @pytest.mark.parametrize("bad", ["3", "3+1j", True, False, np.True_, None, b"3", [3.0]])
 def test_immersion_takes_only_numbers_as_points(p10, bad):
     # complex() used to read the string '3' as the point 3 and True as the
@@ -542,7 +616,7 @@ def test_adaptive_leg_calls_coeff_fn_once_per_panel(p10, monkeypatch):
     # an arc that starts just outside the branch point 1 and so splits
     leg = I.ArcLeg(r=1.001, theta_a=0.0, theta_b=0.1)
     kernel = _counted_kernel(monkeypatch)
-    server = I._chunk_server([leg], p10)
+    server = _chunk_server([leg], p10, monkeypatch)
     rounds = kernel[:]
     v, e, calls, sizes = _counted_leg(leg, server.sums, kernel)
     server.close()
@@ -587,11 +661,11 @@ def test_panel_nodes_are_the_read_only_bytes_of_nodes(t0, t1):
         panel[0] = 0.5
 
 
-def test_batched_first_panels_keep_the_failing_leg(p10):
+def test_batched_first_panels_keep_the_failing_leg(p10, monkeypatch):
     # a node on the branch point 2 fails that leg alone, with no warning
     good = I.ArcLeg(r=3.0, theta_a=0.0, theta_b=1.0)
     bad = I.SegmentLeg(z_a=2.0 - 1.0j, z_b=2.0 + 1.0j)
-    server = I._chunk_server([good, bad], p10)
+    server = _chunk_server([good, bad], p10, monkeypatch)
     v, _ = I.adaptive_leg(good, server.sums, I.DEFAULT_SEGMENT_TOL)
     assert v.tobytes() == oracles.integrate_leg_ref(good, p10)[0].tobytes()
     with pytest.raises(QuadratureFailure):
@@ -633,7 +707,7 @@ def _hard_legs():
     ]
 
 
-def _paired_and_alone(leg, p, kernel, form=I.phi_from_w, sheet=None):
+def _paired_and_alone(leg, p, kernel, monkeypatch, form=I.phi_from_w, sheet=None):
     """adaptive_leg twice: on the sums a chunk's server refined in rounds,
     where the two halves of each split share one kernel call, and with every
     panel alone (oracles.lone_coeff_fn, on the counted kernel). Returns both
@@ -641,7 +715,7 @@ def _paired_and_alone(leg, p, kernel, form=I.phi_from_w, sheet=None):
     one 30-node kernel call per split and the lone panels one 15-node call
     each."""
     before = len(kernel)
-    paired = I._chunk_server([leg], p, form, None if sheet is None else [sheet])
+    paired = _chunk_server([leg], p, monkeypatch, form, None if sheet is None else [sheet])
     alone = oracles.lone_coeff_fn(leg, p, form, sheet, w_values=I.w_values)
     v, e, panels, sizes = _counted_leg(leg, paired.sums, kernel)
     splits = len(panels) // 2
@@ -662,7 +736,7 @@ def _assert_same(got, ref):
 def test_paired_halves_give_the_bytes_of_lone_panels(p22, monkeypatch):
     kernel = _counted_kernel(monkeypatch)
     for leg in _hard_legs():
-        got, ref, splits = _paired_and_alone(leg, p22, kernel)
+        got, ref, splits = _paired_and_alone(leg, p22, kernel, monkeypatch)
         assert splits >= 5, leg
         _assert_same(got, ref)
         _assert_same(got, oracles.integrate_leg_ref(leg, p22))
@@ -683,7 +757,7 @@ def test_paired_halves_on_the_other_sheet_give_the_bytes_of_lone_panels(fixture,
         form = functools.partial(M.omega_from_w, orientation=orientation)
         hard = 0
         for leg, sheet in zip(legs, sheets):
-            got, ref, splits = _paired_and_alone(leg, p, kernel, form, sheet)
+            got, ref, splits = _paired_and_alone(leg, p, kernel, monkeypatch, form, sheet)
             _assert_same(got, ref)
             hard += sheet == -1 and splits >= 5
         assert hard >= 1
@@ -794,7 +868,7 @@ def test_a_failing_leg_in_a_chunk_raises_its_lone_message(kind, p10, p22, monkey
     assert str(chunk.value) == str(lone.value)
     assert log == legs[: bad + 1]
     monkeypatch.setattr(I, "adaptive_leg", adaptive_leg)
-    server = I._chunk_server(legs, p)
+    server = _chunk_server(legs, p, monkeypatch)
     for leg, (v_ref, e_ref) in zip(legs, refs):
         v, e = I.adaptive_leg(leg, server.sums, I.DEFAULT_SEGMENT_TOL)
         assert v.tobytes() == v_ref.tobytes() and e == e_ref
@@ -915,13 +989,13 @@ def test_the_sum_server_raises_on_a_broken_call_order(p22, monkeypatch):
 
     def served(upto):
         """A fresh server with the legs before upto replayed in order."""
-        server = I._chunk_server(legs, p22)
+        server = _chunk_server(legs, p22, monkeypatch)
         for leg in legs[:upto]:
             I.adaptive_leg(leg, server.sums, I.DEFAULT_SEGMENT_TOL)
         return server
 
     easy, hard = 0, 1  # ends at its first panel; refines
-    queues = I._chunk_server(legs, p22).queues
+    queues = _chunk_server(legs, p22, monkeypatch).queues
     assert easy not in queues and hard in queues
     server = served(len(legs))
     server.close()

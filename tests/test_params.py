@@ -134,7 +134,8 @@ def test_validate_params_rejects_non_mapping(raw):
 
 @pytest.mark.parametrize(
     "field, value", [("mesh", "1e-6"), ("mesh", float("nan")), ("algebraic", None),
-                     ("integrated", True), ("integrated", float("inf"))]
+                     ("integrated", True), ("integrated", float("inf")), ("mesh", 0.0),
+                     ("algebraic", -1e-6)]
 )
 def test_tolerance_ladder_rejects_non_finite_reals(field, value):
     with pytest.raises(ValueError, match=field):
