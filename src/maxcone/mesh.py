@@ -22,8 +22,9 @@ ring and angle indices in chain order, not as leg objects
 are kept. All the rings' chains are then summed from their anchor values
 at once, in one running-sum table.
 
-graph_check runs in bounded memory: no full-size temporary outlives its
-use, so its peak is about 58 bytes per period triangle.
+graph_check runs in near-linear time and bounded memory: one sort of the
+edge keys, a sweep over the boundary edges, and no full-size temporary
+that outlives its use, so its peak is about 54 bytes per period triangle.
 """
 
 from __future__ import annotations
@@ -301,12 +302,15 @@ class GraphMesh:
 
     vertices are (x1, x2, x3) rows; triangles index into them. cone_vertices
     lists the apex vertex of each singular component of the fundamental
-    piece (mirror and translate duplicates are not tagged).
+    piece (mirror and translate duplicates are not tagged); apex_vertices
+    lists every apex vertex of the period mesh, the cone vertices and the
+    mirror copies of those off the symmetry plane.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     cone_vertices: list[int]
+    apex_vertices: list[int]  # nu3 is nan here by design
     copies: int
     cone_directions: list[str]
     nu3: np.ndarray  # per vertex, nan at apexes
@@ -393,6 +397,7 @@ def assemble(fund: FundamentalSamples, p: SurfaceParams, copies: int = 0) -> Gra
         vertices=vertices,
         triangles=triangles,
         cone_vertices=list(range(n_comp)),
+        apex_vertices=sorted({*range(n_comp), *mirror_map[:n_comp].tolist()}),
         copies=copies,
         cone_directions=[theorem_direction(cmp_) for cmp_ in fund.comps],
         nu3=nu3_arr,
@@ -481,14 +486,15 @@ def graph_check(mesh: GraphMesh) -> GraphCheckReport:
     piecewise-linear map of an oriented triangulated disk is one-to-one when
     every image triangle is positively oriented and the boundary maps onto
     a simple closed polygon. Orientations are counted in chunks of
-    _TRI_CHUNK triangles and the disk test holds at most two edge-length
-    key arrays at once. Returns findings; never raises: a mesh without a
-    regular vertex fails with normals_up False.
+    _TRI_CHUNK triangles; the disk test sorts one directed edge-key array
+    and holds at most two edge-length key arrays at once (the keys and
+    their undirected halves); the boundary crossings are found by sorting
+    the boundary edges and sweeping them, so only pairs whose x-ranges
+    overlap are tested. Returns findings; never raises: a mesh without a
+    regular vertex fails with normals_up False, and so does a NaN normal at
+    any vertex that is not an apex (min_nu3 is then the least of the others).
     """
-    nu3 = mesh.nu3[: mesh.period_vertex_count]
-    nu3 = nu3[~np.isnan(nu3)]
-    min_nu3 = float(np.min(nu3)) if len(nu3) else None
-    normals_up = min_nu3 is not None and min_nu3 > 0.0
+    min_nu3, normals_up = _normals(mesh)
 
     violations = 0
     for chain in (mesh.boundary_pos, mesh.boundary_neg):
@@ -518,6 +524,18 @@ def graph_check(mesh: GraphMesh) -> GraphCheckReport:
     )
 
 
+def _normals(mesh: GraphMesh) -> tuple[float | None, bool]:
+    """The least nu3 over the period's non-apex vertices, and whether all are > 0.
+
+    The apexes' nan is by design; a nan at any other vertex fails, and the
+    least value is then taken over the rest.
+    """
+    nu3 = np.delete(mesh.nu3[: mesh.period_vertex_count], mesh.apex_vertices)
+    finite = nu3[~np.isnan(nu3)]
+    least = float(np.min(finite)) if len(finite) else None
+    return least, least is not None and least > 0.0 and len(finite) == len(nu3)
+
+
 def _dedup(chain):
     out = []
     for v in chain:
@@ -528,12 +546,13 @@ def _dedup(chain):
 
 def _not_positive(xy: np.ndarray, tris: np.ndarray) -> int:
     """Triangles whose projection to xy is not positively oriented, _TRI_CHUNK at a time."""
+    # contiguous coordinate columns, so each corner is a flat 1-D gather
+    x, y = np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1])
     count = 0
     for s in range(0, len(tris), _TRI_CHUNK):
-        t = tris[s : s + _TRI_CHUNK]
-        e1 = xy[t[:, 1]] - xy[t[:, 0]]
-        e2 = xy[t[:, 2]] - xy[t[:, 0]]
-        area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        a, b, c = tris[s : s + _TRI_CHUNK].T
+        xa, ya = x[a], y[a]
+        area2 = (x[b] - xa) * (y[c] - ya) - (y[b] - ya) * (x[c] - xa)
         # written so that zero and NaN areas count too
         count += int(np.count_nonzero(~(area2 > 0)))
     return count
@@ -547,31 +566,37 @@ def _disk_boundary(tris: np.ndarray) -> tuple[bool, np.ndarray]:
     boundary is the edges used once, directed as in their triangle; a disk
     has exactly one boundary cycle with no repeated vertex and Euler
     characteristic V - E + F = 1 over the vertices the triangles use.
-    Edge k runs from u[k] to v[k], the next corner of triangle k // 3; its
-    int64 keys are built and sorted in place, one key array at a time.
+    Edge k runs from u[k] to v[k], the next corner of triangle k // 3. One
+    sort serves both tests: the int64 key ((min * n + max) << 1) | (u > v)
+    names the directed edge, a repeat of it breaks orientation, key >> 1
+    names the undirected edge, and a boundary edge decodes from its own key
+    in the order of its undirected key.
     """
     u = tris.ravel()
     v = tris[:, [1, 2, 0]].ravel()
     n = np.int64(u.max(initial=0)) + 1
-    # grouped by plain sorts: on numpy 2.4, np.unique and np.isin over these
+    # grouped by a plain sort: on numpy 2.4, np.unique and np.isin over these
     # int64 keys measured about 40x slower than np.sort
-    keys = np.multiply(u, n, dtype=np.int64)
-    keys += v
-    keys.sort()
-    oriented = not np.any(keys[1:] == keys[:-1])
-    del keys
-    # undirected keys min * n + max; v, no longer needed, takes the max
     keys = np.minimum(u, v, dtype=np.int64)
     keys *= n
-    keys += np.maximum(u, v, out=v)
+    backward = u > v
+    keys += np.maximum(u, v, out=v)  # v, no longer needed, takes the max
     del v
-    order = np.argsort(keys)
-    keys.sort()  # the same array as keys[order]
+    keys <<= 1
+    keys |= backward
+    del backward
+    keys.sort()
+    oriented = not np.any(keys[1:] == keys[:-1])
+    undirected = keys >> 1
     paired = np.zeros(len(u) + 1, dtype=bool)
-    paired[1:-1] = keys[1:] == keys[:-1]
+    paired[1:-1] = undirected[1:] == undirected[:-1]
+    del undirected
+    once = keys[~(paired[:-1] | paired[1:])]
     del keys
-    once = order[~(paired[:-1] | paired[1:])]
-    edges = np.stack([u[once], tris[once // 3, (once % 3 + 1) % 3]], axis=1)
+    lo, hi = np.divmod(once >> 1, n)
+    flip = (once & 1).astype(bool)
+    edges = np.stack([np.where(flip, hi, lo), np.where(flip, lo, hi)], axis=1)
+    edges = edges.astype(tris.dtype, copy=False)
     n_edges = (len(u) + len(once)) // 2
     euler = np.count_nonzero(np.bincount(u)) - n_edges + len(tris)
     return bool(oriented and euler == 1 and _one_cycle(edges)), edges

@@ -419,28 +419,36 @@ def touching_pairs(points: np.ndarray, edges: np.ndarray) -> int:
     points is (V, 2); edges is (E, 2) vertex indices. Two closed segments
     meet when their bounding boxes overlap and neither separates the
     other's endpoints strictly. Every comparison is written so that NaN
-    coordinates count as a meeting. Rows go in chunks of 256, so memory
-    stays at O(E) whatever the edge count.
+    coordinates count as a meeting. Only the pairs whose x-ranges overlap
+    are tested (sort and sweep): with the edges sorted by the low end of
+    their x-range, an edge's partners are the run of later edges that
+    start at or before its high end. A NaN low end is taken as -inf and a
+    NaN high end as +inf, per axis, which makes every box comparison what
+    it is with the NaN; the side tests see the raw coordinates. Rows go
+    in chunks of 256, so memory stays at O(E) whatever the edge count.
     """
     a, b = points[edges[:, 0]], points[edges[:, 1]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo[np.isnan(lo)] = -np.inf
+    hi[np.isnan(hi)] = np.inf
     d = b - a
-    idx = np.arange(len(edges))
+    order = np.argsort(lo[:, 0], kind="stable")
+    # the sorted partners of sorted edge k are k + 1 .. end[k] - 1
+    end = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    count = end - np.arange(1, len(edges) + 1)
     hits = 0
     for s in range(0, len(edges), 256):
-        r = slice(s, s + 256)
-        candidate = ~(
-            (lo[r, None, 0] > hi[None, :, 0])
-            | (lo[None, :, 0] > hi[r, None, 0])
-            | (lo[r, None, 1] > hi[None, :, 1])
-            | (lo[None, :, 1] > hi[r, None, 1])
-        )
-        candidate &= idx[r, None] < idx[None, :]
+        c = count[s : s + 256]
+        first = np.cumsum(c) - c
+        k = np.repeat(np.arange(s, s + len(c)), c)
+        m = np.arange(int(c.sum())) - np.repeat(first, c) + k + 1
+        i, j = order[k], order[m]
+        # the y-box, shared-vertex and side tests are symmetric in i and j
+        candidate = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
         for x in range(2):
             for y in range(2):
-                candidate &= edges[r, None, x] != edges[None, :, y]
-        i, j = np.nonzero(candidate)
-        i += s
+                candidate &= edges[i, x] != edges[j, y]
+        i, j = i[candidate], j[candidate]
         side_i = _cross(d[j], a[i] - a[j]) * _cross(d[j], b[i] - a[j])
         side_j = _cross(d[i], a[j] - a[i]) * _cross(d[i], b[j] - a[i])
         hits += int(np.count_nonzero(~(side_i > 0) & ~(side_j > 0)))

@@ -18,7 +18,9 @@ former one, kept verbatim as the reference for the shared polyline rules.
 The sign rules the package derived from alpha and beta one by one, before
 SurfaceParams.signed_intervals() owned them, are kept verbatim as well, and
 so is the disk-and-boundary test of the mesh check as it was before it
-built its edge keys in place (full-size key arrays and gathered copies).
+built its edge keys in place (full-size key arrays and gathered copies),
+and its boundary crossing count as it was before the sort-and-sweep (every
+pair of boundary edges tested).
 One-cone surfaces have an exact reference: their immersion in closed form.
 """
 
@@ -222,6 +224,46 @@ def disk_boundary_ref(tris):
     n_edges = (len(u) + len(once)) // 2
     euler = np.count_nonzero(np.bincount(u)) - n_edges + len(tris)
     return bool(oriented and euler == 1 and _one_cycle(edges)), edges
+
+
+def touching_pairs_ref(points: np.ndarray, edges: np.ndarray) -> int:
+    """The mesh check's former touching_pairs, verbatim (all pairs of edges).
+
+    Pairs of segments that share no vertex yet meet, touching included.
+
+    points is (V, 2); edges is (E, 2) vertex indices. Two closed segments
+    meet when their bounding boxes overlap and neither separates the
+    other's endpoints strictly. Every comparison is written so that NaN
+    coordinates count as a meeting. Rows go in chunks of 256, so memory
+    stays at O(E) whatever the edge count.
+    """
+    a, b = points[edges[:, 0]], points[edges[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    d = b - a
+    idx = np.arange(len(edges))
+    hits = 0
+    for s in range(0, len(edges), 256):
+        r = slice(s, s + 256)
+        candidate = ~(
+            (lo[r, None, 0] > hi[None, :, 0])
+            | (lo[None, :, 0] > hi[r, None, 0])
+            | (lo[r, None, 1] > hi[None, :, 1])
+            | (lo[None, :, 1] > hi[r, None, 1])
+        )
+        candidate &= idx[r, None] < idx[None, :]
+        for x in range(2):
+            for y in range(2):
+                candidate &= edges[r, None, x] != edges[None, :, y]
+        i, j = np.nonzero(candidate)
+        i += s
+        side_i = _cross(d[j], a[i] - a[j]) * _cross(d[j], b[i] - a[j])
+        side_j = _cross(d[i], a[j] - a[i]) * _cross(d[i], b[j] - a[i])
+        hits += int(np.count_nonzero(~(side_i > 0) & ~(side_j > 0)))
+    return hits
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def _tri_overlap(A, B, eps):

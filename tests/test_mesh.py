@@ -10,7 +10,7 @@ import oracles
 from maxcone import mesh as MM
 from maxcone.errors import WeldFailure
 from maxcone.params import SurfaceParams
-from maxcone.singular import classify_cone
+from maxcone.singular import classify_cone, touching_pairs
 
 COARSE = MM.GridSpec(radial_samples=28, angular_samples=16, seam_refinement=2)
 
@@ -466,6 +466,35 @@ def test_graph_check_fails_on_nan_vertex(mesh10):
     assert rep.negative_triangles > 0 and not rep.overlap_free and not rep.passed
 
 
+def test_graph_check_fails_on_a_nan_normal_off_the_apexes(readme_mesh):
+    # the apexes' nan is by design; any other fails normals_up, however few
+    rep = MM.graph_check(readme_mesh)
+    assert rep.passed and readme_mesh.apex_vertices == np.flatnonzero(
+        np.isnan(readme_mesh.nu3[: readme_mesh.period_vertex_count])
+    ).tolist()
+    regular = np.setdiff1d(np.arange(readme_mesh.period_vertex_count), readme_mesh.apex_vertices)
+    for nan_at in (regular[len(regular) // 2 : len(regular) // 2 + 1], regular[1:]):
+        nu3 = readme_mesh.nu3.copy()
+        nu3[nan_at] = math.nan
+        broken = MM.graph_check(dataclasses.replace(readme_mesh, nu3=nu3))
+        assert not broken.normals_up and not broken.passed
+        finding = json.loads(json.dumps(broken.to_dict(), allow_nan=False))["min_nu3"]
+        assert finding == np.min(readme_mesh.nu3[np.setdiff1d(regular, nan_at)])
+
+
+def test_apex_vertices_are_the_cones_and_their_mirrors(mesh10, mesh22):
+    for mesh in (mesh10[1], mesh22):
+        n_cones = len(mesh.cone_vertices)
+        assert mesh.apex_vertices[:n_cones] == mesh.cone_vertices == list(range(n_cones))
+        off_plane = [v for v in mesh.cone_vertices if v not in set(mesh.boundary_pos)]
+        mirrored = mesh.apex_vertices[n_cones:]
+        assert len(mirrored) == len(off_plane)
+        assert all(v >= mesh.half_vertex_count for v in mirrored)
+        expected = mesh.vertices[off_plane].copy()
+        expected[:, 1] = 2.0 * mesh.mirror_constant - expected[:, 1]
+        assert np.array_equal(mesh.vertices[mirrored], expected)
+
+
 def test_graph_check_needs_the_boundary_test():
     # a strip of positive triangles wound through 450 degrees: a disk whose
     # only fault is the boundary crossing itself
@@ -482,6 +511,7 @@ def test_graph_check_needs_the_boundary_test():
         vertices=vertices,
         triangles=tris,
         cone_vertices=[],
+        apex_vertices=[],
         copies=0,
         cone_directions=[],
         nu3=np.ones(len(vertices)),
@@ -518,7 +548,7 @@ def mesh22():
 
 # graph_check's traced allocations per period triangle: 164 B when it held
 # full-size edge vectors and key arrays, 58 B with chunked orientation and
-# in-place keys (68 B on meshes of one chunk)
+# in-place keys (68 B on meshes of one chunk), 54 B with one directed-key sort
 GRAPH_CHECK_BYTES_PER_TRIANGLE = 100
 
 
@@ -555,12 +585,72 @@ def test_orientation_count_matches_oracle_at_chunk_edges(oracle_mesh, monkeypatc
     assert not rep.passed
 
 
+def _with_triangles(mesh, tris, extra_vertices=0):
+    """mesh (copies=0) with its triangles replaced and extra_vertices appended."""
+    return dataclasses.replace(
+        mesh,
+        vertices=np.vstack([mesh.vertices, mesh.vertices[:extra_vertices]]),
+        nu3=np.concatenate([mesh.nu3, mesh.nu3[:extra_vertices]]),
+        triangles=tris,
+        period_triangle_count=len(tris),
+        period_vertex_count=mesh.period_vertex_count + extra_vertices,
+    )
+
+
+def _duplicated_triangle(mesh):
+    # one triangle twice, the same way round: all three directed edges repeat
+    tris = mesh.triangles[: mesh.period_triangle_count]
+    return _with_triangles(mesh, np.vstack([tris, tris[len(tris) // 2 : len(tris) // 2 + 1]])), None
+
+
+def _third_triangle_on_an_edge(mesh):
+    # a fresh vertex closes a third triangle on an interior edge
+    tris = mesh.triangles[: mesh.period_triangle_count]
+    a, b = (int(x) for x in tris[len(tris) // 2, :2])
+    assert np.count_nonzero(np.any(tris == a, axis=1) & np.any(tris == b, axis=1)) == 2
+    n = len(mesh.vertices)
+    return _with_triangles(mesh, np.vstack([tris, [[b, a, n]]]), extra_vertices=1), None
+
+
+def _one_triangle_reversed(mesh):
+    # an interior triangle turned round: its edges run the way its neighbours' do
+    tris = mesh.triangles[: mesh.period_triangle_count].copy()
+    tris[len(tris) // 2] = tris[len(tris) // 2, [0, 2, 1]]
+    return _with_triangles(mesh, tris), None
+
+
+def _gap_in_vertex_ids(mesh):
+    # five unused ids in the middle of the numbering; still a disk (the
+    # boundary rows keep the old ids: for the disk test only)
+    cut, gap = len(mesh.vertices) // 2, 5
+    broken = dataclasses.replace(
+        mesh,
+        vertices=np.insert(mesh.vertices, [cut] * gap, 0.0, axis=0),
+        nu3=np.insert(mesh.nu3, [cut] * gap, 1.0),
+        triangles=np.where(mesh.triangles >= cut, mesh.triangles + gap, mesh.triangles),
+        period_vertex_count=mesh.period_vertex_count + gap,
+    )
+    return broken, None
+
+
+NOT_A_DISK = (_not_a_disk, _duplicated_triangle, _third_triangle_on_an_edge, _one_triangle_reversed)
+
+
 @pytest.mark.parametrize(
     "fixture, breaker",
     [("readme_mesh", None), ("mesh22", None), ("oracle_mesh", None)]
     + [
         ("oracle_mesh", b)
-        for b in (_folded_interior_vertex, _flipped_triangle, _boundary_vertex_across, _not_a_disk)
+        for b in (
+            _folded_interior_vertex,
+            _flipped_triangle,
+            _boundary_vertex_across,
+            _not_a_disk,
+            _duplicated_triangle,
+            _third_triangle_on_an_edge,
+            _one_triangle_reversed,
+            _gap_in_vertex_ids,
+        )
     ],
 )
 def test_disk_boundary_matches_former_version(fixture, breaker, request):
@@ -570,9 +660,31 @@ def test_disk_boundary_matches_former_version(fixture, breaker, request):
     tris = mesh.triangles[: mesh.period_triangle_count]
     disk, edges = MM._disk_boundary(tris)
     disk_ref, edges_ref = oracles.disk_boundary_ref(tris)
-    assert disk == disk_ref
+    assert disk == disk_ref == (breaker not in NOT_A_DISK)
     assert edges.dtype == edges_ref.dtype and edges.shape == edges_ref.shape
     assert edges.tobytes() == edges_ref.tobytes()
+
+
+@pytest.fixture(scope="module")
+def wide_mesh():
+    p = SurfaceParams(m=2, n=0, a=(1e-3, 1, 10, 1e3), alpha=(1, -1))
+    return MM.build_mesh(p, COARSE)
+
+
+@pytest.mark.parametrize(
+    "fixture, breaker",
+    [("readme_mesh", None), ("wide_mesh", None), ("mesh22", None)]
+    + [("oracle_mesh", b) for b in (None, _boundary_vertex_across, _not_a_disk)],
+)
+def test_boundary_crossings_match_former_version(fixture, breaker, request):
+    mesh = request.getfixturevalue(fixture)
+    if breaker is not None:
+        mesh, _ = breaker(mesh)
+    xy = mesh.vertices[:, :2]
+    edges = MM._disk_boundary(mesh.triangles[: mesh.period_triangle_count])[1]
+    crossings = touching_pairs(xy, edges)
+    assert crossings == oracles.touching_pairs_ref(xy, edges)
+    assert (crossings > 0) == (breaker is not None)
 
 
 def _renumbered(mesh, offset, dtype):
@@ -580,8 +692,9 @@ def _renumbered(mesh, offset, dtype):
     return dataclasses.replace(
         mesh,
         vertices=np.vstack([np.zeros((offset, 3)), mesh.vertices]),
-        nu3=np.concatenate([np.full(offset, math.nan), mesh.nu3]),
+        nu3=np.concatenate([np.ones(offset), mesh.nu3]),
         triangles=(mesh.triangles + offset).astype(dtype),
+        apex_vertices=[v + offset for v in mesh.apex_vertices],
         boundary_pos=[v + offset for v in mesh.boundary_pos],
         boundary_neg=[v + offset for v in mesh.boundary_neg],
         period_vertex_count=mesh.period_vertex_count + offset,
@@ -652,6 +765,7 @@ def _empty_mesh():
         vertices=np.zeros((0, 3)),
         triangles=np.zeros((0, 3), dtype=int),
         cone_vertices=[],
+        apex_vertices=[],
         copies=0,
         cone_directions=[],
         nu3=np.zeros(0),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from maxcone import core
@@ -278,6 +280,43 @@ def test_touching_pairs_closed_segments():
     five = np.array([[k, (k + 1) % 5] for k in range(5)])
     assert S.touching_pairs(pinched, five) == 2
     assert S.touching_pairs(np.where(square == 1.0, np.nan, square), ring) > 0
+
+
+@st.composite
+def segment_sets(draw):
+    """Points on a small grid (shared, repeated and collinear positions) and
+    edges between them (duplicates, reversals, zero length), with at most one
+    coordinate of one point made NaN or infinite."""
+    n = draw(st.integers(1, 10))
+    coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+    points = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    vertex = st.integers(0, n - 1)
+    edges = np.array(draw(st.lists(st.tuples(vertex, vertex), max_size=24)), dtype=np.int64)
+    value = st.sampled_from([math.nan, math.inf, -math.inf])
+    bad = draw(st.none() | st.tuples(vertex, st.integers(0, 1), value))
+    if bad is not None:
+        points[bad[:2]] = bad[2]
+    return points, edges.reshape(-1, 2)
+
+
+@given(segment_sets())
+@example((np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64)))
+@settings(max_examples=400, deadline=None)
+def test_touching_pairs_sweep_matches_all_pairs(segments):
+    points, edges = segments
+    # an infinite coordinate makes inf - inf in the side tests of both
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert S.touching_pairs(points, edges) == oracles.touching_pairs_ref(points, edges)
+
+
+def test_touching_pairs_sweep_matches_all_pairs_on_a_stadium_loop(p21):
+    c = S.components(p21)[0]
+    pts = S._stadium_image(c, p21)[1][:, :2]
+    ring = np.arange(len(pts))
+    for loop in (pts, pts[[*range(20), *range(30, 40), *range(20, 30), *range(40, len(pts))]]):
+        edges = np.stack([ring, np.roll(ring, -1)], axis=1)
+        assert S.touching_pairs(loop, edges) == oracles.touching_pairs_ref(loop, edges)
+    assert S.touching_pairs(loop, edges) > 0
 
 
 def test_stereographic_pole():
